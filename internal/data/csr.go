@@ -2,8 +2,9 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix, the format of the paper's csr
@@ -36,9 +37,20 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 		return nil, fmt.Errorf("data: createcsr density %g out of (0,1]", density)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &CSR{N: n, RowPtr: make([]int32, n+1)}
 	perRow := density * float64(n)
-	cols := map[int32]bool{}
+	// No row holds more than ⌈density·n⌉ distinct columns, so this
+	// capacity bounds nnz and the appends below never reallocate.
+	maxNNZ := n * min(int(math.Ceil(perRow)), n)
+	m := &CSR{
+		N:      n,
+		RowPtr: make([]int32, n+1),
+		Cols:   make([]int32, 0, maxNNZ),
+		Vals:   make([]float32, 0, maxNNZ),
+	}
+	// stamp[c] == i+1 marks column c as drawn in row i, so duplicate
+	// draws are rejected without clearing anything between rows.
+	stamp := make([]int32, n)
+	var row []int32
 	for i := 0; i < n; i++ {
 		// Binomial-ish draw: floor plus probabilistic extra keeps the
 		// expected density exact even when density·n < 1.
@@ -46,17 +58,16 @@ func CreateCSR(n int, density float64, seed int64) (*CSR, error) {
 		if rng.Float64() < perRow-float64(k) {
 			k++
 		}
-		clear(cols)
-		for len(cols) < k && len(cols) < n {
-			cols[int32(rng.Intn(n))] = true
+		row = row[:0]
+		for len(row) < k && len(row) < n {
+			if c := int32(rng.Intn(n)); stamp[c] != int32(i+1) {
+				stamp[c] = int32(i + 1)
+				row = append(row, c)
+			}
 		}
-		sorted := make([]int32, 0, len(cols))
-		for c := range cols {
-			sorted = append(sorted, c)
-		}
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		for _, c := range sorted {
-			m.Cols = append(m.Cols, c)
+		slices.Sort(row)
+		m.Cols = append(m.Cols, row...)
+		for range row {
 			m.Vals = append(m.Vals, float32(rng.Float64()*2-1))
 		}
 		m.RowPtr[i+1] = int32(len(m.Cols))

@@ -3,7 +3,9 @@ package csr
 import (
 	"testing"
 
+	"opendwarfs/internal/data"
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -106,5 +108,27 @@ func TestProfileReflectsDensity(t *testing.T) {
 	}
 	if err := ps.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCreateCSRGolden pins the generated matrices bit for bit at the four
+// Table 2 sizes: data.CreateCSR must keep every rng draw in its order (the
+// k decision, every column draw including duplicates, one value per sorted
+// column), so any change to the generator that alters a dataset fails here.
+func TestCreateCSRGolden(t *testing.T) {
+	want := map[string]string{
+		dwarfs.SizeTiny:   "d1aec7070693f35bcab37db9b0af8ab7668252ca194d0fcc7df9dae2b2b12604",
+		dwarfs.SizeSmall:  "20c6fabda7fccdf40c6f81a9836c492605779fe65253c7860246541ccb569b8e",
+		dwarfs.SizeMedium: "7ddc4bdc06630ba1991d662a2776f0306f4867a9d9f7ef72b99df6e3f647cc82",
+		dwarfs.SizeLarge:  "bd7de0d13ea7128f0a4fbaa31f4c001b993e62bd584263386d8666f07b64fe9f",
+	}
+	for _, size := range dwarfs.Sizes() {
+		m, err := data.CreateCSR(nBySize[size], Density, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dwarfstest.Digest(m.RowPtr, m.Cols, m.Vals); got != want[size] {
+			t.Errorf("%s: matrix digest %s, want %s", size, got, want[size])
+		}
 	}
 }

@@ -68,17 +68,30 @@ type Benchmark interface {
 }
 
 // Instance is one configured benchmark run.
+//
+// An instance may defer drawing its seeded dataset until the data is
+// first read. New and Setup then build only the shape — buffers, kernels,
+// transfer commands, FootprintBytes and kernel profiles — and the first
+// Iterate on an executing queue draws the dataset from the same seed, in
+// the same order, as drawing it at construction would. An oversized
+// configuration that the harness keeps on the timing model (DESIGN.md §2)
+// then never generates data that no kernel or verifier reads. Data a
+// caller supplies is held from construction.
 type Instance interface {
 	// Setup allocates buffers in the context and enqueues the initial
-	// host→device transfers on the queue.
+	// host→device transfers on the queue. Footprint and transfer volumes
+	// are final after Setup; buffer contents may stay unset until the
+	// first executing Iterate.
 	Setup(ctx *opencl.Context, q *opencl.CommandQueue) error
 	// Iterate performs one timed iteration of the benchmark: every kernel
 	// enqueue the application issues per loop pass (§4.3's ≥2 s loop runs
-	// Iterate repeatedly).
+	// Iterate repeatedly). An instance that defers its dataset draws it
+	// on the first Iterate on an executing queue.
 	Iterate(q *opencl.CommandQueue) error
 	// Verify checks the device results against the serial reference. It
 	// must be called after at least one Iterate on an executing (non
-	// simulate-only) queue.
+	// simulate-only) queue; an instance that defers its dataset returns
+	// an error when no executing Iterate has drawn it.
 	Verify() error
 	// FootprintBytes is the expected device-side memory usage (the paper
 	// verifies this against the context's allocation accounting).

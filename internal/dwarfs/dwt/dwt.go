@@ -67,13 +67,14 @@ func (*Benchmark) ArgString(size string) string {
 	return fmt.Sprintf("-l %d %dx%d-gum.ppm", Levels, d.W, d.H)
 }
 
-// New implements dwarfs.Benchmark.
+// New implements dwarfs.Benchmark. The gum-leaf image is drawn from the
+// seed by the first executing Iterate (see dwarfs.Instance).
 func (*Benchmark) New(size string, seed int64) (dwarfs.Instance, error) {
 	d, ok := sizeDims[size]
 	if !ok {
 		return nil, fmt.Errorf("dwt: unsupported size %q", size)
 	}
-	return NewInstance(data.GenerateLeaf(d.W, d.H, seed), Levels)
+	return &Instance{w: d.W, h: d.H, levels: Levels, seed: seed}, nil
 }
 
 // NewFromPPM builds an instance from a PPM/PGM stream, the input path of the
@@ -89,7 +90,8 @@ func NewFromPPM(r io.Reader, levels int) (*Instance, error) {
 // Instance is one configured transform.
 type Instance struct {
 	w, h, levels int
-	original     []float32
+	seed         int64
+	original     []float32 // input image; nil until drawn
 
 	img, tmp       []float32
 	imgBuf, tmpBuf *opencl.Buffer
@@ -113,6 +115,14 @@ func NewInstance(im *data.Image, levels int) (*Instance, error) {
 	return in, nil
 }
 
+// draw generates the gum-leaf image from the seed unless the input is
+// already drawn or was supplied.
+func (in *Instance) draw() {
+	if in.original == nil {
+		in.original = data.GenerateLeaf(in.w, in.h, in.seed).Pix
+	}
+}
+
 // FootprintBytes implements dwarfs.Instance: image plus scratch plane.
 func (in *Instance) FootprintBytes() int64 { return 2 * int64(in.w) * int64(in.h) * 4 }
 
@@ -120,7 +130,6 @@ func (in *Instance) FootprintBytes() int64 { return 2 * int64(in.w) * int64(in.h
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.imgBuf, in.img = opencl.NewBuffer[float32](ctx, "image", in.w*in.h)
 	in.tmpBuf, in.tmp = opencl.NewBuffer[float32](ctx, "scratch", in.w*in.h)
-	copy(in.img, in.original)
 
 	in.kRows = &opencl.Kernel{
 		Name: "fdwt97_rows",
@@ -278,6 +287,7 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		return fmt.Errorf("dwt: Iterate before Setup")
 	}
 	if !q.SimulateOnly() {
+		in.draw()
 		copy(in.img, in.original)
 	}
 	q.EnqueueWrite(in.imgBuf)
@@ -331,6 +341,7 @@ func (in *Instance) WriteTiledPGM(w io.Writer) error {
 // SerialForward runs the reference transform on a copy of the input and
 // returns the coefficient plane.
 func (in *Instance) SerialForward() []float32 {
+	in.draw()
 	img := append([]float32(nil), in.original...)
 	scratch := make([]float32, max(in.w, in.h))
 	w, h := in.w, in.h
@@ -386,8 +397,8 @@ func (in *Instance) SerialInverse(plane []float32) {
 // reference bit for bit (identical arithmetic order), and inverting the
 // result must reconstruct the original image.
 func (in *Instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("dwt: Verify before Iterate")
+	if !in.ran || in.original == nil {
+		return fmt.Errorf("dwt: Verify before an executing Iterate")
 	}
 	ref := in.SerialForward()
 	for i := range ref {

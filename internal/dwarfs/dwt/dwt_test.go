@@ -9,6 +9,7 @@ import (
 
 	"opendwarfs/internal/data"
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -217,5 +218,40 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.WriteTiledPGM(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTiledPGM before Iterate accepted")
+	}
+}
+
+// Characterising a row leaves the image undrawn at every size, and Verify
+// refuses to run without an executing Iterate.
+func TestImageDeferredToExecutingIterate(t *testing.T) {
+	for _, size := range New().Sizes() {
+		inst, _ := dwarfstest.Characterise(t, New(), size, 1)
+		in := inst.(*Instance)
+		if in.original != nil {
+			t.Errorf("%s: image drawn before an executing Iterate", size)
+		}
+		if err := in.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted without an executing Iterate", size)
+		}
+	}
+}
+
+// The image an executing Iterate draws at seed 1 is bitwise the one New
+// generated when it drew eagerly; the digests were computed then.
+func TestDrawnImageGolden(t *testing.T) {
+	want := map[string]string{
+		dwarfs.SizeTiny:   "48817807a5e21f52f0956728adb5f8fee1f49e0c0be7569663bf4c397622f215",
+		dwarfs.SizeSmall:  "9d15dea0e28b48e25bdbea80b3ddeb68586a7fd8f0e92ff6e1579385c7a5e6c1",
+		dwarfs.SizeMedium: "22397065fcd6db55898434bc68cd7c3c2dfe304b152c0d6186f39f5f926097aa",
+	}
+	for size, digest := range want {
+		inst, q := dwarfstest.Characterise(t, New(), size, 1)
+		q.SetSimulateOnly(false)
+		if err := inst.Iterate(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := dwarfstest.Digest(inst.(*Instance).original); got != digest {
+			t.Errorf("%s: image digest %s, want %s", size, got, digest)
+		}
 	}
 }

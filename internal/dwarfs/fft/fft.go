@@ -63,7 +63,7 @@ type Instance struct {
 	n    int
 	seed int64
 
-	input      []complex64 // pristine input signal
+	input      []complex64 // pristine input signal; nil until drawn
 	ping, pong []complex64
 	pingBuf    *opencl.Buffer
 	pongBuf    *opencl.Buffer
@@ -75,7 +75,6 @@ type Instance struct {
 	kernel *opencl.Kernel
 	// out aliases whichever buffer holds the final spectrum.
 	out []complex64
-	ran bool
 }
 
 // NewInstance builds an instance; n must be a power of two ≥ 2.
@@ -89,16 +88,11 @@ func NewInstance(n int, seed int64) (*Instance, error) {
 // FootprintBytes implements dwarfs.Instance: the two ping-pong buffers.
 func (in *Instance) FootprintBytes() int64 { return 2 * int64(in.n) * 8 }
 
-// Setup implements dwarfs.Instance.
+// Setup implements dwarfs.Instance. The signal is drawn from the seed by
+// the first executing Iterate (see dwarfs.Instance).
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.pingBuf, in.ping = opencl.NewBuffer[complex64](ctx, "ping", in.n)
 	in.pongBuf, in.pong = opencl.NewBuffer[complex64](ctx, "pong", in.n)
-	rng := rand.New(rand.NewSource(in.seed))
-	in.input = make([]complex64, in.n)
-	for i := range in.input {
-		in.input[i] = complex(float32(rng.Float64()*2-1), float32(rng.Float64()*2-1))
-	}
-	copy(in.ping, in.input)
 
 	in.kernel = &opencl.Kernel{
 		Name:    "fft_radix2",
@@ -152,6 +146,7 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		return fmt.Errorf("fft: Iterate before Setup")
 	}
 	if !q.SimulateOnly() {
+		in.draw()
 		copy(in.ping, in.input)
 	}
 	q.EnqueueWrite(in.pingBuf)
@@ -170,8 +165,19 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		in.p <<= 1
 	}
 	in.out = src // after the final swap, src aliases the last destination
-	in.ran = true
 	return nil
+}
+
+// draw generates the input signal from the seed unless it is drawn already.
+func (in *Instance) draw() {
+	if in.input != nil {
+		return
+	}
+	rng := rand.New(rand.NewSource(in.seed))
+	in.input = make([]complex64, in.n)
+	for i := range in.input {
+		in.input[i] = complex(float32(rng.Float64()*2-1), float32(rng.Float64()*2-1))
+	}
 }
 
 // Output returns the spectrum of the last Iterate.
@@ -181,8 +187,8 @@ func (in *Instance) Output() []complex64 { return in.out }
 // the paper examined correctness "by directly comparing outputs against a
 // serial implementation" (§4.4.2).
 func (in *Instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("fft: Verify before Iterate")
+	if in.input == nil {
+		return fmt.Errorf("fft: Verify before an executing Iterate")
 	}
 	ref := make([]complex128, in.n)
 	for i, v := range in.input {

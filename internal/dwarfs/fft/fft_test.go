@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -234,5 +236,40 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// Characterising a row leaves the signal undrawn at every size, and Verify
+// refuses to run without an executing Iterate.
+func TestSignalDeferredToExecutingIterate(t *testing.T) {
+	for _, size := range New().Sizes() {
+		inst, _ := dwarfstest.Characterise(t, New(), size, 1)
+		in := inst.(*Instance)
+		if in.input != nil {
+			t.Errorf("%s: signal drawn before an executing Iterate", size)
+		}
+		if err := in.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted without an executing Iterate", size)
+		}
+	}
+}
+
+// The signal an executing Iterate draws at seed 1 is bitwise the one Setup
+// generated when it drew eagerly; the digests were computed then.
+func TestDrawnSignalGolden(t *testing.T) {
+	want := map[string]string{
+		dwarfs.SizeTiny:   "2f7cc5d4fa457764bca8061bf8226b8255b6b99250e37b34e53ee6eb7d9d95cd",
+		dwarfs.SizeSmall:  "4d96fabe235be4d533470c2e8cefba50838ae07c27f22aa36d781252f6b058c6",
+		dwarfs.SizeMedium: "bed41ae31debc70718364c1af68d57388d5685026733bfedf9e107678c96f21e",
+	}
+	for size, digest := range want {
+		inst, q := dwarfstest.Characterise(t, New(), size, 1)
+		q.SetSimulateOnly(false)
+		if err := inst.Iterate(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := dwarfstest.Digest(inst.(*Instance).input); got != digest {
+			t.Errorf("%s: signal digest %s, want %s", size, got, digest)
+		}
 	}
 }

@@ -101,7 +101,11 @@ func TestShiftInvarianceOfMagnitudes(t *testing.T) {
 		if err := b.Setup(ctx2, q2); err != nil {
 			return false
 		}
-		// Rotate b's input by `shift`.
+		// The first executing Iterate draws b's input; rotate it by
+		// `shift` and transform again.
+		if err := b.Iterate(q2); err != nil {
+			return false
+		}
 		rot := make([]complex64, n)
 		for i := range rot {
 			rot[i] = b.input[(i+shift)%n]

@@ -6,6 +6,7 @@ import (
 
 	"opendwarfs/internal/data"
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -131,5 +132,53 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// Characterising a row leaves the molecule undrawn at every size, and
+// Verify refuses to run without an executing Iterate.
+func TestMoleculeDeferredToExecutingIterate(t *testing.T) {
+	for _, size := range New().Sizes() {
+		inst, _ := dwarfstest.Characterise(t, New(), size, 1)
+		in := inst.(*Instance)
+		if in.mol != nil || in.loaded {
+			t.Errorf("%s: molecule drawn before an executing Iterate", size)
+		}
+		if err := in.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted without an executing Iterate", size)
+		}
+	}
+}
+
+// The atom and vertex arrays loaded at seed 1 are bitwise the molecule New
+// generated when it drew eagerly; the digests were computed then. tiny,
+// the one row within the default functional budget, loads through an
+// executing Iterate; small and medium, which the harness keeps
+// simulate-only, call the same load directly, as their V×A sums would be
+// slow.
+func TestLoadedMoleculeGolden(t *testing.T) {
+	for _, c := range []struct {
+		size    string
+		execute bool
+		want    string
+	}{
+		{dwarfs.SizeTiny, true, "3d144b97b1b2ef85842696c1c0b210f1092b50cd1a3c3fbfdf93145ccca87fb9"},
+		{dwarfs.SizeSmall, false, "b0e06961475445d8b81568aae7b9204403a3ad1e06301d99dfa302ed415b15f4"},
+		{dwarfs.SizeMedium, false, "575f304ca5a5d5af14853a292bf7399c4fdaa1ef6e3b631b513accd293e2f734"},
+	} {
+		inst, q := dwarfstest.Characterise(t, New(), c.size, 1)
+		in := inst.(*Instance)
+		if c.execute {
+			q.SetSimulateOnly(false)
+			if err := in.Iterate(q); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			in.load()
+		}
+		got := dwarfstest.Digest(in.atomX, in.atomY, in.atomZ, in.atomQ, in.vertX, in.vertY, in.vertZ)
+		if got != c.want {
+			t.Errorf("%s: molecule digest %s, want %s", c.size, got, c.want)
+		}
 	}
 }

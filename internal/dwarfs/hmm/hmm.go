@@ -82,10 +82,10 @@ type Instance struct {
 	a  []float32 // N×N transitions
 	b  []float32 // N×S emissions
 	pi []float32 // N initial distribution
-	// Pristine copies restored each iteration.
+	// Pristine copies restored each iteration; nil until drawn.
 	a0, b0, pi0 []float32
 
-	obs   []int32   // T observations
+	obs   []int32   // T observations (device buffer)
 	alpha []float32 // T×N scaled forward variables
 	beta  []float32 // T×N scaled backward variables
 	gamma []float32 // T×N state posteriors
@@ -97,25 +97,31 @@ type Instance struct {
 	t int
 
 	kFwdInit, kFwdStep, kBwdStep, kGamma, kUpdateA, kUpdateB *opencl.Kernel
-	iterations                                               int
-	ran                                                      bool
 }
 
-// NewInstance builds an instance with random row-stochastic parameters.
+// NewInstance builds an instance with random row-stochastic parameters,
+// drawn from the seed by the first executing Iterate (see
+// dwarfs.Instance).
 func NewInstance(n, s int, seed int64) (*Instance, error) {
 	if n < 1 || s < 1 {
 		return nil, fmt.Errorf("hmm: need at least one state and symbol (got %d,%d)", n, s)
 	}
-	in := &Instance{n: n, s: s, seed: seed}
-	rng := rand.New(rand.NewSource(seed))
-	in.a0 = randStochastic(rng, n, n)
-	in.b0 = randStochastic(rng, n, s)
-	in.pi0 = randStochastic(rng, 1, n)
-	in.obs = make([]int32, T)
-	for t := range in.obs {
-		in.obs[t] = int32(rng.Intn(s))
+	return &Instance{n: n, s: s, seed: seed}, nil
+}
+
+// draw generates the model from the seed unless it is drawn already: A,
+// B and π, then the observation sequence, written into the obs buffer.
+func (in *Instance) draw() {
+	if in.a0 != nil {
+		return
 	}
-	return in, nil
+	rng := rand.New(rand.NewSource(in.seed))
+	in.a0 = randStochastic(rng, in.n, in.n)
+	in.b0 = randStochastic(rng, in.n, in.s)
+	in.pi0 = randStochastic(rng, 1, in.n)
+	for t := range in.obs {
+		in.obs[t] = int32(rng.Intn(in.s))
+	}
 }
 
 // randStochastic draws a rows×cols row-stochastic matrix.
@@ -152,17 +158,13 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.a = alloc("A", in.n*in.n)
 	in.b = alloc("B", in.n*in.s)
 	in.pi = alloc("pi", in.n)
-	obsBuf, obs := opencl.NewBuffer[int32](ctx, "obs", T)
+	var obsBuf *opencl.Buffer
+	obsBuf, in.obs = opencl.NewBuffer[int32](ctx, "obs", T)
 	in.bufs = append(in.bufs, obsBuf)
-	copy(obs, in.obs)
-	in.obs = obs
 	in.alpha = alloc("alpha", T*in.n)
 	in.beta = alloc("beta", T*in.n)
 	in.gamma = alloc("gamma", T*in.n)
 	in.scale = alloc("scale", T)
-	copy(in.a, in.a0)
-	copy(in.b, in.b0)
-	copy(in.pi, in.pi0)
 
 	n := in.n
 	in.kFwdInit = &opencl.Kernel{
@@ -299,6 +301,7 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	}
 	simOnly := q.SimulateOnly()
 	if !simOnly {
+		in.draw()
 		copy(in.a, in.a0)
 		copy(in.b, in.b0)
 		copy(in.pi, in.pi0)
@@ -343,8 +346,6 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	if err := launch(q, in.kUpdateB, n*in.s); err != nil {
 		return err
 	}
-	in.iterations++
-	in.ran = true
 	return nil
 }
 
@@ -377,8 +378,8 @@ func (in *Instance) LogLikelihood() float64 {
 // Verify implements dwarfs.Instance: a serial replay of the same step must
 // match A and B exactly, and both must remain row-stochastic.
 func (in *Instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("hmm: Verify before Iterate")
+	if in.a0 == nil {
+		return fmt.Errorf("hmm: Verify before an executing Iterate")
 	}
 	refA, refB := in.serialStep()
 	for i := range refA {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -182,5 +183,51 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// Characterising a row leaves the model undrawn at every size, and Verify
+// refuses to run without an executing Iterate.
+func TestModelDeferredToExecutingIterate(t *testing.T) {
+	for _, size := range New().Sizes() {
+		inst, _ := dwarfstest.Characterise(t, New(), size, 1)
+		in := inst.(*Instance)
+		if in.a0 != nil || in.b0 != nil || in.pi0 != nil {
+			t.Errorf("%s: model drawn before an executing Iterate", size)
+		}
+		if err := in.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted without an executing Iterate", size)
+		}
+	}
+}
+
+// A, B, π and the observations drawn at seed 1 are bitwise the ones
+// NewInstance generated when it drew eagerly; the digests were computed
+// then. Rows within the default functional budget draw through an
+// executing Iterate; medium, which the harness keeps simulate-only, calls
+// the same draw directly, as executing its Baum-Welch step would be slow.
+func TestDrawnModelGolden(t *testing.T) {
+	for _, c := range []struct {
+		size    string
+		execute bool
+		want    string
+	}{
+		{dwarfs.SizeTiny, true, "1c0f24f8106f279b0e79c90a9b0291a7b0389db92499bdd25093d93db38a27f5"},
+		{dwarfs.SizeSmall, true, "6703078143a3426c7b480341c1a3b272345a4d594e74691674138de02026cb2a"},
+		{dwarfs.SizeMedium, false, "9980caf5011f3dc2c996cb6d3feb9da75140d0e8e0372bd5ca2cbf993369353c"},
+	} {
+		inst, q := dwarfstest.Characterise(t, New(), c.size, 1)
+		in := inst.(*Instance)
+		if c.execute {
+			q.SetSimulateOnly(false)
+			if err := in.Iterate(q); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			in.draw()
+		}
+		if got := dwarfstest.Digest(in.a0, in.b0, in.pi0, in.obs); got != c.want {
+			t.Errorf("%s: model digest %s, want %s", c.size, got, c.want)
+		}
 	}
 }

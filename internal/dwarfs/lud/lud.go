@@ -62,13 +62,12 @@ type Instance struct {
 	n, nb int
 	seed  int64
 
-	original []float32 // pristine input, restored before each iteration
+	original []float32 // pristine input, restored before each iteration; nil until drawn
 	m        []float32 // in-place working matrix (device buffer)
 	matBuf   *opencl.Buffer
 
 	step                     int // current block step, read by kernel closures
 	kDiag, kPerim, kInternal *opencl.Kernel
-	ran                      bool
 }
 
 // NewInstance builds an instance for an n×n matrix; n must be a positive
@@ -83,11 +82,10 @@ func NewInstance(n int, seed int64) (*Instance, error) {
 // FootprintBytes implements dwarfs.Instance: the in-place matrix.
 func (in *Instance) FootprintBytes() int64 { return int64(in.n) * int64(in.n) * 4 }
 
-// Setup implements dwarfs.Instance.
+// Setup implements dwarfs.Instance. The matrix is drawn from the seed by
+// the first executing Iterate (see dwarfs.Instance).
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.original = data.DiagonallyDominantMatrix(in.n, in.seed)
 	in.matBuf, in.m = opencl.NewBuffer[float32](ctx, "matrix", in.n*in.n)
-	copy(in.m, in.original)
 
 	m, n := in.m, in.n
 	// Diagonal kernel: factorise block (s,s) in place (Doolittle, unit
@@ -229,6 +227,7 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		return fmt.Errorf("lud: Iterate before Setup")
 	}
 	if !q.SimulateOnly() {
+		in.draw()
 		copy(in.m, in.original)
 	}
 	q.EnqueueWrite(in.matBuf)
@@ -248,8 +247,14 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 			return err
 		}
 	}
-	in.ran = true
 	return nil
+}
+
+// draw generates the input matrix from the seed unless it is drawn already.
+func (in *Instance) draw() {
+	if in.original == nil {
+		in.original = data.DiagonallyDominantMatrix(in.n, in.seed)
+	}
 }
 
 // Verify implements dwarfs.Instance: reconstruct L·U and compare with the
@@ -258,8 +263,8 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 // is O(n³); beyond n=512 a deterministic sample of rows is checked instead,
 // which still catches any mis-factorised block.
 func (in *Instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("lud: Verify before Iterate")
+	if in.original == nil {
+		return fmt.Errorf("lud: Verify before an executing Iterate")
 	}
 	n := in.n
 	rowStep := 1

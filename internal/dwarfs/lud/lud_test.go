@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -160,5 +161,51 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// Characterising a row leaves the matrix undrawn at every size, and Verify
+// refuses to run without an executing Iterate.
+func TestMatrixDeferredToExecutingIterate(t *testing.T) {
+	for _, size := range New().Sizes() {
+		inst, _ := dwarfstest.Characterise(t, New(), size, 1)
+		in := inst.(*Instance)
+		if in.original != nil {
+			t.Errorf("%s: matrix drawn before an executing Iterate", size)
+		}
+		if err := in.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted without an executing Iterate", size)
+		}
+	}
+}
+
+// The matrix drawn at seed 1 is bitwise the one Setup generated when it
+// drew eagerly; the digests were computed then. Rows within the default
+// functional budget draw through an executing Iterate; medium, which the
+// harness keeps simulate-only, calls the same draw directly, as executing
+// its decomposition would take seconds.
+func TestDrawnMatrixGolden(t *testing.T) {
+	for _, c := range []struct {
+		size    string
+		execute bool
+		want    string
+	}{
+		{dwarfs.SizeTiny, true, "56c87f175614de74ea00fc60648b16e17ea06a946c9cc3bb8742505c4cb37ecd"},
+		{dwarfs.SizeSmall, true, "7b6d278641a097049f82f84729ca613d5e23af6f36eff11e27bf8454dc2ae900"},
+		{dwarfs.SizeMedium, false, "346ce6c57320c760f3d032d701342ff165c2cd4459af07baa696476290d38bcf"},
+	} {
+		inst, q := dwarfstest.Characterise(t, New(), c.size, 1)
+		in := inst.(*Instance)
+		if c.execute {
+			q.SetSimulateOnly(false)
+			if err := in.Iterate(q); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			in.draw()
+		}
+		if got := dwarfstest.Digest(in.original); got != c.want {
+			t.Errorf("%s: matrix digest %s, want %s", c.size, got, c.want)
+		}
 	}
 }

@@ -5,8 +5,9 @@ package harness
 // devices). Both share the per-row preparation cache, so the pair isolates
 // the dispatch win; BenchmarkRunGridUncachedCells isolates the cache win
 // by measuring the same row the pre-cache harness re-prepared per device.
+// BenchmarkPrepare times single rows' preparations.
 //
-//	go test ./internal/harness -bench RunGrid -benchtime 3x
+//	go test ./internal/harness -bench 'RunGrid|Prepare' -benchtime 3x
 
 import (
 	"context"
@@ -113,5 +114,40 @@ func BenchmarkRunGridCachedCells(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkPrepare times one row's Prepare at the paper's options. dwt,
+// lud and hmm at large exceed the functional budget, so their datasets
+// are never drawn and each costs only the characterisation pass; csr/large
+// and fft/medium generate, execute and verify.
+func BenchmarkPrepare(b *testing.B) {
+	reg := suite.New()
+	opt := DefaultOptions()
+	for _, row := range []struct {
+		bench, size string
+		functional  bool
+	}{
+		{"dwt", "large", false},
+		{"lud", "large", false},
+		{"hmm", "large", false},
+		{"csr", "large", true},
+		{"fft", "medium", true},
+	} {
+		bench, err := reg.Get(row.bench)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(row.bench+"/"+row.size, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p, err := Prepare(context.Background(), bench, row.size, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.Functional != row.functional {
+					b.Fatalf("Functional = %v, want %v", p.Functional, row.functional)
+				}
+			}
+		})
 	}
 }

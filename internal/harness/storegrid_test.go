@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"sync"
@@ -443,5 +445,38 @@ func TestConcurrentStoreHitReaders(t *testing.T) {
 	}
 	if s := st.Stats(); s.Hits == 0 {
 		t.Fatalf("no slot hits across %d readers: %+v", readers, s)
+	}
+}
+
+// TestEncodedGridGolden pins the stored bytes of every cell of a one-device
+// grid over the benchmarks whose datasets are drawn lazily (dwt, lud, hmm,
+// fft, gem) and csr, at all sizes, seed 1 and the paper's options — so
+// drift in footprints, launch counts, profiles, samples or the
+// Functional/Verified flags fails here even where every in-process test
+// still agrees with itself. Refresh the digest only together with a
+// deliberate StoreSchemaVersion bump.
+func TestEncodedGridGolden(t *testing.T) {
+	const want = "08a8492ed4ee8550271d76fd2cb3afbd0ea5d3c60e1ba461ff34c228c30f8fa5"
+	g, err := RunGrid(context.Background(), suite.New(), GridSpec{
+		Benchmarks: []string{"dwt", "lud", "hmm", "fft", "gem", "csr"},
+		Devices:    []string{"i7-6700k"},
+		Options:    DefaultOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Cells() != 24 {
+		t.Fatalf("%d cells, want 24", g.Cells())
+	}
+	h := sha256.New()
+	for _, m := range g.Measurements {
+		raw, err := EncodeMeasurement(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(raw)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("encoded grid digest %s, want %s", got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Summary holds the descriptive statistics of one sample group — everything
@@ -61,12 +62,27 @@ func Summarize(xs []float64) Summary {
 		s.CV = s.SD / math.Abs(s.Mean)
 	}
 	if s.N > 1 {
-		half := StudentQuantile(0.975, float64(s.N-1)) * s.SD / math.Sqrt(float64(s.N))
+		half := studentT975(s.N-1) * s.SD / math.Sqrt(float64(s.N))
 		s.CI95Lo, s.CI95Hi = s.Mean-half, s.Mean+half
 	} else {
 		s.CI95Lo, s.CI95Hi = s.Mean, s.Mean
 	}
 	return s
+}
+
+// t975 memoises StudentQuantile(0.975, df) by integer df. Summarize needs
+// it on every call, the bisection costs about 100 µs, and a run only ever
+// sees a handful of sample counts.
+var t975 sync.Map // int → float64
+
+// studentT975 returns StudentQuantile(0.975, df), computing each df once.
+func studentT975(df int) float64 {
+	if v, ok := t975.Load(df); ok {
+		return v.(float64)
+	}
+	v := StudentQuantile(0.975, float64(df))
+	t975.Store(df, v)
+	return v
 }
 
 // Quantile returns the q-th quantile of a sorted sample using linear

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +119,47 @@ func TestStudentQuantile(t *testing.T) {
 			if back := StudentCDF(q, df); math.Abs(back-p) > 1e-6 {
 				t.Errorf("df=%g p=%g: CDF(Q)=%g", df, p, back)
 			}
+		}
+	}
+}
+
+// The memoised quantile behind Summarize's CI must be the bisection's
+// result bit for bit, or cached and uncached runs would export different
+// confidence intervals.
+func TestStudentT975MatchesBisection(t *testing.T) {
+	for df := 1; df <= 200; df++ {
+		want := StudentQuantile(0.975, float64(df))
+		for pass := 0; pass < 2; pass++ { // the first call fills the cache, the second reads it
+			if got := studentT975(df); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("df=%d pass %d: cached %v, bisection %v", df, pass, got, want)
+			}
+		}
+	}
+}
+
+// Concurrent Summarize calls fill and read the quantile cache together;
+// run under -race. Sample sizes above 201 give degrees of freedom no other
+// test caches, so the goroutines race on the first fill whatever the
+// test order.
+func TestSummarizeConcurrent(t *testing.T) {
+	xs := make([]float64, 260)
+	for i := range xs {
+		xs[i] = float64(i * i % 17)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 202; n <= len(xs); n++ {
+				Summarize(xs[:n])
+			}
+		}()
+	}
+	wg.Wait()
+	for df := 201; df < len(xs); df++ {
+		if got, want := studentT975(df), StudentQuantile(0.975, float64(df)); got != want {
+			t.Fatalf("df=%d: cached %v, bisection %v", df, got, want)
 		}
 	}
 }
