@@ -37,12 +37,15 @@ func TestChaosJobQuarantineFlow(t *testing.T) {
 		t.Fatalf("job quarantined %v, want [k20m]", status["quarantined"])
 	}
 
-	// The quarantine outlives the job: /v1/status lists it (the /healthz
-	// copy of this field is deprecated — see handleHealth).
+	// The quarantine outlives the job: /v1/status lists it, while /healthz
+	// stays pure liveness.
 	statusResp := get(t, srv, "/v1/status", http.StatusOK)
 	hq, _ := statusResp["quarantined"].([]any)
 	if len(hq) != 1 || hq[0] != "k20m" {
 		t.Fatalf("/v1/status quarantined %v, want [k20m]", statusResp["quarantined"])
+	}
+	if body := getRaw(t, srv, "/healthz"); body != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("/healthz body %q, want exactly {\"status\":\"ok\"}", body)
 	}
 
 	// Explicitly scheduling onto the dead device is a conflict.

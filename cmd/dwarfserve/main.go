@@ -5,7 +5,7 @@
 // server adds O(1) cell addressing by benchmark × size × device) and
 // answers JSON queries:
 //
-//	GET    /healthz                               liveness (plus quarantined devices, deprecated)
+//	GET    /healthz                               liveness
 //	GET    /v1/status                             build info, uptime, cell/segment/job counts
 //	GET    /metrics                               Prometheus text exposition of the server registry
 //	GET    /v1/cells?bench=fft&size=tiny&device=gtx1080   filtered cell summaries
@@ -79,7 +79,6 @@ func main() {
 	def := predict.DefaultConfig()
 	var (
 		storeDir    = flag.String("store", "", "persistent result store directory (required)")
-		shards      = flag.Int("shards", 1, "shard count for -store: >1 serves an n-way sharded store (shard-NN subdirectories, as written by dwarfsweep -shards)")
 		compactOver = flag.Int64("compact-over", 0, "compact the store after a job reload whenever its on-disk footprint exceeds this many bytes (0 = never)")
 		addr        = flag.String("addr", ":7077", "listen address")
 		trees       = flag.Int("trees", def.Trees, "forest size for /v1/predict")
@@ -102,13 +101,7 @@ func main() {
 	// it: the initial snapshot load, every job, and every reload all share
 	// one decoded measurement per cell, and the cache's hit/miss/evict
 	// counters are complete from process start.
-	var inner store.CellStore
-	var err error
-	if *shards > 1 {
-		inner, err = store.OpenSharded(*storeDir, *shards)
-	} else {
-		inner, err = store.Open(*storeDir)
-	}
+	inner, err := store.Open(*storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
 		os.Exit(1)
@@ -156,8 +149,8 @@ func main() {
 	go srv.runSampler(samplerCtx)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("dwarfserve: %d cells from %s (%d shard(s), %d segment files), listening on %s",
-		srv.cells(), *storeDir, *shards, store.SegmentsOf(st), *addr)
+	log.Printf("dwarfserve: %d cells from %s (%d segment files), listening on %s",
+		srv.cells(), *storeDir, store.SegmentsOf(st), *addr)
 
 	select {
 	case err := <-serveErr:
@@ -211,7 +204,7 @@ func main() {
 // handlers see new cells without a restart; sweeps run by other processes
 // still become visible on restart only.
 type server struct {
-	st          store.CellStore
+	st          *store.CachedStore
 	compactOver int64 // post-reload footprint bound in bytes; 0 = unbounded
 	mux         *http.ServeMux
 	cfg         predict.Config
@@ -266,14 +259,14 @@ type server struct {
 
 	// Devices quarantined by job executions (device → reason). /v1/schedule
 	// keeps them out of the default fleet and rejects explicit requests for
-	// them; healthz lists them.
+	// them; /v1/status lists them.
 	quarMu      sync.Mutex
 	quarantined map[string]string
 }
 
 func cellID(bench, size, device string) string { return bench + "\x00" + size + "\x00" + device }
 
-func newServer(st store.CellStore, cfg predict.Config) (*server, error) {
+func newServer(st *store.CachedStore, cfg predict.Config) (*server, error) {
 	s := &server{
 		st:          st,
 		cfg:         cfg,
@@ -286,8 +279,8 @@ func newServer(st store.CellStore, cfg predict.Config) (*server, error) {
 		quarantined: make(map[string]string),
 	}
 	// Instrument before the first read so the startup snapshot's slot-cache
-	// misses (and any store counters) are visible on /metrics.
-	store.InstrumentStore(st, s.metrics)
+	// misses (and the store counters) are visible on /metrics.
+	st.Instrument(s.metrics)
 	if err := s.initTelemetry(series.Options{}, defaultAlertRules()); err != nil {
 		return nil, err
 	}
@@ -361,24 +354,20 @@ func (s *server) reloadFromStore() error {
 }
 
 // maybeCompact enforces the -compact-over footprint bound after a job
-// reload: when the store reports a footprint above the bound, dead segment
+// reload: when the store's footprint exceeds the bound, dead segment
 // files are folded into a fresh snapshot. Compaction is best-effort — a
 // failure is logged, never fatal, and the next reload tries again.
 func (s *server) maybeCompact() {
 	if s.compactOver <= 0 {
 		return
 	}
-	sb, ok := s.st.(store.SizeBounded)
-	if !ok {
-		return
-	}
-	compacted, err := sb.CompactIfOver(s.compactOver)
+	compacted, err := s.st.CompactIfOver(s.compactOver)
 	if err != nil {
 		log.Printf("dwarfserve: compact-over: %v", err)
 		return
 	}
 	if compacted {
-		bytes, _ := sb.DiskBytes()
+		bytes, _ := s.st.DiskBytes()
 		log.Printf("dwarfserve: store compacted under -compact-over=%d (now %d bytes, %d segment file(s))",
 			s.compactOver, bytes, store.SegmentsOf(s.st))
 	}
@@ -448,20 +437,10 @@ func (s *server) quarantinedDevices() []string {
 	return out
 }
 
-// handleHealth is pure liveness: the process is up and answering. The
-// cell/segment/schema/job counters that used to live here moved to
-// /v1/status.
-//
-// Deprecated: the `quarantined` field is kept only for pre-/v1/status
-// clients and will be removed once none remain; every in-repo consumer
-// (the chaos CI gate, chaos_test.go) now reads it from /v1/status, and
-// new callers must too (see README "Deprecations").
+// handleHealth is pure liveness: the process is up and answering. Cell,
+// segment, job and quarantine state live in /v1/status.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{"status": "ok"}
-	if quar := s.quarantinedDevices(); len(quar) > 0 {
-		resp["quarantined"] = quar
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // defaultCellPageLimit bounds an unpaginated /v1/cells answer; clients
@@ -494,9 +473,7 @@ func decodeCursor(s string) (string, error) {
 //
 // total counts every cell matching the filters; items holds at most limit=
 // of them (default 500) starting after cursor=; next_cursor is the opaque
-// position to resume from, empty on the last page. ?legacy=1 serves the
-// deprecated pre-pagination {"count", "cells"} shape unpaginated; it will
-// be removed once known clients have migrated (see README).
+// position to resume from, empty on the last page.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	bench, size, device := q.Get("bench"), q.Get("size"), q.Get("device")
@@ -510,15 +487,6 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.RUnlock()
-
-	if q.Get("legacy") == "1" {
-		cells := make([]cellSummary, 0, len(matched))
-		for _, m := range matched {
-			cells = append(cells, summarize(m))
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"count": len(cells), "cells": cells})
-		return
-	}
 
 	limit := defaultCellPageLimit
 	if v := q.Get("limit"); v != "" {

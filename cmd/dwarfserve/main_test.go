@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -22,12 +23,7 @@ import (
 // store sits behind the slot cache, and the server loads its own snapshot.
 func newTestServer(t *testing.T) (*server, *harness.Grid) {
 	t.Helper()
-	base, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := store.Cached(base)
-	t.Cleanup(func() { st.Close() })
+	st := openStore(t)
 	opt := harness.DefaultOptions()
 	opt.Samples = 6
 	g, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
@@ -48,6 +44,18 @@ func newTestServer(t *testing.T) (*server, *harness.Grid) {
 		t.Fatal(err)
 	}
 	return srv, g
+}
+
+// openStore opens a fresh store behind the slot cache, as main does.
+func openStore(t *testing.T) *store.CachedStore {
+	t.Helper()
+	base, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.Cached(base)
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func get(t *testing.T, srv *server, url string, wantCode int) map[string]any {
@@ -126,7 +134,7 @@ func TestCellsFilter(t *testing.T) {
 
 // TestCellsPagination walks the 4-cell snapshot one cell at a time through
 // the cursor, checks the pages tile the full listing exactly, and verifies
-// the deprecated ?legacy=1 shape and limit/cursor validation.
+// limit/cursor validation.
 func TestCellsPagination(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -166,10 +174,12 @@ func TestCellsPagination(t *testing.T) {
 		t.Fatalf("paged items differ from full listing:\npaged: %s\nfull:  %s", got, want)
 	}
 
-	// The deprecated shape still answers under ?legacy=1.
-	legacy := get(t, srv, "/v1/cells?legacy=1", http.StatusOK)
-	if int(legacy["count"].(float64)) != 4 || len(legacy["cells"].([]any)) != 4 {
-		t.Fatalf("legacy shape wrong: %v", legacy)
+	// The retired pre-pagination {count, cells} shape is gone: its query
+	// parameter is ignored and gets the envelope like any other request.
+	legacyQuery := url.Values{"legacy": {"1"}}.Encode()
+	legacy := get(t, srv, "/v1/cells?"+legacyQuery, http.StatusOK)
+	if _, ok := legacy["items"].([]any); !ok || legacy["total"] == nil || legacy["next_cursor"] == nil || legacy["cells"] != nil {
+		t.Fatalf("?%s did not get the {items, next_cursor, total} envelope: %v", legacyQuery, legacy)
 	}
 
 	get(t, srv, "/v1/cells?limit=0", http.StatusBadRequest)
@@ -342,10 +352,7 @@ func TestJobSweepRoundTrip(t *testing.T) {
 
 	// Byte-for-byte: a synchronous sweep of the same selection into a
 	// fresh store serves an identical /v1/grid.
-	st2, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openStore(t)
 	opt := harness.DefaultOptions()
 	opt.Samples = 6
 	if _, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
@@ -385,10 +392,7 @@ func getRaw(t *testing.T, srv *server, url string) string {
 // terminal state, the store agrees exactly with the reported progress, and
 // the query snapshot serves the completed cells.
 func TestJobCancel(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t)
 	srv, err := newServer(st, predict.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -445,10 +449,7 @@ func TestJobValidationAndLookups(t *testing.T) {
 // TestShutdownCancelsJobs: shutdownJobs() drives running jobs to a
 // terminal state and new submissions are rejected while draining.
 func TestShutdownCancelsJobs(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t)
 	srv, err := newServer(st, predict.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,7 @@ type Instance struct {
 	bufs                 []*opencl.Buffer
 	q0sqr                float32 // host-computed ROI statistic, read by srad1
 	kSrad1, kSrad2       *opencl.Kernel
-	iterations           int
-	ran                  bool
+	iterations           int // executed steps, replayed by Verify
 }
 
 // NewInstance builds an instance over a synthetic speckled image.
@@ -235,7 +234,6 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		// Only executed steps advance the PDE state the replay verifies.
 		in.iterations++
 	}
-	in.ran = true
 	return nil
 }
 
@@ -274,8 +272,8 @@ func (in *Instance) Grid() []float32 { return in.J }
 // serially and require bitwise-identical grids (same per-cell arithmetic
 // order).
 func (in *Instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("srad: Verify before Iterate")
+	if in.iterations == 0 {
+		return fmt.Errorf("srad: Verify before an executing Iterate")
 	}
 	ref := &Instance{
 		rows: in.rows, cols: in.cols,

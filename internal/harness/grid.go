@@ -47,10 +47,10 @@ type GridSpec struct {
 	// instead of recomputed, and misses are measured then persisted. An
 	// unchanged grid re-swept against the same store is a 100% hit and
 	// produces value-identical measurements, hence byte-identical exports.
-	// Any CellStore works — a plain directory store, a Sharded fan-out, or
-	// either behind store.Cached, whose Decoded fast path serves hits as
-	// shared decoded cells with zero re-parsing. Assign only a live store:
-	// a typed-nil pointer in the interface reads as "store attached".
+	// The binaries pass a store.Cached store, whose Decoded fast path
+	// serves hits as shared decoded cells with zero re-parsing; any other
+	// CellStore decodes each hit's payload. Assign only a live store: a
+	// typed-nil pointer in the interface reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every
 	// measurement attempt (see internal/faults); nil — the default — is

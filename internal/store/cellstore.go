@@ -3,23 +3,17 @@ package store
 // The CellStore interface is the seam between the persistence layer and
 // everything that reads or writes measured cells: the harness's incremental
 // grid runs, predict's training path, the scheduler's cost provider and the
-// dwarfserve query surface all speak CellStore, never *Store. That is what
-// lets one logical store be a plain directory (*Store), a fan-out over N
-// shard directories (Sharded), or either of those behind the zero-copy slot
-// cache (Cached) — composed freely, without any consumer changing.
+// dwarfserve query surface all take a CellStore. There is one backing, a
+// store directory (*Store), which every binary opens behind the zero-copy
+// slot cache (Cached); the interface lets an optional store field be nil
+// and lets callers wrap the cached store, as the repository benchmark does
+// to time its calls.
 
-import (
-	"encoding/json"
-
-	"opendwarfs/internal/obs"
-)
+import "encoding/json"
 
 // CellStore is the persistent fingerprint → record map every consumer
-// programs against. Implementations must be safe for concurrent use.
-//
-// The optional capabilities below (Snapshotter, Decoded, Segmenter,
-// Instrumentable, SizeBounded) are discovered by type assertion; a consumer
-// that needs one degrades gracefully when it is absent.
+// programs against. Implementations must be safe for concurrent use. The
+// one optional capability, Decoded, is discovered by type assertion.
 type CellStore interface {
 	// Get returns the stored payload for key. The returned bytes must not
 	// be modified.
@@ -38,13 +32,6 @@ type CellStore interface {
 	Close() error
 }
 
-// Snapshotter is optionally implemented by stores that can garbage-collect
-// their backing files: Compact rewrites the live record set into a fresh
-// snapshot and retires the dead seg-*.jsonl files it subsumes.
-type Snapshotter interface {
-	Compact() error
-}
-
 // DecodeFunc turns a stored payload into its decoded form. Decoders must
 // return a value that is immutable from the caller's point of view: a
 // Decoded store hands the same decoded value to every subsequent reader.
@@ -59,58 +46,4 @@ type Decoded interface {
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
 }
 
-// Segmenter is optionally implemented by stores that can report how many
-// snapshot/segment files back them — a health metric for the serving layer.
-type Segmenter interface {
-	Segments() int
-}
-
-// Instrumentable is optionally implemented by stores that can register
-// their counters on a metrics registry.
-type Instrumentable interface {
-	Instrument(reg *obs.Registry)
-}
-
-// SizeBounded is optionally implemented by stores that can bound their
-// on-disk footprint: CompactIfOver compacts (snapshotting + segment GC)
-// when DiskBytes exceeds maxBytes, reporting whether it did.
-type SizeBounded interface {
-	DiskBytes() (int64, error)
-	CompactIfOver(maxBytes int64) (bool, error)
-}
-
-// SegmentsOf reports the backing-file count of any CellStore, or 0 when
-// the store does not expose one.
-func SegmentsOf(cs CellStore) int {
-	if s, ok := cs.(Segmenter); ok {
-		return s.Segments()
-	}
-	return 0
-}
-
-// InstrumentStore registers cs's counters on reg when the store supports
-// instrumentation; a no-op otherwise.
-func InstrumentStore(cs CellStore, reg *obs.Registry) {
-	if in, ok := cs.(Instrumentable); ok {
-		in.Instrument(reg)
-	}
-}
-
-// CompactStore garbage-collects cs when it supports compaction; a no-op
-// (nil error) otherwise.
-func CompactStore(cs CellStore) error {
-	if sn, ok := cs.(Snapshotter); ok {
-		return sn.Compact()
-	}
-	return nil
-}
-
-// Compile-time checks: every store shape in this package is a CellStore,
-// and the concrete *Store keeps its full capability set.
-var (
-	_ CellStore      = (*Store)(nil)
-	_ Snapshotter    = (*Store)(nil)
-	_ Segmenter      = (*Store)(nil)
-	_ Instrumentable = (*Store)(nil)
-	_ SizeBounded    = (*Store)(nil)
-)
+var _ CellStore = (*Store)(nil)

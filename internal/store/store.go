@@ -149,18 +149,15 @@ func (s *Store) replay(path string) error {
 	}
 }
 
-// FingerprintShard returns key's 16-way fingerprint shard index — the
-// index that partitions the in-memory index, and that Sharded reuses to
-// route keys across store replicas, so in-process and cross-store
-// placement agree by construction.
-func FingerprintShard(key string) int {
+// fingerprintShard returns key's 16-way shard index in the in-memory index.
+func fingerprintShard(key string) int {
 	h := fnv.New32a()
 	io.WriteString(h, key)
 	return int(h.Sum32() % nShards)
 }
 
 func (s *Store) shard(key string) *shard {
-	return &s.shards[FingerprintShard(key)]
+	return &s.shards[fingerprintShard(key)]
 }
 
 // Get returns the stored payload for key. The returned bytes must not be
@@ -265,8 +262,7 @@ func (s *Store) Len() int {
 // implementation must produce from Records: (benchmark, size, device)
 // with the fingerprint key as the final tiebreak. The key makes the order
 // a total one — two records can never compare equal — so the listing is
-// deterministic regardless of map iteration order, segment replay order
-// or which shard each record came from.
+// deterministic regardless of map iteration order or segment replay order.
 func SortRecords(recs []*Record) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
@@ -374,9 +370,6 @@ func (s *Store) Close() error {
 	}
 	return nil
 }
-
-// Dir returns the directory backing the store.
-func (s *Store) Dir() string { return s.dir }
 
 // Segments reports how many snapshot/segment files back the store right
 // now — a health metric for the serving layer.

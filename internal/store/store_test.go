@@ -28,6 +28,9 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	put(t, s, "k1", "crc", "tiny", "gtx1080", map[string]float64{"ns": 42.5})
 	put(t, s, "k2", "fft", "small", "i7-6700k", map[string]float64{"ns": 7})
+	if err := s.Put(Record{Key: "", Value: json.RawMessage(`1`)}); err == nil {
+		t.Fatal("empty key accepted")
+	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
@@ -99,8 +102,27 @@ func TestCompact(t *testing.T) {
 	if s.Segments() != 2 {
 		t.Fatalf("Segments = %d, want 2", s.Segments())
 	}
+	before, err := s.DiskBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A bound ≤ 0 never compacts, nor does one above the footprint.
+	for _, bound := range []int64{0, -1, before * 100} {
+		if compacted, err := s.CompactIfOver(bound); err != nil || compacted {
+			t.Fatalf("CompactIfOver(%d) over %d bytes: %v, %v", bound, before, compacted, err)
+		}
+	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
+	}
+	// The overwritten "shared" line is dead: the snapshot is smaller than
+	// the segments it replaced, and it is the only backing file left.
+	after, err := s.DiskBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after >= before {
+		t.Fatalf("compaction grew the store: %d -> %d bytes", before, after)
 	}
 	if s.Segments() != 1 {
 		t.Fatalf("Segments after compact = %d, want 1 snapshot", s.Segments())
@@ -129,6 +151,13 @@ func TestCompact(t *testing.T) {
 	}
 	if s3.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s3.Len())
+	}
+	// Snapshot plus the post-compaction segment: a tiny bound folds them.
+	if compacted, err := s3.CompactIfOver(1); err != nil || !compacted {
+		t.Fatalf("CompactIfOver(1): %v, %v", compacted, err)
+	}
+	if s3.Segments() != 1 || s3.Len() != 4 {
+		t.Fatalf("after CompactIfOver: %d files, %d records; want 1 snapshot, 4 records", s3.Segments(), s3.Len())
 	}
 }
 

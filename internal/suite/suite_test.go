@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 )
 
 func TestSuiteOrderMatchesTable2(t *testing.T) {
@@ -87,4 +88,19 @@ func TestFootprintsOrderedBySize(t *testing.T) {
 		}
 	}
 	_ = dwarfs.Sizes()
+}
+
+// TestVerifyNeedsAnExecutingIterate: after only the simulate-only
+// characterisation Iterate, no kernel has produced output, so Verify must
+// refuse instead of comparing the untouched input with itself.
+func TestVerifyNeedsAnExecutingIterate(t *testing.T) {
+	for _, b := range New().All() {
+		size := b.Sizes()[0]
+		t.Run(b.Name()+"/"+size, func(t *testing.T) {
+			inst, _ := dwarfstest.Characterise(t, b, size, 1)
+			if err := inst.Verify(); err == nil {
+				t.Fatal("Verify passed after only a simulate-only Iterate")
+			}
+		})
+	}
 }

@@ -86,9 +86,10 @@ type Session struct {
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 
-	mu     sync.Mutex // guards st/ownsSt against a concurrent Close
-	st     store.CellStore
-	ownsSt bool
+	mu sync.Mutex // guards st against a concurrent Close
+	// st stays an interface so a store-less session hands GridSpec a nil
+	// Store, never a typed-nil *CachedStore.
+	st store.CellStore
 }
 
 // Option configures a Session; see the With* constructors.
@@ -109,29 +110,7 @@ func WithStore(dir string) Option {
 		if err != nil {
 			return err
 		}
-		s.st, s.ownsSt = store.Cached(st), true
-		return nil
-	}
-}
-
-// WithShardedStore attaches an n-way sharded result store rooted at dir:
-// shard i lives in dir/shard-NN and cells are routed to shards by their
-// fingerprint, so any process opening the same directory with the same
-// shard count agrees on placement. Listings and grid assembly
-// scatter-gather all shards and are byte-identical to a single store
-// holding the same cells. Like WithStore, the sharded store sits behind
-// the slot cache and is closed by Session.Close. shards must be 1..16;
-// counts dividing 16 balance best.
-func WithShardedStore(dir string, shards int) Option {
-	return func(s *Session) error {
-		if s.st != nil {
-			return fmt.Errorf("opendwarfs: store already configured")
-		}
-		st, err := store.OpenSharded(dir, shards)
-		if err != nil {
-			return err
-		}
-		s.st, s.ownsSt = store.Cached(st), true
+		s.st = store.Cached(st)
 		return nil
 	}
 }
@@ -274,7 +253,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	s := &Session{opt: DefaultOptions()}
 	for _, o := range opts {
 		if err := o(s); err != nil {
-			if s.ownsSt {
+			if s.st != nil {
 				s.st.Close()
 			}
 			return nil, err
@@ -288,10 +267,10 @@ func NewSession(opts ...Option) (*Session, error) {
 // in-flight Run/RunGrid/Stream (cancel and drain those first).
 func (s *Session) Close() error {
 	s.mu.Lock()
-	st, owned := s.st, s.ownsSt
+	st := s.st
 	s.st = nil
 	s.mu.Unlock()
-	if st == nil || !owned {
+	if st == nil {
 		return nil
 	}
 	return st.Close()
