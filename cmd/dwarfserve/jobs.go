@@ -212,8 +212,8 @@ func toWire(ev harness.Event) wireEvent {
 
 func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid job request: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		writeError(w, bodyStatus(err), fmt.Sprintf("invalid job request: %v", err))
 		return
 	}
 	opt := harness.DefaultOptions()

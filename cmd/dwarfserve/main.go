@@ -51,6 +51,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -140,7 +141,7 @@ func main() {
 	if *tracePath != "" {
 		srv.tracer = obs.NewTracer()
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -197,6 +198,40 @@ func main() {
 		log.Printf("dwarfserve: Chrome trace (%d spans) written to %s", srv.tracer.Spans(), *tracePath)
 	}
 	log.Printf("dwarfserve: store closed, bye")
+}
+
+// Connection and body bounds: what one client can make the daemon hold.
+// There is no write timeout, because a job's SSE stream stays open for as
+// long as the job runs.
+const (
+	// readHeaderTimeout is how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection that sent no request.
+	idleTimeout = 2 * time.Minute
+	// maxBodyBytes caps a POST body; a larger one gets a 413.
+	maxBodyBytes = 1 << 20
+)
+
+// newHTTPServer builds the daemon's listener-side server with the
+// connection bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// bodyStatus is the status for a POST body that did not decode: 413 when
+// it ran past maxBodyBytes (http.MaxBytesReader), 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // server answers queries from a grid snapshot of the store. The snapshot is

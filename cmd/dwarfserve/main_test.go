@@ -58,6 +58,43 @@ func openStore(t *testing.T) *store.CachedStore {
 	return st
 }
 
+// storeRecords counts the store's cell records and its preparation
+// records (no device, no schema), failing on any record that is neither.
+func storeRecords(t *testing.T, st store.CellStore) (cells, preps int) {
+	t.Helper()
+	for _, rec := range st.Records() {
+		switch {
+		case rec.Device != "" && rec.Schema == harness.StoreSchemaVersion:
+			cells++
+		case rec.Device == "" && rec.Schema == 0:
+			preps++
+		default:
+			t.Fatalf("record %s is neither a cell nor a preparation: %+v", rec.Key, rec)
+		}
+	}
+	return cells, preps
+}
+
+// checkJobStore asserts that a fresh store written by one job holds
+// exactly the job's completed cells plus one preparation per row the job
+// prepared, and that every append was one of the two.
+func checkJobStore(t *testing.T, srv *server, st store.CellStore, status map[string]any) {
+	t.Helper()
+	done := int(status["done"].(float64))
+	prepared := srv.metrics.CounterValue("harness_prepares_total")
+	cells, preps := storeRecords(t, st)
+	if cells != done {
+		t.Fatalf("store holds %d cells, job reported %d completed", cells, done)
+	}
+	if int64(preps) != prepared {
+		t.Fatalf("store holds %d preparations, job prepared %d rows", preps, prepared)
+	}
+	misses := int64(status["store_misses"].(float64))
+	if got := srv.metrics.CounterValue("store_appends_total"); got != misses+prepared {
+		t.Fatalf("store_appends_total = %d, want %d misses + %d preparations", got, misses, prepared)
+	}
+}
+
 func get(t *testing.T, srv *server, url string, wantCode int) map[string]any {
 	t.Helper()
 	req := httptest.NewRequest("GET", url, nil)
@@ -419,9 +456,7 @@ func TestJobCancel(t *testing.T) {
 	}
 	// Lossless shutdown: every completed cell is in the store, and the
 	// reloaded snapshot serves exactly those.
-	if st.Len() != done {
-		t.Fatalf("store holds %d cells, job reported %d completed", st.Len(), done)
-	}
+	checkJobStore(t, srv, st, status)
 	if body := get(t, srv, "/v1/status", http.StatusOK); int(body["cells"].(float64)) != done {
 		t.Fatalf("snapshot serves %v cells, want %d", body["cells"], done)
 	}
@@ -446,6 +481,46 @@ func TestJobValidationAndLookups(t *testing.T) {
 	}
 }
 
+// TestPostBodyLimit: a POST body past maxBodyBytes is refused with a 413
+// JSON error on both POST routes, and registers no job.
+func TestPostBodyLimit(t *testing.T) {
+	srv, _ := newTestServer(t)
+	huge := `{"benchmarks":["` + strings.Repeat("a", maxBodyBytes) + `"]}`
+	postJob(t, srv, huge, http.StatusRequestEntityTooLarge)
+	if body := get(t, srv, "/v1/jobs", http.StatusOK); int(body["count"].(float64)) != 0 {
+		t.Fatalf("an oversized submission registered a job: %v", body)
+	}
+	resp := postSchedule(t, srv, `{"tasks":[{"benchmark":"`+strings.Repeat("a", maxBodyBytes)+`"}]}`,
+		http.StatusRequestEntityTooLarge)
+	if _, ok := resp["error"].(string); !ok {
+		t.Fatalf("413 without a JSON error: %v", resp)
+	}
+	// A body just under the limit still decodes (and fails validation).
+	postJob(t, srv, `{"benchmarks":["`+strings.Repeat("a", maxBodyBytes-64)+`"]}`, http.StatusBadRequest)
+}
+
+// TestHTTPServerReadHeaderTimeout: a client that never finishes its
+// request headers cannot hold a connection open indefinitely.
+func TestHTTPServerReadHeaderTimeout(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	// No whole-request or write deadline: SSE streams last as long as
+	// their job.
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v / WriteTimeout %v would cut SSE streams", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
+// TestHTTPServerIdleTimeout: an idle keep-alive connection is closed.
+func TestHTTPServerIdleTimeout(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+}
+
 // TestShutdownCancelsJobs: shutdownJobs() drives running jobs to a
 // terminal state and new submissions are rejected while draining.
 func TestShutdownCancelsJobs(t *testing.T) {
@@ -462,9 +537,8 @@ func TestShutdownCancelsJobs(t *testing.T) {
 	if body["state"] == string(jobRunning) {
 		t.Fatalf("job still running after shutdownJobs: %v", body)
 	}
-	if st.Len() != int(body["done"].(float64)) {
-		t.Fatalf("store holds %d cells, job completed %v — shutdown lost cells", st.Len(), body["done"])
-	}
+	// Shutdown lost no cells.
+	checkJobStore(t, srv, st, body)
 	postJob(t, srv, `{"benchmarks":["crc"],"sizes":["tiny"],"devices":["i7-6700k"]}`, http.StatusServiceUnavailable)
 }
 

@@ -84,7 +84,15 @@ func TestMetricsAgreeWithChaosJob(t *testing.T) {
 	if reg.CounterValue(obs.Name("faults_injected_total", "kind", "device_down")) == 0 {
 		t.Error("faults_injected_total{kind=device_down} = 0 after a drop plan")
 	}
-	// Store appends match the misses the job persisted.
+	// Both rows were prepared by the sweep that filled the store, so the
+	// k20m cells' rows are decoded from it: nothing is prepared, and the
+	// store appends match the misses the job persisted.
+	if got := reg.CounterValue("harness_prepares_total"); got != 0 {
+		t.Errorf("harness_prepares_total = %d, want 0", got)
+	}
+	if got := reg.CounterValue("harness_prep_store_hits_total"); got != 2 {
+		t.Errorf("harness_prep_store_hits_total = %d, want 2", got)
+	}
 	if got := reg.CounterValue("store_appends_total"); got != int64(status["store_misses"].(float64)) {
 		t.Errorf("store_appends_total = %d, want %v", got, status["store_misses"])
 	}

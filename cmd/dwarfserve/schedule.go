@@ -35,11 +35,11 @@ type scheduleRequest struct {
 }
 
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	var req scheduleRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid schedule request: %v (valid policies: %s)",
+		writeError(w, bodyStatus(err), fmt.Sprintf("invalid schedule request: %v (valid policies: %s)",
 			err, strings.Join(sched.Policies(), ", ")))
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"opendwarfs/internal/obs"
 	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
@@ -148,6 +149,7 @@ func TestRunGridCancellationPartial(t *testing.T) {
 		Options:    quickOpts(),
 		Workers:    2,
 		Store:      st,
+		Metrics:    obs.NewRegistry(),
 	}
 	const total = 4 * 2 * 3
 
@@ -185,9 +187,15 @@ func TestRunGridCancellationPartial(t *testing.T) {
 		t.Fatalf("partial grid has %d cells, want in [%d, %d)", partial.Cells(), k, total)
 	}
 
-	// (1)+(2): the store agrees exactly with the partial grid.
-	if st.Len() != partial.Cells() {
-		t.Fatalf("store holds %d cells, partial grid %d — they must agree", st.Len(), partial.Cells())
+	// (1)+(2): the store agrees exactly with the partial grid, and holds
+	// the preparation of exactly the rows the run prepared — a row
+	// cancelled mid-prepare persists nothing.
+	cells, preps := storeRecords(t, st)
+	if cells != partial.Cells() {
+		t.Fatalf("store holds %d cells, partial grid %d — they must agree", cells, partial.Cells())
+	}
+	if prepared := spec.Metrics.CounterValue("harness_prepares_total"); preps == 0 || int64(preps) != prepared {
+		t.Fatalf("store holds %d preparations, run prepared %d rows", preps, prepared)
 	}
 	if partial.StoreMisses != partial.Cells() || partial.StoreHits != 0 {
 		t.Fatalf("partial counters: %d hits / %d misses over %d cells", partial.StoreHits, partial.StoreMisses, partial.Cells())

@@ -97,9 +97,10 @@ func TestGridExhaustedRetriesFailCellNotRun(t *testing.T) {
 	if g.Retries != 2 {
 		t.Fatalf("retries=%d, want 2 (attempts 1 and 2 retried)", g.Retries)
 	}
-	// Zero failed cells leak into the store: only crc persisted.
-	if g.StoreMisses != 1 || st.Len() != 1 {
-		t.Fatalf("store misses=%d len=%d, want 1, 1", g.StoreMisses, st.Len())
+	// Zero failed cells leak into the store: only crc persisted. Both
+	// rows were prepared before any attempt, so both preparations were.
+	if cells, preps := storeRecords(t, st); g.StoreMisses != 1 || cells != 1 || preps != 2 {
+		t.Fatalf("store misses=%d, %d cells, %d preparations; want 1, 1, 2", g.StoreMisses, cells, preps)
 	}
 	sg, err := GridFromStore(st)
 	if err != nil {

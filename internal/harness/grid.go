@@ -47,10 +47,13 @@ type GridSpec struct {
 	// instead of recomputed, and misses are measured then persisted. An
 	// unchanged grid re-swept against the same store is a 100% hit and
 	// produces value-identical measurements, hence byte-identical exports.
-	// The binaries pass a store.Cached store, whose Decoded fast path
-	// serves hits as shared decoded cells with zero re-parsing; any other
-	// CellStore decodes each hit's payload. Assign only a live store: a
-	// typed-nil pointer in the interface reads as "store attached".
+	// Each row's preparation is stored as well (see prepCache), so a miss
+	// on a row an earlier run prepared replays the stored preparation
+	// instead of running Prepare. The binaries pass a store.Cached store,
+	// whose Decoded fast path serves hits as shared decoded cells with
+	// zero re-parsing; any other CellStore decodes each hit's payload.
+	// Assign only a live store: a typed-nil pointer in the interface
+	// reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every
 	// measurement attempt (see internal/faults); nil — the default — is
@@ -297,7 +300,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	}
 
 	var (
-		cache   = newPrepCache()
+		cache   = newPrepCache(spec.Store, mo)
 		results = make([]*Measurement, len(cells))
 		failed  = make([]*FailedCell, len(cells))
 		errs    = make([]error, len(cells))

@@ -5,18 +5,22 @@ package harness
 // devices). Both share the per-row preparation cache, so the pair isolates
 // the dispatch win; BenchmarkRunGridUncachedCells isolates the cache win
 // by measuring the same row the pre-cache harness re-prepared per device.
-// BenchmarkPrepare times single rows' preparations.
+// BenchmarkRunGridAddDevice times the same grid when four of its five
+// devices are already stored. BenchmarkPrepare times single rows'
+// preparations.
 //
 //	go test ./internal/harness -bench 'RunGrid|Prepare' -benchtime 3x
 
 import (
 	"context"
-
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"opendwarfs/internal/obs"
 	"opendwarfs/internal/opencl"
+	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
 
@@ -61,6 +65,76 @@ func BenchmarkRunGridSequential(b *testing.B) { runGridBenchmark(b, 1) }
 // measurements overlap freely.
 func BenchmarkRunGridParallel(b *testing.B) { runGridBenchmark(b, runtime.GOMAXPROCS(0)) }
 
+// BenchmarkRunGridAddDevice adds a fifth device to a store that holds the
+// same 60-cell grid's other four: 48 hits and 12 misses, whose 12 rows are
+// all decoded from their stored preparations, so it times store reads and
+// model replay with zero Prepares. The store is copied and opened outside
+// the timer.
+func BenchmarkRunGridAddDevice(b *testing.B) {
+	reg := suite.New()
+	fixture := b.TempDir()
+	st, err := store.Open(fixture)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := benchGridSpec(1)
+	spec.Devices = spec.Devices[:4]
+	spec.Store = st
+	if _, err := RunGrid(context.Background(), reg, spec); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		copyStore(b, fixture, dir)
+		inner, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cached := store.Cached(inner)
+		spec := benchGridSpec(1)
+		spec.Store = cached
+		b.StartTimer()
+		g, err := RunGrid(context.Background(), reg, spec)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.StoreHits != 48 || g.StoreMisses != 12 {
+			b.Fatalf("%d hits / %d misses, want 48 / 12", g.StoreHits, g.StoreMisses)
+		}
+		if n := spec.Metrics.CounterValue(mPreparesTotal); n != 0 {
+			b.Fatalf("%d prepares adding a device to a stored grid, want 0", n)
+		}
+		if err := cached.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// copyStore copies the files of store directory src into dst.
+func copyStore(b *testing.B, src, dst string) {
+	b.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunGridUncachedCells measures one row the way the pre-cache
 // harness did: a full Prepare per device. Comparing against
 // BenchmarkRunGridCachedCells shows the per-row characterisation cost the
@@ -100,7 +174,7 @@ func BenchmarkRunGridCachedCells(b *testing.B) {
 	devs := []string{"i7-6700k", "gtx1080", "k20m", "r9-290x", "knl-7210"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := newPrepCache()
+		c := newPrepCache(nil, gridMetrics{})
 		for _, id := range devs {
 			dev, err := opencl.LookupDevice(id)
 			if err != nil {

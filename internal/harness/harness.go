@@ -234,26 +234,32 @@ func Prepare(ctx context.Context, bench dwarfs.Benchmark, size string, opt Optio
 		}
 	}
 
-	hasKernel := false
-	seenKernels := map[string]bool{}
-	p.trace = make([]traceCommand, 0, len(events))
+	trace := make([]traceCommand, 0, len(events))
 	for _, ev := range events {
-		p.trace = append(p.trace, traceCommand{
+		trace = append(trace, traceCommand{
 			kind: ev.Kind, name: ev.Name, bytes: ev.Bytes, profile: ev.Profile,
 		})
-		if ev.Kind != opencl.CommandKernel {
-			continue
-		}
-		hasKernel = true
-		if !seenKernels[ev.Name] {
-			seenKernels[ev.Name] = true
-			p.profiles = append(p.profiles, ev.Profile)
-		}
 	}
-	if !hasKernel {
+	if !p.setTrace(trace) {
 		return nil, fmt.Errorf("harness: %s/%s produced no kernel time", bench.Name(), size)
 	}
 	return p, nil
+}
+
+// setTrace installs a command trace and derives profiles from it, one per
+// kernel name in first-launch order — the rule both Prepare and a stored
+// preparation's decoder follow. It reports whether the trace holds a
+// kernel command.
+func (p *Preparation) setTrace(trace []traceCommand) bool {
+	p.trace = trace
+	seen := map[string]bool{}
+	for _, c := range trace {
+		if c.kind == opencl.CommandKernel && !seen[c.name] {
+			seen[c.name] = true
+			p.profiles = append(p.profiles, c.profile)
+		}
+	}
+	return len(p.profiles) > 0
 }
 
 // Measure runs the device-dependent phase: it replays the preparation's

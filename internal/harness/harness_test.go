@@ -256,7 +256,7 @@ func TestPrepCacheSharesOnePreparation(t *testing.T) {
 	// every caller the same *Preparation.
 	reg := suite.New()
 	b, _ := reg.Get("crc")
-	c := newPrepCache()
+	c := newPrepCache(nil, gridMetrics{})
 	const callers = 8
 	preps := make([]*Preparation, callers)
 	var wg sync.WaitGroup

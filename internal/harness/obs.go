@@ -13,6 +13,8 @@ const (
 	mFailedCellsTotal = "harness_failed_cells_total"
 	mQuarantinesTotal = "harness_quarantines_total"
 	mDeviceCellsTotal = "harness_device_cells_total"
+	mPreparesTotal    = "harness_prepares_total"
+	mPrepHitsTotal    = "harness_prep_store_hits_total"
 	lblDevice         = "device"
 	mCellNs           = "harness_cell_ns"
 	mPrepareNs        = "harness_prepare_ns"
@@ -37,6 +39,15 @@ type gridMetrics struct {
 	failed      *obs.Counter // harness_failed_cells_total
 	quarantines *obs.Counter // harness_quarantines_total
 
+	// Preparations by source, bumped once per row inside the prepare
+	// cache's sync.Once (cache.go): successful Prepare runs, and rows
+	// decoded from the store instead. With a store attached every
+	// Prepare is appended and so is every measured cell, so
+	// store_appends_total = harness_store_misses_total +
+	// harness_prepares_total.
+	prepares      *obs.Counter // harness_prepares_total
+	prepStoreHits *obs.Counter // harness_prep_store_hits_total
+
 	// reg resolves the device-labelled completion counter
 	// (harness_device_cells_total{device=...}) per completed cell — once
 	// per cell, not per sample, so the label set stays bounded by the
@@ -44,24 +55,26 @@ type gridMetrics struct {
 	reg *obs.Registry
 
 	cellNs    *obs.Histogram // harness_cell_ns: wall-clock per completed cell
-	prepareNs *obs.Histogram // harness_prepare_ns: Prepare incl. cache hits
+	prepareNs *obs.Histogram // harness_prepare_ns: Prepare incl. cache and store hits
 	measureNs *obs.Histogram // harness_measure_ns: one Measure attempt
 	decodeNs  *obs.Histogram // store_decode_ns: store-hit decode
 }
 
 func newGridMetrics(r *obs.Registry) gridMetrics {
 	return gridMetrics{
-		reg:         r,
-		cells:       r.Counter(mCellsTotal),
-		hits:        r.Counter(mStoreHitsTotal),
-		misses:      r.Counter(mStoreMissesTotal),
-		retries:     r.Counter(mRetriesTotal),
-		failed:      r.Counter(mFailedCellsTotal),
-		quarantines: r.Counter(mQuarantinesTotal),
-		cellNs:      r.Histogram(mCellNs, nil),
-		prepareNs:   r.Histogram(mPrepareNs, nil),
-		measureNs:   r.Histogram(mMeasureNs, nil),
-		decodeNs:    r.Histogram(mStoreDecodeNs, nil),
+		reg:           r,
+		cells:         r.Counter(mCellsTotal),
+		hits:          r.Counter(mStoreHitsTotal),
+		misses:        r.Counter(mStoreMissesTotal),
+		retries:       r.Counter(mRetriesTotal),
+		failed:        r.Counter(mFailedCellsTotal),
+		quarantines:   r.Counter(mQuarantinesTotal),
+		prepares:      r.Counter(mPreparesTotal),
+		prepStoreHits: r.Counter(mPrepHitsTotal),
+		cellNs:        r.Histogram(mCellNs, nil),
+		prepareNs:     r.Histogram(mPrepareNs, nil),
+		measureNs:     r.Histogram(mMeasureNs, nil),
+		decodeNs:      r.Histogram(mStoreDecodeNs, nil),
 	}
 }
 

@@ -94,7 +94,16 @@ func TestObsCountersAgreeWithEventsUnderChaos(t *testing.T) {
 	if n := reg.Histogram("harness_cell_ns", nil).Count(); n != int64(completed) {
 		t.Errorf("harness_cell_ns count = %d, want %d", n, completed)
 	}
-	// store_appends_total via Instrument: one append per persisted miss.
+	// Each row of the empty store was prepared once and none decoded.
+	const rows = 3
+	if n := reg.CounterValue("harness_prepares_total"); n != rows {
+		t.Errorf("harness_prepares_total = %d, want %d rows", n, rows)
+	}
+	if n := reg.CounterValue("harness_prep_store_hits_total"); n != 0 {
+		t.Errorf("harness_prep_store_hits_total = %d in an empty store", n)
+	}
+	// store_appends_total via Instrument: one append per persisted miss
+	// and one per prepared row.
 	st2, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -103,12 +112,17 @@ func TestObsCountersAgreeWithEventsUnderChaos(t *testing.T) {
 	st2.Instrument(reg)
 	spec2 := spec
 	spec2.Store = st2
+	preparedBefore := reg.CounterValue("harness_prepares_total")
 	g2, err := RunGrid(context.Background(), suite.New(), spec2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.CounterValue("store_appends_total"); n != int64(g2.StoreMisses) {
-		t.Errorf("store_appends_total = %d, want %d misses", n, g2.StoreMisses)
+	prepared := reg.CounterValue("harness_prepares_total") - preparedBefore
+	if prepared != rows {
+		t.Errorf("second run prepared %d rows, want %d", prepared, rows)
+	}
+	if n := reg.CounterValue("store_appends_total"); n != int64(g2.StoreMisses)+prepared {
+		t.Errorf("store_appends_total = %d, want %d misses + %d preparations", n, g2.StoreMisses, prepared)
 	}
 	if err := st2.Compact(); err != nil {
 		t.Fatal(err)

@@ -35,6 +35,27 @@ func tinyStoreSpec(st *store.Store) GridSpec {
 	return spec
 }
 
+// storeRecords counts a store's cell records and preparation records and
+// fails on any record that is neither: a cell carries a device and the
+// schema, a preparation neither, and its payload must decode.
+func storeRecords(t *testing.T, st store.CellStore) (cells, preps int) {
+	t.Helper()
+	for _, rec := range st.Records() {
+		switch {
+		case rec.Device != "" && rec.Schema == StoreSchemaVersion:
+			cells++
+		case rec.Device == "" && rec.Schema == 0:
+			if _, err := decodePreparation(rec.Value); err != nil {
+				t.Fatalf("preparation record %s/%s: %v", rec.Benchmark, rec.Size, err)
+			}
+			preps++
+		default:
+			t.Fatalf("record %s is neither a cell nor a preparation: %+v", rec.Key, rec)
+		}
+	}
+	return cells, preps
+}
+
 func gridCSV(t *testing.T, g *Grid) []byte {
 	t.Helper()
 	var recs []scibench.Record
@@ -66,8 +87,9 @@ func TestStoreIncrementalResweep(t *testing.T) {
 	if cold.StoreHits != 0 || cold.StoreMisses != cold.Cells() {
 		t.Fatalf("cold sweep: %d hits / %d misses over %d cells", cold.StoreHits, cold.StoreMisses, cold.Cells())
 	}
-	if st.Len() != cold.Cells() {
-		t.Fatalf("store holds %d cells, want %d", st.Len(), cold.Cells())
+	// One cell record per cell, one preparation record per row.
+	if cells, preps := storeRecords(t, st); cells != cold.Cells() || preps != 2 {
+		t.Fatalf("store holds %d cells and %d preparations, want %d and 2", cells, preps, cold.Cells())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -180,9 +202,10 @@ func TestStoreInvalidationEndToEnd(t *testing.T) {
 	if g.StoreHits != 0 || g.StoreMisses != g.Cells() {
 		t.Fatalf("seed change: %d hits / %d misses, want all misses", g.StoreHits, g.StoreMisses)
 	}
-	// Both generations now coexist in the store.
-	if st.Len() != 2*g.Cells() {
-		t.Fatalf("store holds %d cells, want %d", st.Len(), 2*g.Cells())
+	// Both generations now coexist in the store, cells and the two rows'
+	// preparations alike: the seed is part of both keys.
+	if cells, preps := storeRecords(t, st); cells != 2*g.Cells() || preps != 2*2 {
+		t.Fatalf("store holds %d cells and %d preparations, want %d and 4", cells, preps, 2*g.Cells())
 	}
 }
 
