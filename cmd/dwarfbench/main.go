@@ -82,18 +82,16 @@ func main() {
 	opt := harness.DefaultOptions()
 	opt.Samples = *samples
 
-	// The store rides behind the zero-copy slot cache: repeated single-cell
-	// runs against a warm store decode each cell at most once per process.
 	// st stays a concrete pointer so the nil check below is meaningful —
 	// assigning a typed-nil pointer into GridSpec.Store would read as "store
 	// attached".
-	var st *store.CachedStore
+	var st *store.Store
 	if *storeDir != "" {
-		base, err := store.Open(*storeDir)
+		var err error
+		st, err = store.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
-		st = store.Cached(base)
 		defer st.Close()
 	}
 
@@ -188,7 +186,7 @@ func sizeList(flagVal string, b dwarfs.Benchmark) []string {
 
 // runSizes measures one benchmark × device across several sizes through
 // the grid harness, sharing one preparation per size across workers.
-func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, sizes []string, dev *opencl.Device, opt harness.Options, workers int, csvPath, jsonlPath string, aiwc bool, st *store.CachedStore) {
+func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, sizes []string, dev *opencl.Device, opt harness.Options, workers int, csvPath, jsonlPath string, aiwc bool, st *store.Store) {
 	fmt.Printf("Benchmark : %s (%s dwarf), sizes %v\n", b.Name(), b.Dwarf(), sizes)
 	fmt.Printf("Device    : %s (%s, %s)\n", dev.Name(), dev.Spec.Class, dev.Spec.Series)
 	spec := harness.GridSpec{
@@ -197,12 +195,23 @@ func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, siz
 		Devices:    []string{dev.ID()},
 		Options:    opt,
 		Workers:    workers,
-		Progress:   os.Stdout,
 	}
 	if st != nil {
 		spec.Store = st
 	}
-	g, err := harness.RunGrid(ctx, reg, spec)
+	events, err := harness.Stream(ctx, reg, spec)
+	if err != nil {
+		fatal(err)
+	}
+	var g *harness.Grid
+	for ev := range events {
+		if line := ev.ProgressLine(); line != "" {
+			fmt.Println(line)
+		}
+		if ev.Kind == harness.EventGridDone {
+			g, err = ev.Grid, ev.Err
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -71,24 +70,18 @@ func main() {
 	opt := harness.DefaultOptions()
 	opt.Samples = *samples
 	opt.Seed = *seed
-	var progW io.Writer
-	if *progress {
-		progW = os.Stderr
-	}
 	spec := harness.GridSpec{
 		Benchmarks: split(*benchmarks),
 		Sizes:      split(*sizes),
 		Devices:    split(*devices),
 		Options:    opt,
 		Workers:    *parallel,
-		Progress:   progW,
 	}
 	if *storeDir != "" {
-		base, err := store.Open(*storeDir)
+		st, err := store.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
-		st := store.Cached(base)
 		defer st.Close()
 		spec.Store = st
 	}
@@ -97,7 +90,21 @@ func main() {
 	// cells persist and a re-run resumes from them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	grid, err := harness.RunGrid(ctx, suite.New(), spec)
+	events, err := harness.Stream(ctx, suite.New(), spec)
+	if err != nil {
+		fatal(err)
+	}
+	var grid *harness.Grid
+	for ev := range events {
+		if *progress {
+			if line := ev.ProgressLine(); line != "" {
+				fmt.Fprintln(os.Stderr, line)
+			}
+		}
+		if ev.Kind == harness.EventGridDone {
+			grid, err = ev.Grid, ev.Err
+		}
+	}
 	if err != nil {
 		if grid != nil && grid.Cells() > 0 && *storeDir != "" {
 			fatal(fmt.Errorf("%w (%d completed cells persisted)", err, grid.Cells()))

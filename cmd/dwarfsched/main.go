@@ -459,11 +459,10 @@ func comparisonPolicies(list, primary string) ([]sched.Policy, error) {
 // storedGrid loads every decodable cell of the store as initial knowledge.
 // The handle is closed again before the session opens its own.
 func storedGrid(dir string) (*harness.Grid, error) {
-	base, err := store.Open(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	st := store.Cached(base)
 	defer st.Close()
 	return harness.GridFromStore(st)
 }

@@ -187,3 +187,27 @@ func TestSSEKeepAliveAndResume(t *testing.T) {
 		t.Fatalf("bad Last-Event-ID status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestSSEResumePastAnyJobLog: a Last-Event-ID whose successor overflows
+// int cannot index any job log; it is refused with a 400 before the
+// stream starts, never a panic after the 200.
+func TestSSEResumePastAnyJobLog(t *testing.T) {
+	srv, _ := newTestServer(t)
+	j := &job{id: "job-sse-overflow", state: jobDone, started: time.Now(), notify: make(chan struct{}),
+		events: []wireEvent{{Kind: "cell_done", Done: 1, Total: 1}, {Kind: "grid_done", Done: 1, Total: 1}}}
+	srv.jobMu.Lock()
+	srv.jobs[j.id] = j
+	srv.jobOrder = append(srv.jobOrder, j.id)
+	srv.jobMu.Unlock()
+
+	for _, last := range []string{"9223372036854775807", "18446744073709551615"} {
+		req := httptest.NewRequest("GET", "/v1/jobs/"+j.id+"/events", nil)
+		req.Header.Set("Last-Event-ID", last)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") == "text/event-stream" {
+			t.Fatalf("Last-Event-ID %s: status %d, content type %q; want a 400 before the stream",
+				last, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+}

@@ -14,8 +14,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -214,6 +214,14 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, bodyStatus(err), fmt.Sprintf("invalid job request: %v", err))
+		return
+	}
+	if req.Samples > maxJobSamples {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("samples %d over the limit of %d", req.Samples, maxJobSamples))
+		return
+	}
+	if req.Retries > maxJobAttempts {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("retries %d over the limit of %d attempts", req.Retries, maxJobAttempts))
 		return
 	}
 	opt := harness.DefaultOptions()
@@ -419,57 +427,30 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
 	sent := 0
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		n, err := strconv.Atoi(last)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
-			return
-		}
-		sent = n + 1
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	s.metrics.Gauge(mSSESubscribers).Add(1)
-	defer s.metrics.Gauge(mSSESubscribers).Add(-1)
-
-	keepAlive := time.NewTicker(s.keepAlive)
-	defer keepAlive.Stop()
-	for {
-		tail, terminal, next := j.follow(sent)
-		for _, ev := range tail {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", sent, ev.Kind, data); err != nil {
-				return // client went away
-			}
+	s.serveSSE(w, r, func(lastID uint64) (err error) {
+		sent, err = jobResumeIndex(lastID)
+		return err
+	}, func() ([]sseFrame, bool, <-chan struct{}) {
+		// follow reads the tail and the terminal state under one lock, and
+		// a terminal job appends nothing more: this tail is its last.
+		tail, terminal, wake := j.follow(sent)
+		frames := make([]sseFrame, len(tail))
+		for i, ev := range tail {
+			frames[i] = sseFrame{id: uint64(sent), event: ev.Kind, data: ev}
 			sent++
 		}
-		flusher.Flush()
-		if terminal && func() bool { j.mu.Lock(); defer j.mu.Unlock(); return sent >= len(j.events) }() {
-			return
-		}
-		select {
-		case <-next:
-		case <-keepAlive.C:
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
+		return frames, terminal, wake
+	})
+}
+
+// jobResumeIndex returns the log index after event lastID: the first event
+// a client resuming from lastID has not seen.
+func jobResumeIndex(lastID uint64) (int, error) {
+	if lastID >= math.MaxInt {
+		return 0, fmt.Errorf("invalid Last-Event-ID %d: past the end of any job log", lastID)
 	}
+	return int(lastID) + 1, nil
 }
 
 // maxRetainedJobs bounds the registry of a long-lived daemon: once

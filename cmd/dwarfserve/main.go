@@ -98,16 +98,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The store is wrapped in the zero-copy slot cache before anything reads
-	// it: the initial snapshot load, every job, and every reload all share
-	// one decoded measurement per cell, and the cache's hit/miss/evict
-	// counters are complete from process start.
-	inner, err := store.Open(*storeDir)
+	// One store handle serves everything: the initial snapshot load, every
+	// job and every reload share one decoded measurement per cell, and its
+	// slotcache_* counters are complete from process start.
+	st, err := store.Open(*storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
 		os.Exit(1)
 	}
-	st := store.Cached(inner)
 	cfg := def
 	cfg.Trees, cfg.MaxDepth, cfg.Seed = *trees, *depth, *seed
 
@@ -151,7 +149,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	log.Printf("dwarfserve: %d cells from %s (%d segment files), listening on %s",
-		srv.cells(), *storeDir, store.SegmentsOf(st), *addr)
+		srv.cells(), *storeDir, st.Segments(), *addr)
 
 	select {
 	case err := <-serveErr:
@@ -211,6 +209,14 @@ const (
 	idleTimeout = 2 * time.Minute
 	// maxBodyBytes caps a POST body; a larger one gets a 413.
 	maxBodyBytes = 1 << 20
+	// maxJobSamples caps a job's samples per cell (20× the paper's 50):
+	// Measure holds three float64 slices of that length per cell.
+	maxJobSamples = 1000
+	// maxJobAttempts caps a job's per-cell attempts. Every failed attempt
+	// appends a cell_retry event to the job's log, so with it a log holds
+	// at most cells × (attempts + 1) + devices + 1 events: 10,471 for the
+	// full 615-cell grid.
+	maxJobAttempts = 16
 )
 
 // newHTTPServer builds the daemon's listener-side server with the
@@ -239,7 +245,7 @@ func bodyStatus(err error) int {
 // handlers see new cells without a restart; sweeps run by other processes
 // still become visible on restart only.
 type server struct {
-	st          *store.CachedStore
+	st          *store.Store
 	compactOver int64 // post-reload footprint bound in bytes; 0 = unbounded
 	mux         *http.ServeMux
 	cfg         predict.Config
@@ -301,7 +307,7 @@ type server struct {
 
 func cellID(bench, size, device string) string { return bench + "\x00" + size + "\x00" + device }
 
-func newServer(st *store.CachedStore, cfg predict.Config) (*server, error) {
+func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 	s := &server{
 		st:          st,
 		cfg:         cfg,
@@ -404,7 +410,7 @@ func (s *server) maybeCompact() {
 	if compacted {
 		bytes, _ := s.st.DiskBytes()
 		log.Printf("dwarfserve: store compacted under -compact-over=%d (now %d bytes, %d segment file(s))",
-			s.compactOver, bytes, store.SegmentsOf(s.st))
+			s.compactOver, bytes, s.st.Segments())
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 )
 
 // newTestServer sweeps a tiny grid into a fresh store and serves it — the
-// same pipeline as `dwarfsweep -store` followed by `dwarfserve -store`: the
-// store sits behind the slot cache, and the server loads its own snapshot.
-func newTestServer(t *testing.T) (*server, *harness.Grid) {
+// same pipeline as `dwarfsweep -store` followed by `dwarfserve -store`: one
+// store handle, from which the server loads its own snapshot.
+func newTestServer(t testing.TB) (*server, *harness.Grid) {
 	t.Helper()
 	st := openStore(t)
 	opt := harness.DefaultOptions()
@@ -46,14 +46,13 @@ func newTestServer(t *testing.T) (*server, *harness.Grid) {
 	return srv, g
 }
 
-// openStore opens a fresh store behind the slot cache, as main does.
-func openStore(t *testing.T) *store.CachedStore {
+// openStore opens a fresh store, as main does.
+func openStore(t testing.TB) *store.Store {
 	t.Helper()
-	base, err := store.Open(t.TempDir())
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.Cached(base)
 	t.Cleanup(func() { st.Close() })
 	return st
 }
@@ -497,6 +496,47 @@ func TestPostBodyLimit(t *testing.T) {
 	}
 	// A body just under the limit still decodes (and fails validation).
 	postJob(t, srv, `{"benchmarks":["`+strings.Repeat("a", maxBodyBytes-64)+`"]}`, http.StatusBadRequest)
+}
+
+// TestJobSamplesBound: a job asking for more samples per cell than
+// maxJobSamples is refused with a 400 and registers no job.
+func TestJobSamplesBound(t *testing.T) {
+	srv, _ := newTestServer(t)
+	postJob(t, srv, fmt.Sprintf(`{"benchmarks":["crc"],"sizes":["tiny"],"devices":["k20m"],"samples":%d}`,
+		maxJobSamples+1), http.StatusBadRequest)
+	if body := get(t, srv, "/v1/jobs", http.StatusOK); int(body["count"].(float64)) != 0 {
+		t.Fatalf("a job over the samples bound was registered: %v", body)
+	}
+}
+
+// TestJobAttemptsBound: a job asking for more per-cell attempts than
+// maxJobAttempts — under a chaos plan failing every attempt, each one
+// would log a cell_retry event — is refused with a 400 and registers no
+// job.
+func TestJobAttemptsBound(t *testing.T) {
+	srv, _ := newTestServer(t)
+	postJob(t, srv, fmt.Sprintf(`{"benchmarks":["crc"],"sizes":["tiny"],"devices":["k20m"],"retries":%d,`+
+		`"chaos":{"transient_rate":1}}`, maxJobAttempts+1), http.StatusBadRequest)
+	if body := get(t, srv, "/v1/jobs", http.StatusOK); int(body["count"].(float64)) != 0 {
+		t.Fatalf("a job over the attempts bound was registered: %v", body)
+	}
+}
+
+// TestJobBoundsAccepted: a job at both bounds is accepted, and with every
+// attempt failing its event log reaches exactly the cap the bounds imply:
+// cells × (attempts + 1) + 1, with no device quarantined.
+func TestJobBoundsAccepted(t *testing.T) {
+	srv, _ := newTestServer(t)
+	id := postJob(t, srv, fmt.Sprintf(`{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["k20m"],`+
+		`"samples":%d,"retries":%d,"chaos":{"seed":3,"transient_rate":1}}`, maxJobSamples, maxJobAttempts),
+		http.StatusAccepted)
+	status := waitJob(t, srv, id)
+	if status["failed"] != float64(2) {
+		t.Fatalf("failed %v, want both cells", status["failed"])
+	}
+	if want := 2*(maxJobAttempts+1) + 1; status["events"] != float64(want) {
+		t.Fatalf("event log holds %v events, want %d", status["events"], want)
+	}
 }
 
 // TestHTTPServerReadHeaderTimeout: a client that never finishes its

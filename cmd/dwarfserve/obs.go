@@ -18,7 +18,6 @@ import (
 
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/store"
 )
 
 // statusWriter captures the response code (and, for error responses, a
@@ -154,7 +153,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"vcs_revision":    revision,
 		"uptime_ms":       float64(time.Since(s.started)) / 1e6,
 		"cells":           cells,
-		"segments":        store.SegmentsOf(s.st),
+		"segments":        s.st.Segments(),
 		"schema":          harness.StoreSchemaVersion,
 		"jobs":            jobs,
 		"jobs_by_state":   byState,

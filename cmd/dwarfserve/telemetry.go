@@ -20,10 +20,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"opendwarfs/internal/obs/series"
@@ -120,8 +119,9 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 // A fresh subscriber gets one absolute snapshot frame, then one delta
 // frame per sample; each frame's SSE id is its sample sequence number.
 // On reconnect with Last-Event-ID the missed deltas replay from the
-// ring, or — if the client was gone longer than the ring retains — a
-// new snapshot frame resets it:
+// ring, or — if the client was gone longer than the ring retains, or
+// sends an id this recorder never issued (one from an earlier server
+// lifetime) — a new snapshot frame resets it:
 //
 //	id: 42
 //	event: snapshot | sample
@@ -130,81 +130,28 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 // Quiet intervals carry keep-alive comment frames, exactly like the job
 // event stream.
 func (s *server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	sent := uint64(0)
-	resumed := false
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		n, err := strconv.ParseUint(last, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid Last-Event-ID %q", last))
-			return
-		}
-		sent, resumed = n, true
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	s.metrics.Gauge(mSSESubscribers).Add(1)
-	defer s.metrics.Gauge(mSSESubscribers).Add(-1)
-
-	writeFrame := func(event string, p series.Point) bool {
-		data, err := json.Marshal(p)
-		if err != nil {
-			return false
-		}
-		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", p.Seq, event, data)
-		return err == nil
-	}
-	snapshot := func() bool {
-		p := s.series.SnapshotPoint()
-		if !writeFrame("snapshot", p) {
-			return false
-		}
-		sent = p.Seq
-		return true
-	}
-	if !resumed {
-		if !snapshot() {
-			return
-		}
-		flusher.Flush()
-	}
-
-	keepAlive := time.NewTicker(s.keepAlive)
-	defer keepAlive.Stop()
-	for {
-		next := s.series.Notify()
+	// A fresh subscriber starts past every sequence number, which Since
+	// answers with a resync: its first frame is the snapshot.
+	sent := uint64(math.MaxUint64)
+	s.serveSSE(w, r, func(lastID uint64) error {
+		sent = lastID
+		return nil
+	}, func() ([]sseFrame, bool, <-chan struct{}) {
+		wake := s.series.Notify()
+		var frames []sseFrame
 		pts, resync := s.series.Since(sent)
 		if resync {
-			if !snapshot() {
-				return
-			}
+			p := s.series.SnapshotPoint()
+			frames = append(frames, sseFrame{id: p.Seq, event: "snapshot", data: p})
+			sent = p.Seq
 			pts, _ = s.series.Since(sent)
 		}
 		for _, p := range pts {
-			if !writeFrame("sample", p) {
-				return // client went away
-			}
+			frames = append(frames, sseFrame{id: p.Seq, event: "sample", data: p})
 			sent = p.Seq
 		}
-		flusher.Flush()
-		select {
-		case <-next:
-		case <-keepAlive.C:
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return frames, false, wake
+	})
 }
 
 // handleAlerts reports every rule's current evaluation plus the firing

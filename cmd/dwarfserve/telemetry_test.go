@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -279,6 +280,43 @@ func TestMetricsStreamResync(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad Last-Event-ID status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestMetricsStreamResumeAhead: a client resuming with an id ahead of the
+// newest sample — one from an earlier server lifetime, as dwarftop sends
+// after a restart — gets a snapshot frame at once, not keep-alives until
+// the new sequence passes the old id, and reconciles from it.
+func TestMetricsStreamResumeAhead(t *testing.T) {
+	srv, _ := newTestServer(t)
+	srv.keepAlive = 20 * time.Millisecond
+	fakeTelemetry(t, srv, 64, defaultAlertRules())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i := 0; i < 3; i++ {
+		srv.sampleTick()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/metrics/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", "3600")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	// The accumulator still holds the old server's counters.
+	c := &streamClient{resp: resp, scanner: bufio.NewScanner(resp.Body), acc: map[string]int64{"jobs_created_total": 41}}
+	if kinds := c.readFrames(t, 1); kinds[0] != "snapshot" {
+		t.Fatalf("first frame %q after resuming ahead, want snapshot", kinds[0])
+	}
+	c.assertReconciled(t, promCounters(t, getRaw(t, srv, "/metrics")))
 }
 
 // TestSamplerFakeClockDeterminism: under an injected clock the sampler's

@@ -105,17 +105,15 @@ func main() {
 		tracer = obs.NewTracer()
 		spec.Tracer = tracer
 	}
-	// The store sits behind the zero-copy slot cache, so a re-sweep's hits
-	// share one decoded cell per key.
-	var st *store.CachedStore
+	var st *store.Store
 	if *storeDir != "" {
-		inner, err := store.Open(*storeDir)
+		opened, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
 			os.Exit(1)
 		}
-		st = store.Cached(inner)
-		spec.Store = st
+		st = opened
+		spec.Store = opened
 	}
 
 	// SIGINT/SIGTERM cancel the sweep instead of killing it: workers stop,

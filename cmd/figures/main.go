@@ -122,12 +122,24 @@ func main() {
 	defer stop()
 	grid := &harness.Grid{}
 	for bench, sizes := range needed {
-		g, err := harness.RunGrid(ctx, reg, harness.GridSpec{
+		events, err := harness.Stream(ctx, reg, harness.GridSpec{
 			Benchmarks: []string{bench},
 			Sizes:      sizes,
 			Options:    opt,
-			Progress:   os.Stderr,
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(1)
+		}
+		var g *harness.Grid
+		for ev := range events {
+			if line := ev.ProgressLine(); line != "" {
+				fmt.Fprintln(os.Stderr, line)
+			}
+			if ev.Kind == harness.EventGridDone {
+				g, err = ev.Grid, ev.Err
+			}
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(1)

@@ -41,8 +41,7 @@ const (
 	EventGridDone EventKind = "grid_done"
 )
 
-// Event is one typed progress notification from a grid run — the
-// replacement for the legacy GridSpec.Progress text lines. Cell events
+// Event is one typed progress notification from a grid run. Cell events
 // carry the cell coordinate; completion events additionally carry the
 // measurement and the wall-clock time the cell took. Fields that cannot be
 // serialised (the measurement, the grid, the error) are excluded from JSON;
@@ -96,9 +95,8 @@ type Event struct {
 }
 
 // ProgressLine renders a completion event (cell_done or store_hit) as the
-// classic one-line textual progress format — the single rendering shared
-// by the deprecated GridSpec.Progress writer and CLI front-ends. It
-// returns "" for every other event kind.
+// classic one-line textual progress format — the single rendering the CLI
+// front-ends print. It returns "" for every other event kind.
 func (ev Event) ProgressLine() string {
 	if (ev.Kind != EventCellDone && ev.Kind != EventStoreHit) || ev.Measurement == nil {
 		return ""

@@ -3,8 +3,10 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +119,52 @@ func TestStreamStoreHitEvents(t *testing.T) {
 	}
 	if terminal.Hits != len(hits) || terminal.Misses != 0 {
 		t.Fatalf("grid_done hit/miss %d/%d, want %d/0", terminal.Hits, terminal.Misses, len(hits))
+	}
+}
+
+// TestProgressLine renders an 8-worker stream that mixes store hits with
+// measured cells: each completion event renders one "cell k/n" line, k
+// counting 1..n in emission order, and every other kind renders "".
+func TestProgressLine(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := suite.New()
+	spec := gridSpecForWorkers(8)
+	spec.Store = st
+	half := spec
+	half.Devices = spec.Devices[:2]
+	if _, err := RunGrid(context.Background(), reg, half); err != nil {
+		t.Fatal(err)
+	}
+
+	events, err := Stream(context.Background(), reg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 3*2*4 + 4
+	lines, kinds := 0, map[EventKind]int{}
+	for ev := range events {
+		kinds[ev.Kind]++
+		line := ev.ProgressLine()
+		if ev.Kind != EventCellDone && ev.Kind != EventStoreHit {
+			if line != "" {
+				t.Fatalf("%s event rendered %q", ev.Kind, line)
+			}
+			continue
+		}
+		lines++
+		if want := fmt.Sprintf("cell %d/%d ", lines, total); !strings.HasPrefix(line, want) {
+			t.Fatalf("completion %d rendered %q, want prefix %q", lines, line, want)
+		}
+		if hit := strings.HasSuffix(line, "[store]"); hit != (ev.Kind == EventStoreHit) {
+			t.Fatalf("%s event rendered %q", ev.Kind, line)
+		}
+	}
+	if lines != total || kinds[EventStoreHit] == 0 || kinds[EventCellDone] == 0 {
+		t.Fatalf("%d progress lines from %v, want %d mixing hits and measured cells", lines, kinds, total)
 	}
 }
 

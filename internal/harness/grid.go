@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -34,14 +33,6 @@ type GridSpec struct {
 	// worker count — cells are pure functions of (benchmark, size,
 	// device, seed), never of execution order.
 	Workers int
-	// Progress, when non-nil, receives one line per completed cell.
-	// Writes are serialised; under concurrency lines arrive in completion
-	// order, each prefixed with a "cell k/n" counter.
-	//
-	// Deprecated: consume the typed event stream instead (Stream, or
-	// opendwarfs.Session.Stream). Progress remains functional for one
-	// release; it is rendered from the same events.
-	Progress io.Writer
 	// Store, when non-nil, makes the run incremental: each cell's
 	// fingerprint (CellKey) is looked up before measuring, hits are decoded
 	// instead of recomputed, and misses are measured then persisted. An
@@ -49,11 +40,10 @@ type GridSpec struct {
 	// produces value-identical measurements, hence byte-identical exports.
 	// Each row's preparation is stored as well (see prepCache), so a miss
 	// on a row an earlier run prepared replays the stored preparation
-	// instead of running Prepare. The binaries pass a store.Cached store,
-	// whose Decoded fast path serves hits as shared decoded cells with
-	// zero re-parsing; any other CellStore decodes each hit's payload.
-	// Assign only a live store: a typed-nil pointer in the interface
-	// reads as "store attached".
+	// instead of running Prepare. Hits are read through GetDecoded, so a
+	// *store.Store serves a cell it has decoded before as the shared
+	// decoded value with zero re-parsing. Assign only a live store: a
+	// typed-nil pointer in the interface reads as "store attached".
 	Store store.CellStore
 	// Faults, when non-nil, injects deterministic failures into every
 	// measurement attempt (see internal/faults); nil — the default — is
@@ -253,8 +243,7 @@ func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, e
 // runGrid is the worker-pool core shared by Stream (and through it,
 // RunGrid). It emits one CellStart per claimed cell and one CellDone or
 // StoreHit per completed cell via emit — which must be non-nil and is
-// called from worker goroutines, serialised by an internal mutex — and
-// renders the legacy spec.Progress lines from those same events.
+// called from worker goroutines, serialised by an internal mutex.
 func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int, emit func(Event)) (*Grid, error) {
 	started := now()
 	if len(cells) == 0 {
@@ -276,13 +265,6 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// carried by ctx for callers above the spec — roots a run-level span
 	// that every cell span parents under.
 	mo := newGridMetrics(spec.Metrics)
-	// The store's Decoded capability is resolved once per run, not per
-	// cell: a cached store serves hits as shared decoded cells (zero
-	// re-parsing), every other store decodes each hit's payload.
-	var decodedStore store.Decoded
-	if spec.Store != nil {
-		decodedStore, _ = spec.Store.(store.Decoded)
-	}
 	injector := spec.Faults
 	if spec.Metrics != nil {
 		injector = faults.Counted(injector, spec.Metrics)
@@ -321,8 +303,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// send serialises event emission. Completion counters are assigned
 	// under the same mutex, so Done (and the hit/miss snapshot) is
 	// monotonically non-decreasing in emission order — consumers never
-	// see "cell 2/n" before "cell 1/n". Completion events also render
-	// the deprecated Progress line so legacy consumers keep working.
+	// see "cell 2/n" before "cell 1/n".
 	send := func(ev Event) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
@@ -354,11 +335,6 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			mo.quarantines.Inc()
 		}
 		ev.Retries, ev.Failed = int(retries.Load()), int(failedN.Load())
-		if spec.Progress != nil {
-			if line := ev.ProgressLine(); line != "" {
-				fmt.Fprintln(spec.Progress, line)
-			}
-		}
 		emit(ev)
 	}
 
@@ -418,24 +394,14 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		var key string
 		if spec.Store != nil {
 			key = CellKey(c.bench.Name(), c.size, c.dev.Spec, spec.Options)
-			var m *Measurement
 			decodeStart := now()
-			if decodedStore != nil {
-				// Zero-copy hit: the slot cache hands back the shared
-				// decoded cell; only the first reader of a key in the
-				// process ever pays the JSON decode.
-				if v, ok, derr := decodedStore.GetDecoded(key, decodeMeasurementSlot); derr == nil && ok {
-					m = v.(*Measurement)
-				}
-			} else if raw, ok := spec.Store.Get(key); ok {
-				if mm, derr := DecodeMeasurement(raw); derr == nil {
-					m = mm
-				}
-			}
-			// A nil m with the key present means the payload was
+			// Zero-copy hit: the store hands back its shared decoded cell;
+			// only the first read of a key through the handle pays the JSON
+			// decode. An error with the key present means the payload was
 			// undecodable under the current code: recompute and overwrite
 			// below.
-			if m != nil {
+			if v, ok, derr := spec.Store.GetDecoded(key, decodeMeasurementSlot); derr == nil && ok {
+				m := v.(*Measurement)
 				mo.decodeNs.Observe(float64(since(decodeStart)))
 				cspan.SetAttr("outcome", "store_hit")
 				results[i] = m

@@ -91,13 +91,12 @@ func BenchmarkRunGridAddDevice(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir()
 		copyStore(b, fixture, dir)
-		inner, err := store.Open(dir)
+		st, err := store.Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cached := store.Cached(inner)
 		spec := benchGridSpec(1)
-		spec.Store = cached
+		spec.Store = st
 		b.StartTimer()
 		g, err := RunGrid(context.Background(), reg, spec)
 		b.StopTimer()
@@ -110,7 +109,7 @@ func BenchmarkRunGridAddDevice(b *testing.B) {
 		if n := spec.Metrics.CounterValue(mPreparesTotal); n != 0 {
 			b.Fatalf("%d prepares adding a device to a stored grid, want 0", n)
 		}
-		if err := cached.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

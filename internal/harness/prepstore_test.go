@@ -76,11 +76,10 @@ func TestPreparationsOutliveTheProcess(t *testing.T) {
 	}
 
 	// A fresh handle over the directory, as a second process opens it.
-	inner, err := store.Open(dir)
+	second, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := store.Cached(inner)
 	defer second.Close()
 	metrics := obs.NewRegistry()
 	spec = prepGridSpec("i7-6700k", "gtx1080", "k20m", "titanx")

@@ -2,12 +2,12 @@ package harness
 
 // Store-hit read-path benchmarks: how fast a grid assembles from cells that
 // are already in the store. The gated pair in ci/BENCH_store.json is
-// StoreHitAssembly (slot-cache hits: zero decode, shared cells) against the
-// committed RunGridCachedCells measurement baseline in ci/BENCH_grid.json —
-// serving one warmed row must be orders of magnitude cheaper than
-// re-measuring it. StoreHitAssemblyUncached isolates the slot cache's own
-// win by decoding every record's JSONL payload per assembly, the read path
-// before the cache existed.
+// StoreHitAssembly (decoded-slot hits: zero decode, shared cells) against
+// the committed RunGridCachedCells measurement baseline in
+// ci/BENCH_grid.json — serving one warmed row must be orders of magnitude
+// cheaper than re-measuring it. StoreHitAssemblyUncached isolates the
+// slots' own win by decoding every listed record's JSONL payload per
+// assembly, the work the slots save.
 //
 //	go test ./internal/harness -run '^$' -bench StoreHit -benchtime 100x
 //
@@ -38,21 +38,15 @@ func benchRowSpec(st store.CellStore) GridSpec {
 	}
 }
 
-// warmStore sweeps the benchmark row into a fresh store and returns a
-// CellStore over it — cached or not — with every slot already decoded when
-// cached (one GridFromStore pass warms the table).
-func warmStore(b *testing.B, cached bool) store.CellStore {
+// warmStore sweeps the benchmark row into a fresh store and returns it with
+// every cell's slot already decoded (one GridFromStore pass warms them).
+func warmStore(b *testing.B) store.CellStore {
 	b.Helper()
-	base, err := store.Open(b.TempDir())
+	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	var st store.CellStore = base
-	if cached {
-		c := store.Cached(base)
-		b.Cleanup(func() { c.Close() })
-		st = c
-	}
+	b.Cleanup(func() { st.Close() })
 	if _, err := RunGrid(context.Background(), suite.New(), benchRowSpec(st)); err != nil {
 		b.Fatal(err)
 	}
@@ -63,9 +57,9 @@ func warmStore(b *testing.B, cached bool) store.CellStore {
 }
 
 // BenchmarkStoreHitAssembly is the gated zero-copy number: assembling the
-// row from a warm slot cache — no JSON parsing, cells shared by pointer.
+// row from warm slots — no JSON parsing, cells shared by pointer.
 func BenchmarkStoreHitAssembly(b *testing.B) {
-	st := warmStore(b, true)
+	st := warmStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := GridFromStore(st)
@@ -78,16 +72,23 @@ func BenchmarkStoreHitAssembly(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreHitAssemblyUncached assembles the same row from a plain
-// store: every record's payload is decoded per call, the pre-slot-cache
-// read path.
+// BenchmarkStoreHitAssemblyUncached assembles the same row the way
+// GridFromStore would without the slots: every listed record's payload is
+// decoded per call.
 func BenchmarkStoreHitAssemblyUncached(b *testing.B) {
-	st := warmStore(b, false)
+	st := warmStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := GridFromStore(st)
-		if err != nil {
-			b.Fatal(err)
+		g := &Grid{}
+		for _, rec := range st.Records() {
+			if rec.Schema != StoreSchemaVersion {
+				continue
+			}
+			m, err := DecodeMeasurement(rec.Value)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.Measurements = append(g.Measurements, m)
 		}
 		if g.Cells() != 5 {
 			b.Fatalf("%d cells, want 5", g.Cells())
@@ -99,7 +100,7 @@ func BenchmarkStoreHitAssemblyUncached(b *testing.B) {
 // worker pool, event accounting, per-cell spans — with every cell a store
 // hit. The delta over StoreHitAssembly is the harness's own dispatch cost.
 func BenchmarkStoreHitRunGrid(b *testing.B) {
-	st := warmStore(b, true)
+	st := warmStore(b)
 	reg := suite.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

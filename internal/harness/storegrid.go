@@ -70,10 +70,9 @@ func DecodeMeasurement(raw json.RawMessage) (*Measurement, error) {
 }
 
 // decodeMeasurementSlot adapts DecodeMeasurement to the store's DecodeFunc
-// shape — the decoder a Decoded store runs at most once per cell, after
-// which every reader shares the one decoded *Measurement. Shared cells are
-// immutable by convention: nothing downstream of a store hit writes to a
-// Measurement.
+// shape — the decoder a store runs at most once per cell, after which every
+// reader shares the one decoded *Measurement. Shared cells are immutable by
+// convention: nothing downstream of a store hit writes to a Measurement.
 func decodeMeasurementSlot(raw json.RawMessage) (any, error) {
 	m, err := DecodeMeasurement(raw)
 	if err != nil {
@@ -85,37 +84,25 @@ func decodeMeasurementSlot(raw json.RawMessage) (any, error) {
 // GridFromStore reconstructs a Grid from every decodable cell of a store,
 // in the store's stable (benchmark, size, device) listing order — the read
 // path of dwarfserve and of any tool that wants results without
-// re-measuring. Any CellStore works; one with the Decoded capability
-// (store.Cached) assembles the grid from shared decoded cells without
-// re-parsing a single payload, which is what makes a warm reload orders of
-// magnitude cheaper than the decode-every-record path. Records written by
-// other schema generations are skipped, not errors: they are simply no
-// longer addressable.
+// re-measuring. Cells are read through GetDecoded, so a warm reload from a
+// *store.Store assembles the grid from shared decoded cells without
+// re-parsing a single payload. Records written by other schema generations
+// are skipped, not errors: they are simply no longer addressable.
 func GridFromStore(st store.CellStore) (*Grid, error) {
 	g := &Grid{}
-	decoded, _ := st.(store.Decoded)
 	for _, rec := range st.Records() {
 		if rec.Schema != StoreSchemaVersion {
 			continue
 		}
-		var m *Measurement
-		if decoded != nil {
-			v, ok, err := decoded.GetDecoded(rec.Key, decodeMeasurementSlot)
-			if err != nil {
-				return nil, fmt.Errorf("harness: store cell %s: %w", rec.Key, err)
-			}
-			if !ok {
-				// The record listing raced a concurrent removal; skip.
-				continue
-			}
-			m = v.(*Measurement)
-		} else {
-			var err error
-			if m, err = DecodeMeasurement(rec.Value); err != nil {
-				return nil, fmt.Errorf("harness: store cell %s: %w", rec.Key, err)
-			}
+		v, ok, err := st.GetDecoded(rec.Key, decodeMeasurementSlot)
+		if err != nil {
+			return nil, fmt.Errorf("harness: store cell %s: %w", rec.Key, err)
 		}
-		g.Measurements = append(g.Measurements, m)
+		if !ok {
+			// The record listing raced a concurrent removal; skip.
+			continue
+		}
+		g.Measurements = append(g.Measurements, v.(*Measurement))
 	}
 	return g, nil
 }

@@ -404,17 +404,16 @@ func TestUnknownSizeAndDeviceFailLoudly(t *testing.T) {
 	}
 }
 
-// TestConcurrentStoreHitReaders hammers one warm cached store from several
+// TestConcurrentStoreHitReaders hammers one warm store from several
 // RunGrid and GridFromStore readers at once — the dwarfserve shape, where a
-// job's sweep and query reloads share the slot table. Run under -race this
+// job's sweep and query reloads share the store's decoded slots. Run under -race this
 // is the data-race gate for the zero-copy read path; in any mode it checks
 // every reader sees full hits and the literal shared cell pointers.
 func TestConcurrentStoreHitReaders(t *testing.T) {
-	base, err := store.Open(t.TempDir())
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.Cached(base)
 	defer st.Close()
 	reg := suite.New()
 	spec := tinyStoreSpec(nil)

@@ -3,7 +3,7 @@
 // in the fixture source, mirroring the upstream
 // golang.org/x/tools/go/analysis/analysistest convention:
 //
-//	st = store.Cached(base) // want `typed-nil`
+//	i = p // want `possibly-nil \*impl stored in interface iface`
 //
 // A `// want "re1" "re2"` comment expects exactly those diagnostics
 // (each matching the regexp) on its line; lines without a want comment

@@ -169,6 +169,22 @@ func TestSinceResume(t *testing.T) {
 	}
 }
 
+// TestSinceAheadResyncs: a sequence number this recorder never issued —
+// a resume id from an earlier recorder — demands a resync, not silence
+// until the sequence catches up.
+func TestSinceAheadResyncs(t *testing.T) {
+	rec, _ := testRecorder(obs.NewRegistry(), 4)
+	for i := 0; i < 3; i++ {
+		rec.Sample()
+	}
+	if pts, resync := rec.Since(3); resync || pts != nil {
+		t.Fatalf("Since(3) = %v resync=%v, want nil,false", pts, resync)
+	}
+	if pts, resync := rec.Since(3600); !resync || pts != nil {
+		t.Fatalf("Since(3600) = %v resync=%v, want nil,true", pts, resync)
+	}
+}
+
 // TestWindowedQueries pins the anchor semantics: deltas are summed
 // strictly after the anchor sample, rates divide by the real span.
 func TestWindowedQueries(t *testing.T) {

@@ -71,13 +71,19 @@ func (r *Recorder) SnapshotPoint() Point {
 }
 
 // Since returns the delta Points of every retained sample with sequence
-// number greater than afterSeq, oldest first. resync is true when
-// afterSeq has already fallen off the ring — the caller must send a
-// fresh SnapshotPoint instead (the intervening deltas are gone).
+// number greater than afterSeq, oldest first; Since of the newest
+// sequence number returns nothing. resync is true when afterSeq has
+// already fallen off the ring, or is ahead of the newest sample (a
+// sequence number this recorder never issued) — the caller must send a
+// fresh SnapshotPoint instead (the intervening deltas are gone, or were
+// never this recorder's).
 func (r *Recorder) Since(afterSeq uint64) (pts []Point, resync bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if afterSeq >= r.seq {
+	if afterSeq > r.seq {
+		return nil, true
+	}
+	if afterSeq == r.seq {
 		return nil, false
 	}
 	oldest := r.seq - uint64(r.n) + 1

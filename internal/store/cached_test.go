@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/store/slotcache"
 )
 
 func decodeMap(raw json.RawMessage) (any, error) {
@@ -19,7 +18,7 @@ func decodeMap(raw json.RawMessage) (any, error) {
 	return m, nil
 }
 
-func putCached(t *testing.T, c *CachedStore, key, bench string, v any) {
+func putCached(t *testing.T, c *Store, key, bench string, v any) {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -34,11 +33,10 @@ func putCached(t *testing.T, c *CachedStore, key, bench string, v any) {
 // hits returning the identical shared value, and Put evicts exactly the
 // written key's slot.
 func TestCachedHitMissEviction(t *testing.T) {
-	base, err := Open(t.TempDir())
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(base)
 	defer c.Close()
 	putCached(t, c, "k1", "crc", map[string]float64{"ns": 1})
 	putCached(t, c, "k2", "fft", map[string]float64{"ns": 2})
@@ -87,11 +85,10 @@ func TestCachedHitMissEviction(t *testing.T) {
 // TestCachedCompactInvalidatesAll: compaction (direct and size-bounded)
 // rewrites the backing files, so every slot is dropped.
 func TestCachedCompactInvalidatesAll(t *testing.T) {
-	base, err := Open(t.TempDir())
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(base)
 	defer c.Close()
 	for i := range 3 {
 		putCached(t, c, fmt.Sprintf("k%d", i), "crc", map[string]float64{"ns": float64(i)})
@@ -124,65 +121,76 @@ func TestCachedCompactInvalidatesAll(t *testing.T) {
 	}
 }
 
-// TestCachedSharedAcrossHandles is the zero-copy identity contract: two
-// CachedStores over one directory share slots (a decode in one is a hit in
-// the other), and the shared table dies with its last handle.
-func TestCachedSharedAcrossHandles(t *testing.T) {
+// TestHandleReadsItsOwnWrites: slots belong to one handle, so a second
+// handle over the same directory decoding its own, older copy of a key can
+// never hide the first handle's overwrite from it.
+func TestHandleReadsItsOwnWrites(t *testing.T) {
 	dir := t.TempDir()
-	base1, err := Open(dir)
+	h1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := Cached(base1)
-	putCached(t, c1, "k", "crc", map[string]float64{"ns": 7})
-
-	base2, err := Open(dir)
+	defer h1.Close()
+	putCached(t, h1, "k", "crc", map[string]float64{"ns": 1})
+	h2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := Cached(base2)
+	defer h2.Close()
 
-	v1, _, err := c1.GetDecoded("k", decodeMap)
+	putCached(t, h1, "k", "crc", map[string]float64{"ns": 2})
+	if v, ok, err := h2.GetDecoded("k", decodeMap); !ok || err != nil || v.(map[string]float64)["ns"] != 1 {
+		t.Fatalf("second handle read %v, %v, %v; want its own copy, ns 1", v, ok, err)
+	}
+	if v, ok, err := h1.GetDecoded("k", decodeMap); !ok || err != nil || v.(map[string]float64)["ns"] != 2 {
+		t.Fatalf("writer read %v, %v, %v after its own Put; want ns 2", v, ok, err)
+	}
+}
+
+// TestGetDecodedFirstPublishWins: concurrent missers on one key may each
+// decode, but every one of them returns the first-published value.
+func TestGetDecodedFirstPublishWins(t *testing.T) {
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, ok, err := c2.GetDecoded("k", decodeMap)
-	if err != nil || !ok {
-		t.Fatalf("second handle read: %v, %v", ok, err)
-	}
-	if fmt.Sprintf("%p", v1) != fmt.Sprintf("%p", v2) {
-		t.Fatal("handles over one directory decoded separate values")
-	}
-	if s := c2.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("second handle stats %+v, want a pure hit", s)
-	}
+	defer c.Close()
+	putCached(t, c, "k", "crc", map[string]float64{"ns": 1})
 
-	// Lifecycle: the registry entry survives the first Close, not the last.
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
+	const readers = 16
+	var wg sync.WaitGroup
+	got := make([]any, readers)
+	for i := range readers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, ok, err := c.GetDecoded("k", func(json.RawMessage) (any, error) {
+				return new(int), nil // distinct pointer per decode
+			})
+			if !ok || err != nil {
+				t.Errorf("reader %d: %v, %v", i, ok, err)
+			}
+			got[i] = v
+		}(i)
 	}
-	if _, ok, err := c2.GetDecoded("k", decodeMap); !ok || err != nil {
-		t.Fatalf("slots died with the first handle: %v, %v", ok, err)
+	wg.Wait()
+	for i := 1; i < readers; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d received a different value than reader 0", i)
+		}
 	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ident := slotcache.FileIdentity(dir)
-	probe := slotcache.Acquire(ident)
-	defer probe.Close()
-	if probe.Len() != 0 {
-		t.Fatalf("slot table leaked past the last Close: %d slots", probe.Len())
+	if s := c.Stats(); s.Hits+s.Misses != readers || s.Misses < 1 {
+		t.Fatalf("stats %+v over %d reads of one key", s, readers)
 	}
 }
 
 // TestCachedInstrumentAgreesWithStats: the Prometheus counters and the
 // atomic Stats view move together, under concurrency.
 func TestCachedInstrumentAgreesWithStats(t *testing.T) {
-	base, err := Open(t.TempDir())
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(base)
 	defer c.Close()
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
@@ -230,11 +238,10 @@ func TestCachedInstrumentAgreesWithStats(t *testing.T) {
 // TestCachedDecodeErrorNotCached: a corrupt payload errors on every read
 // (never caching the failure) and recovers after an overwrite.
 func TestCachedDecodeErrorNotCached(t *testing.T) {
-	base, err := Open(t.TempDir())
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Cached(base)
 	defer c.Close()
 	if err := c.Put(Record{Key: "k", Benchmark: "crc", Size: "tiny", Device: "d", Schema: 1,
 		Value: json.RawMessage(`"not a map"`)}); err != nil {

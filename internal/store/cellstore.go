@@ -4,20 +4,23 @@ package store
 // everything that reads or writes measured cells: the harness's incremental
 // grid runs, predict's training path, the scheduler's cost provider and the
 // dwarfserve query surface all take a CellStore. There is one backing, a
-// store directory (*Store), which every binary opens behind the zero-copy
-// slot cache (Cached); the interface lets an optional store field be nil
-// and lets callers wrap the cached store, as the repository benchmark does
-// to time its calls.
+// store directory (*Store); the interface lets an optional store field be
+// nil and lets callers wrap the store, as the repository benchmark does to
+// time its calls.
 
 import "encoding/json"
 
 // CellStore is the persistent fingerprint → record map every consumer
-// programs against. Implementations must be safe for concurrent use. The
-// one optional capability, Decoded, is discovered by type assertion.
+// programs against. Implementations must be safe for concurrent use.
 type CellStore interface {
 	// Get returns the stored payload for key. The returned bytes must not
 	// be modified.
 	Get(key string) (json.RawMessage, bool)
+	// GetDecoded returns key's payload decoded by decode: (value, true,
+	// nil) when the key exists, (nil, false, nil) when it does not, and a
+	// non-nil error when the payload does not decode. The value may be
+	// shared with every other reader of the key (see Store.GetDecoded).
+	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
 	// Lookup returns the full record for key, or nil.
 	Lookup(key string) *Record
 	// Put persists the record and publishes it (last write wins).
@@ -33,17 +36,8 @@ type CellStore interface {
 }
 
 // DecodeFunc turns a stored payload into its decoded form. Decoders must
-// return a value that is immutable from the caller's point of view: a
-// Decoded store hands the same decoded value to every subsequent reader.
+// return a value that is immutable from the caller's point of view: the
+// store hands the same decoded value to every subsequent reader.
 type DecodeFunc func(raw json.RawMessage) (any, error)
-
-// Decoded is optionally implemented by read paths that can serve a shared,
-// already-decoded cell — the zero-copy hit. GetDecoded returns (value,
-// true, nil) when the key exists (decoding it with decode at most once per
-// cache lifetime), (nil, false, nil) when it does not, and a non-nil error
-// when the stored payload does not decode.
-type Decoded interface {
-	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
-}
 
 var _ CellStore = (*Store)(nil)

@@ -8,7 +8,9 @@
 // The in-memory index is sharded: readers and writers of different keys
 // proceed concurrently on separate shard locks, and the segment append path
 // holds its own mutex only for the file write. Compact rewrites the live
-// record set into a fresh snapshot and deletes the replayed segments.
+// record set into a fresh snapshot and deletes the replayed segments. Each
+// shard also memoises the decoded form of its records (see GetDecoded), so
+// a store hit is served without re-parsing its payload.
 package store
 
 import (
@@ -16,12 +18,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"opendwarfs/internal/obs"
 )
@@ -47,6 +49,10 @@ const nShards = 16
 type shard struct {
 	mu   sync.RWMutex
 	recs map[string]*Record
+	// slots holds the value GetDecoded decoded from recs[key]. Put drops
+	// the written key's slot under the same lock that publishes the record,
+	// so a slot never outlives the payload it was decoded from.
+	slots map[string]any
 }
 
 // Store is a persistent fingerprint → record map backed by JSONL segments.
@@ -61,21 +67,31 @@ type Store struct {
 	segPath  string
 	replayed []string // snapshot + segment files loaded at Open, compaction input
 
-	// Write-path metrics, set by Instrument; nil (no-op) by default. Guarded
-	// by wmu, which every reader (Put, Compact) already holds.
-	appends     *obs.Counter
-	compactions *obs.Counter
+	// Decoded-slot traffic, reported by Stats.
+	hits, misses, evictions atomic.Int64
+
+	// Metrics, set by Instrument; nil (no-op) by default. The write-path
+	// ones are guarded by wmu, which every writer (Put, Compact) already
+	// holds; mHits and mMisses are read by GetDecoded without a lock.
+	appends, compactions, mEvictions *obs.Counter
+	mHits, mMisses                   *obs.Counter
 }
 
-// Instrument registers write-path metrics on reg: store_appends_total
-// (records appended to segments) and store_compactions_total (snapshot
-// rewrites). Safe to call at any time, including concurrently with Put;
-// a nil registry de-instruments.
+// Instrument registers the store's metrics on reg: store_appends_total
+// (records appended to segments), store_compactions_total (snapshot
+// rewrites) and the decoded-slot counters slotcache_hits_total,
+// slotcache_misses_total and slotcache_evictions_total (see GetDecoded).
+// Safe to call concurrently with Put and Compact, but not with GetDecoded:
+// instrument a store before its readers start. A nil registry
+// de-instruments.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.appends = reg.Counter(mAppendsTotal)
 	s.compactions = reg.Counter(mCompactionsTotal)
+	s.mEvictions = reg.Counter(mSlotEvictionsTotal)
+	s.mHits = reg.Counter(mSlotHitsTotal)
+	s.mMisses = reg.Counter(mSlotMissesTotal)
 }
 
 // Write-path metric names (obsnames-checked).
@@ -92,6 +108,7 @@ func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir}
 	for i := range s.shards {
 		s.shards[i].recs = make(map[string]*Record)
+		s.shards[i].slots = make(map[string]any)
 	}
 
 	var files []string
@@ -149,15 +166,16 @@ func (s *Store) replay(path string) error {
 	}
 }
 
-// fingerprintShard returns key's 16-way shard index in the in-memory index.
-func fingerprintShard(key string) int {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return int(h.Sum32() % nShards)
-}
-
+// shard returns key's shard of the in-memory index: the key's 32-bit
+// FNV-1a hash, mod nShards, computed inline so that a lookup never
+// allocates.
 func (s *Store) shard(key string) *shard {
-	return &s.shards[fingerprintShard(key)]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return &s.shards[h%nShards]
 }
 
 // Get returns the stored payload for key. The returned bytes must not be
@@ -214,7 +232,13 @@ func (s *Store) Put(rec Record) error {
 	sh := s.shard(rec.Key)
 	sh.mu.Lock()
 	sh.recs[rec.Key] = &rec
+	_, evicted := sh.slots[rec.Key]
+	delete(sh.slots, rec.Key)
 	sh.mu.Unlock()
+	if evicted {
+		s.evictions.Add(1)
+		s.mEvictions.Inc()
+	}
 	return nil
 }
 
@@ -299,10 +323,12 @@ func (s *Store) Records() []*Record {
 // Compact rewrites the live record set into a fresh snapshot (atomically,
 // via rename) and removes the snapshot/segment files it replaces. Records
 // appended by this process after Open are folded in; segments created by
-// other processes since Open are left untouched.
+// other processes since Open are left untouched. Every decoded slot is
+// dropped, conservatively, whether or not the rewrite succeeds.
 func (s *Store) Compact() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	defer s.dropSlotsLocked()
 
 	recs := s.Records()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })

@@ -88,7 +88,7 @@ type Session struct {
 
 	mu sync.Mutex // guards st against a concurrent Close
 	// st stays an interface so a store-less session hands GridSpec a nil
-	// Store, never a typed-nil *CachedStore.
+	// Store, never a typed-nil *store.Store.
 	st store.CellStore
 }
 
@@ -97,10 +97,9 @@ type Option func(*Session) error
 
 // WithStore attaches the persistent result store at dir (created if
 // missing): cells already present are decoded instead of re-measured, new
-// cells are persisted as they complete. The store is opened by NewSession,
-// closed by Session.Close, and wrapped in the process-global slot cache, so
-// repeated reads of one cell — within this session or any other open on the
-// same directory — share a single decoded measurement.
+// cells are persisted as they complete. The store is opened by NewSession
+// and closed by Session.Close; repeated reads of one cell through the
+// session share a single decoded measurement.
 func WithStore(dir string) Option {
 	return func(s *Session) error {
 		if s.st != nil {
@@ -110,7 +109,7 @@ func WithStore(dir string) Option {
 		if err != nil {
 			return err
 		}
-		s.st = store.Cached(st)
+		s.st = st
 		return nil
 	}
 }
