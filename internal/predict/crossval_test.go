@@ -11,10 +11,10 @@ import (
 	"opendwarfs/internal/suite"
 )
 
-// tinyGrid measures the full 11-benchmark × tiny × 15-device grid once per
-// test binary — the smallest slice that still exercises every benchmark
-// and device.
-func tinyGrid(t *testing.T) *Dataset {
+// tinyGrid measures the full 11-benchmark × tiny × 15-device grid — the
+// smallest slice that still exercises every benchmark and device — and
+// returns its runtime dataset together with the grid.
+func tinyGrid(t *testing.T) (*Dataset, *harness.Grid) {
 	t.Helper()
 	grid, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
 		Sizes:   []string{"tiny"},
@@ -27,11 +27,11 @@ func tinyGrid(t *testing.T) *Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds
+	return ds, grid
 }
 
 func TestFromGridShape(t *testing.T) {
-	ds := tinyGrid(t)
+	ds, _ := tinyGrid(t)
 	if len(ds.Benchmarks()) != 11 || len(ds.Devices()) != 15 {
 		t.Fatalf("grid %d benchmarks × %d devices, want 11 × 15", len(ds.Benchmarks()), len(ds.Devices()))
 	}
@@ -59,7 +59,7 @@ func TestFromGridShape(t *testing.T) {
 // stays below the 50% ceiling (it lands near 1% in practice; the ceiling
 // is loose on purpose so hardware-noise-free refactors don't flake it).
 func TestLeaveOneDeviceOutAccuracy(t *testing.T) {
-	ds := tinyGrid(t)
+	ds, _ := tinyGrid(t)
 	cfg := DefaultConfig()
 	cv, err := LeaveOneDeviceOut(ds, cfg)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestLeaveOneDeviceOutAccuracy(t *testing.T) {
 }
 
 func TestLeaveOneBenchmarkOutRuns(t *testing.T) {
-	ds := tinyGrid(t)
+	ds, _ := tinyGrid(t)
 	cfg := DefaultConfig()
 	cv, err := LeaveOneBenchmarkOut(ds, cfg)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestLeaveOneBenchmarkOutRuns(t *testing.T) {
 // guarantee to the fold level: the whole cross-validation result must be
 // bitwise-identical at every worker count.
 func TestCrossValidationDeterministicAcrossWorkers(t *testing.T) {
-	ds := tinyGrid(t)
+	ds, _ := tinyGrid(t)
 	// A smaller forest keeps the 15-fold × 3-config matrix fast.
 	base := DefaultConfig()
 	base.Trees = 24
@@ -146,7 +146,7 @@ func TestCrossValidationDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestCrossValidationExports(t *testing.T) {
-	ds := tinyGrid(t)
+	ds, _ := tinyGrid(t)
 	cfg := DefaultConfig()
 	cfg.Trees = 16
 	cv, err := LeaveOneDeviceOut(ds, cfg)

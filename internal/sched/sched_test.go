@@ -3,6 +3,8 @@ package sched
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -384,8 +386,12 @@ func TestPoliciesBeatRoundRobin(t *testing.T) {
 
 // TestScheduleDeterministicAcrossWorkers: the full pipeline — grid → cost
 // model → every policy — yields a bitwise-identical Schedule no matter how
-// many workers trained the forests.
+// many workers trained the forests, and one that matches a committed
+// digest of every policy's JSON schedule. nw/tiny is never measured, so
+// the digest also pins the forest predictions made through NewCosts and
+// EnsureProfiles. Refresh it only with a documented model change.
 func TestScheduleDeterministicAcrossWorkers(t *testing.T) {
+	const want = "725fa89c7e4b6b54bb3e24aaa9af5b5bc645ffd8f6956125916b6332f5d5385b"
 	devices := []string{"i7-6700k", "gtx1080", "k20m"}
 	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, devices, nil)
 	w := testWorkload(t)
@@ -423,10 +429,16 @@ func TestScheduleDeterministicAcrossWorkers(t *testing.T) {
 
 	seq := schedule(1)
 	par := schedule(8)
+	h := sha256.New()
 	for _, name := range Policies() {
 		if !bytes.Equal(seq[name], par[name]) {
 			t.Fatalf("policy %s: schedule differs between 1 and 8 training workers", name)
 		}
+		fmt.Fprintf(h, "%s %d\n", name, len(seq[name]))
+		h.Write(seq[name])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("schedule digest %s, want %s", got, want)
 	}
 }
 
