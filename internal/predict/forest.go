@@ -108,25 +108,42 @@ func treeSeed(seed int64, t int) int64 {
 }
 
 // TrainRows fits a forest on explicit rows (the cross-validation fold
-// primitive). Trees train concurrently under cfg's worker pool; per-tree
-// importances are reduced in tree order afterwards, so the trained model is
-// bitwise-identical at every worker count.
+// primitive). Every feature and target must be finite. Trees train
+// concurrently under cfg's worker pool; per-tree importances are reduced
+// in tree order afterwards, so the trained model is bitwise-identical at
+// every worker count.
 func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(rows) < 2*cfg.MinLeaf {
-		return nil, fmt.Errorf("predict: %d rows is too few to train on", len(rows))
+	n := len(rows)
+	if n < 2*cfg.MinLeaf {
+		return nil, fmt.Errorf("predict: %d rows is too few to train on", n)
 	}
-	x := make([][]float64, len(rows))
-	y := make([]float64, len(rows))
+	// The split search walks one feature at a time, so the features are
+	// stored by column.
+	cols := make([][]float64, len(names))
+	flat := make([]float64, len(names)*n)
+	for j := range cols {
+		cols[j] = flat[j*n : (j+1)*n]
+	}
+	y := make([]float64, n)
 	for i := range rows {
 		if len(rows[i].Features) != len(names) {
 			return nil, fmt.Errorf("predict: row %d has %d features, want %d", i, len(rows[i].Features), len(names))
 		}
-		x[i] = rows[i].Features
+		for j, v := range rows[i].Features {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("predict: row %d feature %s is %v", i, names[j], v)
+			}
+			cols[j][i] = v
+		}
+		if v := rows[i].LogNs; math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("predict: row %d target LogNs is %v", i, v)
+		}
 		y[i] = rows[i].LogNs
 	}
+	order := presort(cols)
 
 	f := &Forest{
 		trees:        make([]*tree, cfg.Trees),
@@ -135,15 +152,17 @@ func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	}
 	perTree := make([][]float64, cfg.Trees)
 	gc := growConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, featureFrac: cfg.FeatureFrac}
+	// One grower per worker, lent to one tree at a time.
+	growers := make(chan *grower, cfg.workers(cfg.Trees))
+	for len(growers) < cap(growers) {
+		growers <- newGrower(cols, y, order, gc)
+	}
 	cfg.forEach(cfg.Trees, func(t int) {
-		rng := rand.New(rand.NewSource(treeSeed(cfg.Seed, t)))
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = rng.Intn(len(rows))
-		}
+		g := <-growers
 		imp := make([]float64, len(names))
-		f.trees[t] = growTree(x, y, idx, gc, rng, imp)
+		f.trees[t] = g.grow(rand.New(rand.NewSource(treeSeed(cfg.Seed, t))), imp)
 		perTree[t] = imp
+		growers <- g
 	})
 	for t := range perTree {
 		for i, v := range perTree[t] {

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -200,5 +202,43 @@ func TestTrainRowsValidation(t *testing.T) {
 	bad[3].Features = bad[3].Features[:2]
 	if _, err := TrainRows(names, bad, cfg); err == nil {
 		t.Fatal("ragged feature matrix accepted")
+	}
+
+	// Non-finite inputs are refused with the row and feature named: the
+	// split search needs a total order on every feature.
+	for _, c := range []struct {
+		set  func(*Row)
+		want string
+	}{
+		{func(r *Row) { r.Features[1] = math.NaN() }, "row 3 feature x1 is NaN"},
+		{func(r *Row) { r.Features[2] = math.Inf(1) }, "row 3 feature x2 is +Inf"},
+		{func(r *Row) { r.Features[0] = math.Inf(-1) }, "row 3 feature x0 is -Inf"},
+		{func(r *Row) { r.LogNs = math.NaN() }, "row 3 target LogNs is NaN"},
+		{func(r *Row) { r.LogNs = math.Inf(1) }, "row 3 target LogNs is +Inf"},
+		{func(r *Row) { r.LogNs = math.Inf(-1) }, "row 3 target LogNs is -Inf"},
+	} {
+		copy(bad, rows)
+		bad[3].Features = slices.Clone(rows[3].Features)
+		c.set(&bad[3])
+		if _, err := TrainRows(names, bad, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got error %v, want one containing %q", err, c.want)
+		}
+	}
+
+	// A stored cell can carry such a value: a device with a negative MLP
+	// decodes fine and yields a NaN dev_log_mlp.
+	_, grid := tinyGrid(t)
+	m := *grid.Measurements[5]
+	dev := *m.Device
+	dev.MLP = -1
+	m.Device = &dev
+	grid.Measurements[5] = &m
+	ds, err := FromGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "row 5 feature dev_log_mlp is NaN"
+	if _, err := Train(ds, cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("got error %v, want one containing %q", err, want)
 	}
 }

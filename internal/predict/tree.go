@@ -1,7 +1,9 @@
 package predict
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -27,90 +29,181 @@ type growConfig struct {
 	featureFrac float64
 }
 
-// grower carries the state of one tree's construction. All randomness
-// flows through rng, which is owned by exactly one goroutine, and nodes are
-// expanded depth-first left-to-right — so a tree is a pure function of
-// (data, sample indices, rng seed).
+// presort returns, per feature column, the row indices in (value, row)
+// order: the order every split scan walks. Rows start in index order and
+// the sort is stable, so equal values keep ascending rows. Training
+// inputs are finite, so the order is total.
+func presort(cols [][]float64) [][]int32 {
+	order := make([][]int32, len(cols))
+	for f, col := range cols {
+		ord := make([]int32, len(col))
+		for r := range ord {
+			ord[r] = int32(r)
+		}
+		slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		order[f] = ord
+	}
+	return order
+}
+
+// grower holds one worker's tree-construction state. Its buffers are
+// sized once for the forest's rows and reused by every tree the worker
+// grows. All randomness flows through rng, which one goroutine owns, and
+// nodes are expanded depth-first left-to-right, so a tree is a pure
+// function of (data, rng seed).
+//
+// A node owns the same range [lo, hi) of samples and of every feature's
+// segment of sorted. samples holds the node's bootstrap draws in draw
+// order, for its sums; a feature's segment holds them in (value, row)
+// order, for the split scan. A split partitions every list stably, so
+// both orders hold in each child without sorting.
 type grower struct {
-	x          [][]float64
-	y          []float64
-	cfg        growConfig
+	cols  [][]float64 // per feature, the value of every row
+	y     []float64
+	order [][]int32 // presort(cols), shared by the forest's growers
+	cfg   growConfig
+
 	rng        *rand.Rand
 	nodes      []treeNode
 	importance []float64 // summed SSE reduction per feature
-	featIdx    []int     // scratch for feature subsampling
-	sortIdx    []int     // scratch for per-feature value ordering
+
+	featIdx []int   // feature subsampling
+	count   []int32 // per row: bootstrap multiplicity
+	samples []int32 // the bootstrap draws in draw order
+	sorted  []int32 // feature f's list is sorted[f*n : (f+1)*n]
+	left    []uint8 // per row: 1 if it goes left at the split being applied
+	spill   []int32 // right-hand rows during a stable partition
 }
 
-// growTree fits one tree on the sample indices idx (bootstrap indices,
-// duplicates allowed). importance, when non-nil, accumulates each split's
-// SSE reduction into the split feature's slot.
-func growTree(x [][]float64, y []float64, idx []int, cfg growConfig, rng *rand.Rand, importance []float64) *tree {
-	g := &grower{
-		x: x, y: y, cfg: cfg, rng: rng,
-		importance: importance,
-		featIdx:    make([]int, len(x[0])),
+func newGrower(cols [][]float64, y []float64, order [][]int32, cfg growConfig) *grower {
+	n := len(y)
+	return &grower{
+		cols: cols, y: y, order: order, cfg: cfg,
+		featIdx: make([]int, len(cols)),
+		count:   make([]int32, n),
+		samples: make([]int32, n),
+		sorted:  make([]int32, len(cols)*n),
+		left:    make([]uint8, n),
+		spill:   make([]int32, n),
 	}
-	own := make([]int, len(idx))
-	copy(own, idx)
-	g.build(own, 0)
+}
+
+// grow draws a bootstrap sample of the rows from rng and fits one tree on
+// it, drawing its feature subsets from the same rng. importance
+// accumulates each split's SSE reduction into the split feature's slot.
+func (g *grower) grow(rng *rand.Rand, importance []float64) *tree {
+	n := len(g.y)
+	clear(g.count)
+	for i := range g.samples {
+		r := int32(rng.Intn(n))
+		g.samples[i] = r
+		g.count[r]++
+	}
+	// Expand each presorted list by multiplicity. Duplicates of one row
+	// share x and y, so their order among themselves does not matter.
+	for f, ord := range g.order {
+		list := g.sorted[f*n : (f+1)*n]
+		k := 0
+		for _, r := range ord {
+			for c := g.count[r]; c > 0; c-- {
+				list[k] = r
+				k++
+			}
+		}
+	}
+	g.rng, g.importance, g.nodes = rng, importance, nil
+	g.build(0, n, 0)
 	return &tree{nodes: g.nodes}
 }
 
-// build grows the subtree over samples idx at the given depth and returns
-// its node index.
-func (g *grower) build(idx []int, depth int) int32 {
+// build grows the subtree over the node range [lo, hi) at the given depth
+// and returns its node index.
+func (g *grower) build(lo, hi, depth int) int32 {
 	sum, sumSq := 0.0, 0.0
-	for _, i := range idx {
-		sum += g.y[i]
-		sumSq += g.y[i] * g.y[i]
+	for _, r := range g.samples[lo:hi] {
+		sum += g.y[r]
+		sumSq += g.y[r] * g.y[r]
 	}
-	n := float64(len(idx))
+	n := float64(hi - lo)
 	mean := sum / n
 	sse := sumSq - sum*sum/n
 
 	node := int32(len(g.nodes))
 	g.nodes = append(g.nodes, treeNode{feature: -1, value: mean})
-	if depth >= g.cfg.maxDepth || len(idx) < 2*g.cfg.minLeaf || sse <= 1e-12 {
+	if !g.splittable(hi-lo, depth) || sse <= 1e-12 {
 		return node
 	}
 
-	feat, thr, gain := g.bestSplit(idx, sum, sumSq, sse)
+	feat, thr, gain := g.bestSplit(lo, hi, sum, sumSq, sse)
 	if feat < 0 {
 		return node
 	}
-	if g.importance != nil {
-		g.importance[feat] += gain
-	}
+	g.importance[feat] += gain
 
-	// Partition preserving relative order, so child sample order — and
-	// therefore every downstream rng-independent computation — is
-	// deterministic.
-	var left, right []int
-	for _, i := range idx {
-		if g.x[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
-		// Cannot happen with the threshold guard above; keep the node a
-		// leaf rather than recurse on an empty side.
+	mid := g.partition(lo, hi, feat, thr, depth+1)
+	if mid == lo || mid == hi {
+		// Cannot happen with the threshold guard in bestSplit; keep the
+		// node a leaf rather than recurse on an empty side.
 		return node
 	}
 	g.nodes[node].feature = feat
 	g.nodes[node].threshold = thr
-	g.nodes[node].left = g.build(left, depth+1)
-	g.nodes[node].right = g.build(right, depth+1)
+	g.nodes[node].left = g.build(lo, mid, depth+1)
+	g.nodes[node].right = g.build(mid, hi, depth+1)
 	return node
 }
 
+// splittable reports whether a node of n samples at depth may be split.
+func (g *grower) splittable(n, depth int) bool {
+	return depth < g.cfg.maxDepth && n >= 2*g.cfg.minLeaf
+}
+
+// partition splits the node range [lo, hi) of every list at (feat, thr),
+// left side first, each side in its previous order, and returns where the
+// right side starts. The feature lists are left alone when neither child,
+// at childDepth, may be split: a leaf reads only its samples.
+func (g *grower) partition(lo, hi, feat int, thr float64, childDepth int) int {
+	col := g.cols[feat]
+	for _, r := range g.samples[lo:hi] {
+		g.left[r] = 0
+		if col[r] <= thr {
+			g.left[r] = 1
+		}
+	}
+	mid := lo + g.stablePartition(g.samples[lo:hi])
+	if !g.splittable(mid-lo, childDepth) && !g.splittable(hi-mid, childDepth) {
+		return mid
+	}
+	n := len(g.y)
+	for f := range g.cols {
+		g.stablePartition(g.sorted[f*n+lo : f*n+hi])
+	}
+	return mid
+}
+
+// stablePartition moves the rows of s that go left to its front, keeping
+// the order within each side, and returns how many went left. Each row is
+// written to both sides and only its own side's cursor advances, so the
+// loop has no data-dependent branch.
+func (g *grower) stablePartition(s []int32) int {
+	k, j := 0, 0
+	for _, r := range s {
+		l := int(g.left[r])
+		s[k] = r
+		g.spill[j] = r
+		k += l
+		j += 1 - l
+	}
+	copy(s[k:], g.spill[:j])
+	return k
+}
+
 // bestSplit searches a random feature subset for the (feature, threshold)
-// pair with the largest SSE reduction. Candidate features are scanned in
-// ascending index order and a new best must be strictly better, so ties
-// resolve to the lowest feature index / lowest threshold deterministically.
-func (g *grower) bestSplit(idx []int, totSum, totSumSq, parentSSE float64) (int, float64, float64) {
+// pair with the largest SSE reduction over the node range [lo, hi).
+// Candidate features are scanned in ascending index order and a new best
+// must be strictly better, so ties resolve to the lowest feature index /
+// lowest threshold deterministically.
+func (g *grower) bestSplit(lo, hi int, totSum, totSumSq, parentSSE float64) (int, float64, float64) {
 	nFeat := len(g.featIdx)
 	k := int(float64(nFeat) * g.cfg.featureFrac)
 	if k < 1 {
@@ -131,50 +224,39 @@ func (g *grower) bestSplit(idx []int, totSum, totSumSq, parentSSE float64) (int,
 	chosen := g.featIdx[:k]
 	sort.Ints(chosen)
 
-	if cap(g.sortIdx) < len(idx) {
-		g.sortIdx = make([]int, len(idx))
-	}
-	ord := g.sortIdx[:len(idx)]
-
 	bestFeat, bestThr, bestGain := -1, 0.0, 1e-12
-	n := float64(len(idx))
+	m := hi - lo
+	n := float64(m)
+	rows := len(g.y)
 	for _, f := range chosen {
-		copy(ord, idx)
-		// Sort by (value, sample index): the index tiebreak makes the
-		// prefix-sum order — and so the floating-point result — unique.
-		sort.Slice(ord, func(a, b int) bool {
-			va, vb := g.x[ord[a]][f], g.x[ord[b]][f]
-			if va != vb {
-				return va < vb
-			}
-			return ord[a] < ord[b]
-		})
-
+		// The node's samples in (value, row) order: the row tiebreak
+		// makes the prefix-sum order, and so the floating-point result,
+		// unique.
+		ord := g.sorted[f*rows+lo : f*rows+hi]
+		col := g.cols[f]
 		sumL, sumSqL := 0.0, 0.0
-		for pos := 0; pos < len(ord)-1; pos++ {
+		for pos := 0; pos < m-1; pos++ {
 			yi := g.y[ord[pos]]
 			sumL += yi
 			sumSqL += yi * yi
 			// Only split between distinct values.
-			if g.x[ord[pos]][f] == g.x[ord[pos+1]][f] {
+			xl, xr := col[ord[pos]], col[ord[pos+1]]
+			if xl == xr || pos+1 < g.cfg.minLeaf || m-pos-1 < g.cfg.minLeaf {
 				continue
 			}
 			nL := float64(pos + 1)
 			nR := n - nL
-			if int(nL) < g.cfg.minLeaf || int(nR) < g.cfg.minLeaf {
-				continue
-			}
 			sumR := totSum - sumL
 			sseL := sumSqL - sumL*sumL/nL
 			sseR := (totSumSq - sumSqL) - sumR*sumR/nR
 			gain := parentSSE - sseL - sseR
 			if gain > bestGain {
-				thr := (g.x[ord[pos]][f] + g.x[ord[pos+1]][f]) / 2
-				if thr >= g.x[ord[pos+1]][f] {
+				thr := (xl + xr) / 2
+				if thr >= xr {
 					// The midpoint of two ulp-adjacent values rounds up
 					// to the right value, which would leave the right
 					// partition empty; split at the left value instead.
-					thr = g.x[ord[pos]][f]
+					thr = xl
 				}
 				bestFeat = f
 				bestThr = thr
