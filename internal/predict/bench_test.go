@@ -34,6 +34,8 @@ func BenchmarkTrain(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	// A b.N loop, not b.Loop: under go1.24 b.Loop runs every iteration
+	// of the first -cpu value before GOMAXPROCS is set to it.
 	for i := 0; i < b.N; i++ {
 		if _, err := Train(ds, DefaultConfig()); err != nil {
 			b.Fatal(err)

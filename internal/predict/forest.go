@@ -152,7 +152,8 @@ func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	}
 	perTree := make([][]float64, cfg.Trees)
 	gc := growConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, featureFrac: cfg.FeatureFrac}
-	// One grower per worker, lent to one tree at a time.
+	// One grower per worker, lent to one tree at a time: the channel
+	// holds all of them, so taking one never blocks.
 	growers := make(chan *grower, cfg.workers(cfg.Trees))
 	for len(growers) < cap(growers) {
 		growers <- newGrower(cols, y, order, gc)

@@ -70,7 +70,7 @@ type grower struct {
 	featIdx []int   // feature subsampling
 	count   []int32 // per row: bootstrap multiplicity
 	samples []int32 // the bootstrap draws in draw order
-	sorted  []int32 // feature f's list is sorted[f*n : (f+1)*n]
+	sorted  []int32 // feature f's list is sorted[f*n : (f+1)*n], n = len(y)
 	left    []uint8 // per row: 1 if it goes left at the split being applied
 	spill   []int32 // right-hand rows during a stable partition
 }
