@@ -273,3 +273,40 @@ func TestDrawnSignalGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSpectrumGolden pins the float32 bits of the spectrum one executing
+// Iterate computes at seed 2, and the float64 bits of SerialFFT over a
+// seeded signal, at the tiny, small and medium lengths. The grid digests
+// see only fft's Verified flag; this test holds the butterflies and the
+// serial reference themselves to the same bits.
+func TestSpectrumGolden(t *testing.T) {
+	want := map[int][2]string{
+		2048: {
+			"f368e453f4ccf8bb4b143ae5f6dfb9be80a2d635a93e09bb0bf1e384ff9f8513",
+			"6a31abe61c41e25c618659c8f41866b136d526e3fda4783a3e3fb12c9b8faf63",
+		},
+		16384: {
+			"d501f99f221e43024da51c8b5ef1b7b109c93a9b784d814ba393297f3c284314",
+			"4ad36622c4b2888ce374cbcf62f9d5af611e9906450b1502e20fb0accfb874c6",
+		},
+		524288: {
+			"5f792397726a7fcc83f9045926637ce79e1e3850c268b81a2e889622ffe847f3",
+			"ad152f1b978919d0984f116c549e0093105f3c2ca8df28c0d4e7d3d0ccd85778",
+		},
+	}
+	for n, digests := range want {
+		inst := runFFT(t, n, 2)
+		if got := dwarfstest.Digest(inst.Output()); got != digests[0] {
+			t.Errorf("n=%d: spectrum digest %s, want %s", n, got, digests[0])
+		}
+		rng := rand.New(rand.NewSource(2))
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+		}
+		SerialFFT(x)
+		if got := dwarfstest.Digest(x); got != digests[1] {
+			t.Errorf("n=%d: SerialFFT digest %s, want %s", n, got, digests[1])
+		}
+	}
+}

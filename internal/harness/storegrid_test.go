@@ -502,3 +502,34 @@ func TestEncodedGridGolden(t *testing.T) {
 		t.Fatalf("encoded grid digest %s, want %s", got, want)
 	}
 }
+
+// TestFullGridGolden pins the stored bytes of the whole 615-cell grid
+// (every benchmark, size and device) at seed 2 with the paper's options
+// and the default worker count. It sees every Functional and Verified
+// flag, footprint, profile and sample the suite produces, so a change
+// meant to speed up preparation or measurement must leave it untouched.
+// Refresh the digest only together with a deliberate StoreSchemaVersion
+// bump.
+func TestFullGridGolden(t *testing.T) {
+	const want = "2fdd3ba97bed4cd2f2701405c8b63a965cc7078cc3e59888194161601635b994"
+	opt := DefaultOptions()
+	opt.Seed = 2
+	g, err := RunGrid(context.Background(), suite.New(), GridSpec{Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Cells() != 615 {
+		t.Fatalf("%d cells, want 615", g.Cells())
+	}
+	h := sha256.New()
+	for _, m := range g.Measurements {
+		raw, err := EncodeMeasurement(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(raw)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("full grid digest %s, want %s", got, want)
+	}
+}
