@@ -104,7 +104,10 @@ type Kernel struct {
 }
 
 // Item is the work-item view passed to kernel functions: identity within the
-// NDRange, the group's local memory, and the barrier primitive.
+// NDRange, the group's local memory, and the barrier primitive. An Item is
+// valid only during the Fn call it is passed to: on the barrier-free path
+// the runtime reuses one Item for every work-item a worker runs, so Fn must
+// not retain it.
 type Item struct {
 	gid, lid, grp [3]int
 	ndr           *NDRange
@@ -195,8 +198,10 @@ func (b *groupBarrier) breakBarrier() {
 
 // execute runs the kernel functionally over the NDRange: work-groups are
 // distributed over a host worker pool; items within a group run sequentially
-// (or as goroutines with a cyclic barrier for UsesBarrier kernels).
-func (k *Kernel) execute(ndr NDRange) error {
+// (or as goroutines with a cyclic barrier for UsesBarrier kernels). Every
+// Item of the launch shares ndr, and each worker reuses one Item across the
+// barrier-free groups it runs.
+func (k *Kernel) execute(ndr *NDRange) error {
 	if k.Fn == nil {
 		return fmt.Errorf("opencl: kernel %q has no function", k.Name)
 	}
@@ -223,12 +228,13 @@ func (k *Kernel) execute(ndr NDRange) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			wi := &Item{ndr: ndr}
 			for g := range idx {
 				gz := g / (groups[0] * groups[1])
 				rem := g % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				if err := k.runGroup(ndr, [3]int{gx, gy, gz}); err != nil {
+				if err := k.runGroup(wi, [3]int{gx, gy, gz}); err != nil {
 					reportErr(err)
 				}
 			}
@@ -248,7 +254,10 @@ func (k *Kernel) execute(ndr NDRange) error {
 }
 
 // runGroup executes one work-group, converting work-item panics to errors.
-func (k *Kernel) runGroup(ndr NDRange, grp [3]int) (err error) {
+// A barrier-free group runs its items in turn on wi, the worker's Item; a
+// barrier group gets one Item per work-item, each on its own goroutine.
+func (k *Kernel) runGroup(wi *Item, grp [3]int) (err error) {
+	ndr := wi.ndr
 	var locals any
 	if k.MakeLocals != nil {
 		locals = k.MakeLocals()
@@ -259,7 +268,7 @@ func (k *Kernel) runGroup(ndr NDRange, grp [3]int) (err error) {
 				err = fmt.Errorf("opencl: kernel %q panicked in group %v: %v", k.Name, grp, r)
 			}
 		}()
-		wi := &Item{ndr: &ndr, grp: grp, Locals: locals}
+		wi.grp, wi.Locals = grp, locals
 		for lz := 0; lz < ndr.Local[2]; lz++ {
 			for ly := 0; ly < ndr.Local[1]; ly++ {
 				for lx := 0; lx < ndr.Local[0]; lx++ {
@@ -283,8 +292,8 @@ func (k *Kernel) runGroup(ndr NDRange, grp [3]int) (err error) {
 	for lz := 0; lz < ndr.Local[2]; lz++ {
 		for ly := 0; ly < ndr.Local[1]; ly++ {
 			for lx := 0; lx < ndr.Local[0]; lx++ {
-				wi := &Item{
-					ndr:    &ndr,
+				item := &Item{
+					ndr:    ndr,
 					grp:    grp,
 					lid:    [3]int{lx, ly, lz},
 					gid:    [3]int{grp[0]*ndr.Local[0] + lx, grp[1]*ndr.Local[1] + ly, grp[2]*ndr.Local[2] + lz},
@@ -304,7 +313,7 @@ func (k *Kernel) runGroup(ndr NDRange, grp [3]int) (err error) {
 							bar.breakBarrier()
 						}
 					}()
-					k.Fn(wi)
+					k.Fn(item)
 				}()
 			}
 		}
