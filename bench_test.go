@@ -266,7 +266,7 @@ func BenchmarkKernelExecuteFunctional(b *testing.B) {
 	ctx, _ := opencl.NewContext(dev)
 	q, _ := opencl.NewQueue(ctx, dev)
 	const n = 1 << 16
-	_, data := opencl.NewBuffer[float32](ctx, "x", n)
+	data := opencl.Data[float32](opencl.NewBuffer[float32](ctx, "x", n))
 	k := &opencl.Kernel{
 		Name: "scale",
 		Fn:   func(wi *opencl.Item) { data[wi.GlobalID(0)] *= 1.0000001 },

@@ -85,10 +85,10 @@ func (in *bfsInstance) FootprintBytes() int64 {
 
 func (in *bfsInstance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	allocI := func(name string, n int) []int32 {
-		b, s := opencl.NewBuffer[int32](ctx, name, n)
+		b := opencl.NewBuffer[int32](ctx, name, n)
 		in.bufs = append(in.bufs, b)
 		q.EnqueueWrite(b)
-		return s
+		return opencl.Data[int32](b)
 	}
 	rp := allocI("rowptr", len(in.rowPtr))
 	copy(rp, in.rowPtr)

@@ -92,8 +92,9 @@ func (in *Instance) FootprintBytes() int64 {
 
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.msgBuf, in.msg = opencl.NewBuffer[uint8](ctx, "message", in.n)
-	in.pageBuf, in.pages = opencl.NewBuffer[uint32](ctx, "page_crcs", in.numPages())
+	in.msgBuf = opencl.NewBuffer[uint8](ctx, "message", in.n)
+	in.pageBuf = opencl.NewBuffer[uint32](ctx, "page_crcs", in.numPages())
+	in.msg, in.pages = opencl.Data[uint8](in.msgBuf), opencl.Data[uint32](in.pageBuf)
 	copy(in.msg, data.RandomBytes(in.n, in.seed))
 
 	msg, pages, n := in.msg, in.pages, in.n

@@ -88,14 +88,14 @@ func (in *Instance) Matrix() *data.CSR { return in.mat }
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	m := in.mat
-	var rowPtr []int32
-	var cols []int32
-	var vals []float32
-	in.rowBuf, rowPtr = opencl.NewBuffer[int32](ctx, "rowptr", len(m.RowPtr))
-	in.colBuf, cols = opencl.NewBuffer[int32](ctx, "cols", len(m.Cols))
-	in.valBuf, vals = opencl.NewBuffer[float32](ctx, "vals", len(m.Vals))
-	in.xBuf, in.x = opencl.NewBuffer[float32](ctx, "x", m.N)
-	in.yBuf, in.y = opencl.NewBuffer[float32](ctx, "y", m.N)
+	in.rowBuf = opencl.NewBuffer[int32](ctx, "rowptr", len(m.RowPtr))
+	in.colBuf = opencl.NewBuffer[int32](ctx, "cols", len(m.Cols))
+	in.valBuf = opencl.NewBuffer[float32](ctx, "vals", len(m.Vals))
+	in.xBuf = opencl.NewBuffer[float32](ctx, "x", m.N)
+	in.yBuf = opencl.NewBuffer[float32](ctx, "y", m.N)
+	rowPtr, cols := opencl.Data[int32](in.rowBuf), opencl.Data[int32](in.colBuf)
+	vals := opencl.Data[float32](in.valBuf)
+	in.x, in.y = opencl.Data[float32](in.xBuf), opencl.Data[float32](in.yBuf)
 	copy(rowPtr, m.RowPtr)
 	copy(cols, m.Cols)
 	copy(vals, m.Vals)

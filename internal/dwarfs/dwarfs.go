@@ -77,11 +77,16 @@ type Benchmark interface {
 // configuration that the harness keeps on the timing model (DESIGN.md §2)
 // then never generates data that no kernel or verifier reads. Data a
 // caller supplies is held from construction.
+//
+// Buffers allocate their host backing on first use (opencl.NewBuffer), so
+// a buffer's backing may not exist until the first executing Iterate
+// fetches it with opencl.Data. Kernels read the slices the instance holds
+// at execution time, never slices captured at Setup.
 type Instance interface {
-	// Setup allocates buffers in the context and enqueues the initial
+	// Setup declares buffers in the context and enqueues the initial
 	// host→device transfers on the queue. Footprint and transfer volumes
-	// are final after Setup; buffer contents may stay unset until the
-	// first executing Iterate.
+	// are final after Setup; buffer contents, and their backing, may not
+	// exist until the first executing Iterate.
 	Setup(ctx *opencl.Context, q *opencl.CommandQueue) error
 	// Iterate performs one timed iteration of the benchmark: every kernel
 	// enqueue the application issues per loop pass (§4.3's ≥2 s loop runs

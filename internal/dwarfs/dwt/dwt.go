@@ -93,8 +93,8 @@ type Instance struct {
 	seed         int64
 	original     []float32 // input image; nil until drawn
 
-	img, tmp       []float32
 	imgBuf, tmpBuf *opencl.Buffer
+	img, tmp       []float32 // the buffers' backing; nil until an executing Iterate
 
 	// Current LL-quadrant geometry, read by the kernel closures.
 	curW, curH   int
@@ -128,8 +128,8 @@ func (in *Instance) FootprintBytes() int64 { return 2 * int64(in.w) * int64(in.h
 
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.imgBuf, in.img = opencl.NewBuffer[float32](ctx, "image", in.w*in.h)
-	in.tmpBuf, in.tmp = opencl.NewBuffer[float32](ctx, "scratch", in.w*in.h)
+	in.imgBuf = opencl.NewBuffer[float32](ctx, "image", in.w*in.h)
+	in.tmpBuf = opencl.NewBuffer[float32](ctx, "scratch", in.w*in.h)
 
 	in.kRows = &opencl.Kernel{
 		Name: "fdwt97_rows",
@@ -288,6 +288,7 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	}
 	if !q.SimulateOnly() {
 		in.draw()
+		in.img, in.tmp = opencl.Data[float32](in.imgBuf), opencl.Data[float32](in.tmpBuf)
 		copy(in.img, in.original)
 	}
 	q.EnqueueWrite(in.imgBuf)
@@ -397,7 +398,7 @@ func (in *Instance) SerialInverse(plane []float32) {
 // reference bit for bit (identical arithmetic order), and inverting the
 // result must reconstruct the original image.
 func (in *Instance) Verify() error {
-	if !in.ran || in.original == nil {
+	if in.img == nil {
 		return fmt.Errorf("dwt: Verify before an executing Iterate")
 	}
 	ref := in.SerialForward()

@@ -63,10 +63,13 @@ type Instance struct {
 	n    int
 	seed int64
 
-	input      []complex64 // pristine input signal; nil until drawn
+	input   []complex64 // pristine input signal; nil until drawn
+	pingBuf *opencl.Buffer
+	pongBuf *opencl.Buffer
+	// Set by the first executing Iterate: the buffers' backing slices and
+	// the twiddle table.
 	ping, pong []complex64
-	pingBuf    *opencl.Buffer
-	pongBuf    *opencl.Buffer
+	tw         []complex128
 
 	// Kernel state read by the closure at execution time.
 	src, dst []complex64
@@ -91,8 +94,8 @@ func (in *Instance) FootprintBytes() int64 { return 2 * int64(in.n) * 8 }
 // Setup implements dwarfs.Instance. The signal is drawn from the seed by
 // the first executing Iterate (see dwarfs.Instance).
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.pingBuf, in.ping = opencl.NewBuffer[complex64](ctx, "ping", in.n)
-	in.pongBuf, in.pong = opencl.NewBuffer[complex64](ctx, "pong", in.n)
+	in.pingBuf = opencl.NewBuffer[complex64](ctx, "ping", in.n)
+	in.pongBuf = opencl.NewBuffer[complex64](ctx, "pong", in.n)
 
 	in.kernel = &opencl.Kernel{
 		Name:    "fft_radix2",
@@ -105,15 +108,15 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 
 // butterfly is Bainville's radix-2 Stockham kernel: work-item i combines
 // src[i] and src[i+N/2] with twiddle e^{-iπk/p} and writes the self-sorted
-// pair at ((i-k)<<1)+k and +p, where k = i mod p.
+// pair at ((i-k)<<1)+k and +p, where k = i mod p. The twiddle is entry
+// k·(N/2)/p of the table (see twiddles).
 func (in *Instance) butterfly(wi *opencl.Item) {
 	i := wi.GlobalID(0)
 	t := in.n / 2
 	k := i & (in.p - 1)
 	u0 := complex128(in.src[i])
 	u1 := complex128(in.src[i+t])
-	alpha := -math.Pi * float64(k) / float64(in.p)
-	u1 *= cmplx.Exp(complex(0, alpha))
+	u1 *= in.tw[k*(t/in.p)]
 	j := ((i - k) << 1) + k
 	in.dst[j] = complex64(u0 + u1)
 	in.dst[j+in.p] = complex64(u0 - u1)
@@ -168,7 +171,9 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	return nil
 }
 
-// draw generates the input signal from the seed unless it is drawn already.
+// draw generates the input signal from the seed unless it is drawn
+// already, fetches the buffers' backing slices and builds the twiddle
+// table.
 func (in *Instance) draw() {
 	if in.input != nil {
 		return
@@ -178,6 +183,22 @@ func (in *Instance) draw() {
 	for i := range in.input {
 		in.input[i] = complex(float32(rng.Float64()*2-1), float32(rng.Float64()*2-1))
 	}
+	in.ping = opencl.Data[complex64](in.pingBuf)
+	in.pong = opencl.Data[complex64](in.pongBuf)
+	in.tw = twiddles(in.n)
+}
+
+// twiddles returns the n/2 twiddles e^{-iπj/(n/2)}, j < n/2. The pass with
+// span p needs e^{-iπk/p} for k < p, which is entry k·(n/2)/p: p and n/2
+// are powers of two, so -π·j/(n/2) rounds to the same float64 as -π·k/p
+// and the table holds bitwise the twiddles each work-item would compute.
+func twiddles(n int) []complex128 {
+	h := n / 2
+	tw := make([]complex128, h)
+	for j := range tw {
+		tw[j] = cmplx.Exp(complex(0, -math.Pi*float64(j)/float64(h)))
+	}
+	return tw
 }
 
 // Output returns the spectrum of the last Iterate.
@@ -229,14 +250,18 @@ func SerialFFT(x []complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
+	// Each stage's twiddles are computed once, not once per block.
+	w := make([]complex128, n/2)
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
 		step := -2 * math.Pi / float64(size)
+		for k := 0; k < half; k++ {
+			w[k] = cmplx.Exp(complex(0, step*float64(k)))
+		}
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
 				a := x[start+k]
-				b := x[start+k+half] * w
+				b := x[start+k+half] * w[k]
 				x[start+k] = a + b
 				x[start+k+half] = a - b
 			}

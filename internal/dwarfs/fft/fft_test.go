@@ -1,9 +1,11 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +310,30 @@ func TestSpectrumGolden(t *testing.T) {
 		if got := dwarfstest.Digest(x); got != digests[1] {
 			t.Errorf("n=%d: SerialFFT digest %s, want %s", n, got, digests[1])
 		}
+	}
+}
+
+// Verify rejects a spectrum with one bin pushed just past its tolerance,
+// and names the bin.
+func TestVerifyRejectsBinPastTolerance(t *testing.T) {
+	const n, bin = 2048, 37
+	inst := runFFT(t, n, 2)
+	if err := inst.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]complex128, n)
+	for i, v := range inst.input {
+		ref[i] = complex128(v)
+	}
+	SerialFFT(ref)
+	norm := 0.0
+	for _, v := range ref {
+		norm += cmplx.Abs(v) * cmplx.Abs(v)
+	}
+	tol := 1e-5 * math.Sqrt(norm/n) * float64(inst.Passes())
+	inst.Output()[bin] += complex(float32(2*tol), 0)
+	err := inst.Verify()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("bin %d ", bin)) {
+		t.Fatalf("Verify of a bin 2×tol off: %v", err)
 	}
 }

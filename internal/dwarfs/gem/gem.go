@@ -64,10 +64,13 @@ type Instance struct {
 	seed            int64
 	atoms, vertices int
 
+	// bufs holds the atom arrays, the vertex arrays and the potential, in
+	// field order below; the slices are their backings, fetched by the
+	// first executing Iterate and nil until then.
+	bufs                       []*opencl.Buffer
 	atomX, atomY, atomZ, atomQ []float32
 	vertX, vertY, vertZ        []float32
 	potential                  []float32
-	bufs                       []*opencl.Buffer
 
 	kernel *opencl.Kernel
 	// loaded reports that an executing Iterate copied the molecule into
@@ -88,19 +91,12 @@ func (in *Instance) FootprintBytes() int64 {
 
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	alloc := func(name string, n int) []float32 {
-		b, s := opencl.NewBuffer[float32](ctx, name, n)
-		in.bufs = append(in.bufs, b)
-		return s
+	for _, name := range []string{"atom_x", "atom_y", "atom_z", "atom_q"} {
+		in.bufs = append(in.bufs, opencl.NewBuffer[float32](ctx, name, in.atoms))
 	}
-	in.atomX = alloc("atom_x", in.atoms)
-	in.atomY = alloc("atom_y", in.atoms)
-	in.atomZ = alloc("atom_z", in.atoms)
-	in.atomQ = alloc("atom_q", in.atoms)
-	in.vertX = alloc("vert_x", in.vertices)
-	in.vertY = alloc("vert_y", in.vertices)
-	in.vertZ = alloc("vert_z", in.vertices)
-	in.potential = alloc("potential", in.vertices)
+	for _, name := range []string{"vert_x", "vert_y", "vert_z", "potential"} {
+		in.bufs = append(in.bufs, opencl.NewBuffer[float32](ctx, name, in.vertices))
+	}
 	for _, b := range in.bufs[:7] { // the atom and vertex arrays
 		q.EnqueueWrite(b)
 	}
@@ -159,6 +155,9 @@ func (in *Instance) load() {
 	if in.mol == nil {
 		in.mol = data.GenerateMolecule(in.preset, in.seed)
 	}
+	b := func(i int) []float32 { return opencl.Data[float32](in.bufs[i]) }
+	in.atomX, in.atomY, in.atomZ, in.atomQ = b(0), b(1), b(2), b(3)
+	in.vertX, in.vertY, in.vertZ, in.potential = b(4), b(5), b(6), b(7)
 	m := in.mol
 	copy(in.atomX, m.AtomX)
 	copy(in.atomY, m.AtomY)

@@ -78,6 +78,11 @@ type Instance struct {
 	n, s int
 	seed int64
 
+	// bufs holds A, B, π, obs, α, β, γ and the scales, in that order. The
+	// slices below are their backings, fetched by the first executing
+	// Iterate and nil until then.
+	bufs []*opencl.Buffer
+
 	// Model parameters (row-major, row-stochastic).
 	a  []float32 // N×N transitions
 	b  []float32 // N×S emissions
@@ -90,8 +95,6 @@ type Instance struct {
 	beta  []float32 // T×N scaled backward variables
 	gamma []float32 // T×N state posteriors
 	scale []float32 // T rescaling factors (host-written)
-
-	bufs []*opencl.Buffer
 
 	// Kernel state read by the closures.
 	t int
@@ -109,12 +112,17 @@ func NewInstance(n, s int, seed int64) (*Instance, error) {
 	return &Instance{n: n, s: s, seed: seed}, nil
 }
 
-// draw generates the model from the seed unless it is drawn already: A,
-// B and π, then the observation sequence, written into the obs buffer.
+// draw fetches the buffers' backing slices and generates the model from
+// the seed unless it is drawn already: A, B and π, then the observation
+// sequence, written into the obs buffer.
 func (in *Instance) draw() {
 	if in.a0 != nil {
 		return
 	}
+	f32 := func(i int) []float32 { return opencl.Data[float32](in.bufs[i]) }
+	in.a, in.b, in.pi = f32(0), f32(1), f32(2)
+	in.obs = opencl.Data[int32](in.bufs[3])
+	in.alpha, in.beta, in.gamma, in.scale = f32(4), f32(5), f32(6), f32(7)
 	rng := rand.New(rand.NewSource(in.seed))
 	in.a0 = randStochastic(rng, in.n, in.n)
 	in.b0 = randStochastic(rng, in.n, in.s)
@@ -150,23 +158,13 @@ func (in *Instance) FootprintBytes() int64 {
 
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	alloc := func(name string, n int) []float32 {
-		b, sl := opencl.NewBuffer[float32](ctx, name, n)
-		in.bufs = append(in.bufs, b)
-		return sl
-	}
-	in.a = alloc("A", in.n*in.n)
-	in.b = alloc("B", in.n*in.s)
-	in.pi = alloc("pi", in.n)
-	var obsBuf *opencl.Buffer
-	obsBuf, in.obs = opencl.NewBuffer[int32](ctx, "obs", T)
-	in.bufs = append(in.bufs, obsBuf)
-	in.alpha = alloc("alpha", T*in.n)
-	in.beta = alloc("beta", T*in.n)
-	in.gamma = alloc("gamma", T*in.n)
-	in.scale = alloc("scale", T)
-
 	n := in.n
+	f32 := func(name string, size int) *opencl.Buffer { return opencl.NewBuffer[float32](ctx, name, size) }
+	in.bufs = []*opencl.Buffer{
+		f32("A", n*n), f32("B", n*in.s), f32("pi", n), opencl.NewBuffer[int32](ctx, "obs", T),
+		f32("alpha", T*n), f32("beta", T*n), f32("gamma", T*n), f32("scale", T),
+	}
+
 	in.kFwdInit = &opencl.Kernel{
 		Name: "hmm_forward_init",
 		Fn: func(wi *opencl.Item) {

@@ -96,9 +96,12 @@ func (in *Instance) FootprintBytes() int64 {
 
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.featBuf, in.feature = opencl.NewBuffer[float32](ctx, "feature", in.points*in.features)
-	in.centBuf, in.centroids = opencl.NewBuffer[float32](ctx, "cluster", in.clusters*in.features)
-	in.membBuf, in.membership = opencl.NewBuffer[int32](ctx, "membership", in.points)
+	in.featBuf = opencl.NewBuffer[float32](ctx, "feature", in.points*in.features)
+	in.centBuf = opencl.NewBuffer[float32](ctx, "cluster", in.clusters*in.features)
+	in.membBuf = opencl.NewBuffer[int32](ctx, "membership", in.points)
+	in.feature = opencl.Data[float32](in.featBuf)
+	in.centroids = opencl.Data[float32](in.centBuf)
+	in.membership = opencl.Data[int32](in.membBuf)
 
 	copy(in.feature, data.RandomFeatures(in.points, in.features, in.seed))
 	initCentroids(in.centroids, in.feature, in.clusters, in.features)

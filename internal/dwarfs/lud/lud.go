@@ -63,8 +63,8 @@ type Instance struct {
 	seed  int64
 
 	original []float32 // pristine input, restored before each iteration; nil until drawn
-	m        []float32 // in-place working matrix (device buffer)
 	matBuf   *opencl.Buffer
+	m        []float32 // matBuf's backing, the in-place working matrix; nil until drawn
 
 	step                     int // current block step, read by kernel closures
 	kDiag, kPerim, kInternal *opencl.Kernel
@@ -85,9 +85,9 @@ func (in *Instance) FootprintBytes() int64 { return int64(in.n) * int64(in.n) * 
 // Setup implements dwarfs.Instance. The matrix is drawn from the seed by
 // the first executing Iterate (see dwarfs.Instance).
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
-	in.matBuf, in.m = opencl.NewBuffer[float32](ctx, "matrix", in.n*in.n)
+	in.matBuf = opencl.NewBuffer[float32](ctx, "matrix", in.n*in.n)
 
-	m, n := in.m, in.n
+	n := in.n
 	// Diagonal kernel: factorise block (s,s) in place (Doolittle, unit
 	// lower). One work-group of B "threads" in the original; the block is
 	// inherently sequential across its k steps, so a single item performs
@@ -95,7 +95,7 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.kDiag = &opencl.Kernel{
 		Name: "lud_diagonal",
 		Fn: func(wi *opencl.Item) {
-			s := in.step
+			m, s := in.m, in.step
 			off := s * B
 			for k := 0; k < B; k++ {
 				piv := m[(off+k)*n+off+k]
@@ -115,7 +115,7 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.kPerim = &opencl.Kernel{
 		Name: "lud_perimeter",
 		Fn: func(wi *opencl.Item) {
-			s := in.step
+			m, s := in.m, in.step
 			rem := in.nb - s - 1
 			id := wi.GlobalID(0)
 			off := s * B
@@ -153,7 +153,7 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	in.kInternal = &opencl.Kernel{
 		Name: "lud_internal",
 		Fn: func(wi *opencl.Item) {
-			s := in.step
+			m, s := in.m, in.step
 			rem := in.nb - s - 1
 			id := wi.GlobalID(0)
 			bi := s + 1 + id/rem
@@ -250,10 +250,12 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	return nil
 }
 
-// draw generates the input matrix from the seed unless it is drawn already.
+// draw generates the input matrix from the seed unless it is drawn
+// already, and fetches the matrix buffer's backing slice.
 func (in *Instance) draw() {
 	if in.original == nil {
 		in.original = data.DiagonallyDominantMatrix(in.n, in.seed)
+		in.m = opencl.Data[float32](in.matBuf)
 	}
 }
 

@@ -109,9 +109,10 @@ func (in *Instance) FootprintBytes() int64 {
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	np := len(in.prefixes)
 
-	var maskData []uint32
-	in.prefixBuf, maskData = opencl.NewBuffer[uint32](ctx, "prefixes", np*3)
-	in.countBuf, in.counts = opencl.NewBuffer[uint64](ctx, "counts", np)
+	in.prefixBuf = opencl.NewBuffer[uint32](ctx, "prefixes", np*3)
+	in.countBuf = opencl.NewBuffer[uint64](ctx, "counts", np)
+	maskData := opencl.Data[uint32](in.prefixBuf)
+	in.counts = opencl.Data[uint64](in.countBuf)
 	for i, p := range in.prefixes {
 		maskData[3*i], maskData[3*i+1], maskData[3*i+2] = p.cols, p.diagL, p.diagR
 	}

@@ -119,8 +119,9 @@ func (in *Instance) FootprintBytes() int64 {
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	dim := in.n + 1
-	in.refBuf, in.reference = opencl.NewBuffer[int32](ctx, "reference", dim*dim)
-	in.mBuf, in.m = opencl.NewBuffer[int32](ctx, "itemsets", dim*dim)
+	in.refBuf = opencl.NewBuffer[int32](ctx, "reference", dim*dim)
+	in.mBuf = opencl.NewBuffer[int32](ctx, "itemsets", dim*dim)
+	in.reference, in.m = opencl.Data[int32](in.refBuf), opencl.Data[int32](in.mBuf)
 	k := Alphabet + 1
 	for i := 1; i < dim; i++ {
 		for j := 1; j < dim; j++ {
@@ -233,32 +234,47 @@ func (in *Instance) Score() int32 {
 }
 
 // Verify implements dwarfs.Instance: the full serial DP must match every
-// cell exactly (integer arithmetic).
+// cell exactly (integer arithmetic). The reference runs in two rolling
+// rows, each compared with the kernel's as soon as it is complete, so the
+// first mismatch reported is still the lowest-indexed one.
 func (in *Instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("nw: Verify before Iterate")
 	}
 	dim := in.n + 1
-	ref := make([]int32, dim*dim)
-	for i := 1; i < dim; i++ {
-		ref[i*dim] = int32(-i * Penalty)
-		ref[i] = int32(-i * Penalty)
+	prev, cur := make([]int32, dim), make([]int32, dim)
+	for j := 1; j < dim; j++ {
+		prev[j] = int32(-j * Penalty)
+	}
+	if err := in.checkRow(0, prev); err != nil {
+		return err
 	}
 	for i := 1; i < dim; i++ {
+		cur[0] = int32(-i * Penalty)
 		for j := 1; j < dim; j++ {
-			v := ref[(i-1)*dim+j-1] + in.reference[i*dim+j]
-			if up := ref[(i-1)*dim+j] - Penalty; up > v {
+			v := prev[j-1] + in.reference[i*dim+j]
+			if up := prev[j] - Penalty; up > v {
 				v = up
 			}
-			if left := ref[i*dim+j-1] - Penalty; left > v {
+			if left := cur[j-1] - Penalty; left > v {
 				v = left
 			}
-			ref[i*dim+j] = v
+			cur[j] = v
 		}
+		if err := in.checkRow(i, cur); err != nil {
+			return err
+		}
+		prev, cur = cur, prev
 	}
-	for idx := range ref {
-		if ref[idx] != in.m[idx] {
-			return fmt.Errorf("nw: cell %d = %d, reference %d", idx, in.m[idx], ref[idx])
+	return nil
+}
+
+// checkRow compares row i of the DP matrix with its reference row.
+func (in *Instance) checkRow(i int, ref []int32) error {
+	off := i * len(ref)
+	for j, want := range ref {
+		if got := in.m[off+j]; got != want {
+			return fmt.Errorf("nw: cell %d = %d, reference %d", off+j, got, want)
 		}
 	}
 	return nil

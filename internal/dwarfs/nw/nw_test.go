@@ -1,6 +1,8 @@
 package nw
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
@@ -184,5 +186,40 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// Verify rejects a single corrupted cell — on the border, in the
+// interior or in the last row — and names that cell.
+func TestVerifyNamesCorruptedCell(t *testing.T) {
+	ctx, q := newEnv(t)
+	inst, _ := NewInstance(3*BlockSize, 5)
+	if err := inst.Setup(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Iterate(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	dim := inst.n + 1
+	for _, c := range []struct {
+		name string
+		idx  int
+	}{
+		{"border", 7 * dim},
+		{"interior", 20*dim + 33},
+		{"last row", (dim-1)*dim + 9},
+	} {
+		inst.m[c.idx]++
+		err := inst.Verify()
+		inst.m[c.idx]--
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cell %d ", c.idx)) {
+			t.Errorf("%s cell %d corrupted: Verify returned %v", c.name, c.idx, err)
+		}
+	}
+	if err := inst.Verify(); err != nil {
+		t.Fatalf("restored matrix: %v", err)
 	}
 }

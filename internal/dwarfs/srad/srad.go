@@ -111,9 +111,9 @@ func (in *Instance) FootprintBytes() int64 {
 // Setup implements dwarfs.Instance.
 func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	alloc := func(name string) []float32 {
-		b, s := opencl.NewBuffer[float32](ctx, name, in.rows*in.cols)
+		b := opencl.NewBuffer[float32](ctx, name, in.rows*in.cols)
 		in.bufs = append(in.bufs, b)
-		return s
+		return opencl.Data[float32](b)
 	}
 	in.J = alloc("J")
 	in.c = alloc("c")

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,40 @@ func TestRunSimulateOnlyAboveBudget(t *testing.T) {
 	}
 	if m.Kernel.Mean <= 0 {
 		t.Fatal("simulate-only run must still produce timing")
+	}
+}
+
+// Simulate-only rows allocate no buffer backing and draw no dataset:
+// preparing dwt, lud and hmm at large declares their full footprints but
+// allocates well under a MiB each.
+func TestPrepareSimulateOnlyAllocatesNoBuffers(t *testing.T) {
+	reg := suite.New()
+	for _, row := range []struct {
+		bench     string
+		footprint int64
+	}{
+		{"dwt", 79847424},
+		{"lud", 67108864},
+		{"hmm", 33955968},
+	} {
+		b, err := reg.Get(row.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := Prepare(context.Background(), b, "large", DefaultOptions())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Functional || p.FootprintBytes != row.footprint {
+			t.Fatalf("%s/large: Functional %v, footprint %d; want simulate-only with %d",
+				row.bench, p.Functional, p.FootprintBytes, row.footprint)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s/large: Prepare allocated %d B, want < 1 MiB", row.bench, alloc)
+		}
 	}
 }
 

@@ -35,32 +35,42 @@ func (c *Context) DeviceFootprintBytes() int64 {
 	return c.bytes
 }
 
-// Buffer is a device memory object. The backing store is a host slice that
-// kernels (Go closures) capture directly; Release drops the context
-// accounting.
+// Buffer is a device memory object. NewBuffer declares it: its name, size
+// and footprint accounting are final at once, but the host slice backing it
+// is allocated by the first Data call, or by a copy or fill on an executing
+// queue. A buffer no executing queue or host code ever touches — the
+// simulate-only configurations of DESIGN.md §2 — costs no host memory.
+// Release drops the context accounting.
 type Buffer struct {
 	ctx   *Context
 	name  string
 	bytes int64
-	data  any
 	freed bool
+
+	once  sync.Once
+	alloc func() any // makes the backing slice; run once, by backing
+	data  any
 }
 
-// NewBuffer allocates an n-element buffer of element type T and returns both
-// the buffer handle (for transfer commands and footprint accounting) and the
-// backing slice (for the kernel closures).
-func NewBuffer[T any](ctx *Context, name string, n int) (*Buffer, []T) {
+// NewBuffer declares an n-element buffer of element type T in the context.
+// The backing slice is allocated on first use; kernels and host code reach
+// it through Data.
+func NewBuffer[T any](ctx *Context, name string, n int) *Buffer {
 	if n < 0 {
 		panic(fmt.Sprintf("opencl: negative buffer length %d for %q", n, name))
 	}
-	s := make([]T, n)
 	var elem T
-	b := &Buffer{ctx: ctx, name: name, bytes: int64(n) * int64(sizeOf(elem)), data: s}
+	b := &Buffer{
+		ctx:   ctx,
+		name:  name,
+		bytes: int64(n) * int64(sizeOf(elem)),
+		alloc: func() any { return make([]T, n) },
+	}
 	ctx.mu.Lock()
 	ctx.buffers[b] = struct{}{}
 	ctx.bytes += b.bytes
 	ctx.mu.Unlock()
-	return b, s
+	return b
 }
 
 // sizeOf reports the in-memory size of the element, restricted to the types
@@ -89,66 +99,56 @@ func (b *Buffer) Name() string { return b.name }
 // Bytes returns the buffer's size in bytes.
 func (b *Buffer) Bytes() int64 { return b.bytes }
 
-// Data returns the backing slice as a []T; it panics if T does not match the
-// allocation type, mirroring the type confusion a real OpenCL program would
-// hit with mismatched kernel arguments.
+// Data returns the backing slice as a []T, allocating it on the first call.
+// Every call, concurrent first calls included, returns the same slice. It
+// panics if T does not match the declared element type, mirroring the type
+// confusion a real OpenCL program would hit with mismatched kernel
+// arguments.
 func Data[T any](b *Buffer) []T {
-	s, ok := b.data.([]T)
+	s, ok := b.backing().([]T)
 	if !ok {
 		panic(fmt.Sprintf("opencl: buffer %q holds %T, requested %T", b.name, b.data, s))
 	}
 	return s
 }
 
-// copyBufferData copies the backing slice of src into dst; the allocation
-// element types must match (CL_INVALID_VALUE otherwise).
+// backing returns the backing slice, allocating it on first use.
+func (b *Buffer) backing() any {
+	b.once.Do(func() { b.data = b.alloc() })
+	return b.data
+}
+
+// copyBufferData copies the backing slice of src into dst, allocating
+// either backing if it was never touched; the element types must match
+// (CL_INVALID_VALUE otherwise).
 func copyBufferData(dst, src *Buffer) error {
-	switch s := src.data.(type) {
+	switch s := src.backing().(type) {
 	case []float32:
-		d, ok := dst.data.([]float32)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []float64:
-		d, ok := dst.data.([]float64)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []int32:
-		d, ok := dst.data.([]int32)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []uint32:
-		d, ok := dst.data.([]uint32)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []uint64:
-		d, ok := dst.data.([]uint64)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []uint8:
-		d, ok := dst.data.([]uint8)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	case []complex64:
-		d, ok := dst.data.([]complex64)
-		if !ok {
-			return typeMismatch(dst, src)
-		}
-		copy(d, s)
+		return copyInto(dst, src, s)
 	default:
 		return fmt.Errorf("opencl: copy unsupported for buffer type %T", src.data)
 	}
+}
+
+// copyInto copies s, the backing of src, into dst's backing.
+func copyInto[T any](dst, src *Buffer, s []T) error {
+	d, ok := dst.backing().([]T)
+	if !ok {
+		return typeMismatch(dst, src)
+	}
+	copy(d, s)
 	return nil
 }
 
@@ -156,9 +156,10 @@ func typeMismatch(dst, src *Buffer) error {
 	return fmt.Errorf("opencl: copy between %T (%q) and %T (%q)", src.data, src.name, dst.data, dst.name)
 }
 
-// zeroBufferData clears the backing slice of a buffer.
+// zeroBufferData clears the backing slice of a buffer, allocating it if it
+// was never touched.
 func zeroBufferData(b *Buffer) {
-	switch s := b.data.(type) {
+	switch s := b.backing().(type) {
 	case []float32:
 		clear(s)
 	case []float64:

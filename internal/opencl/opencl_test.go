@@ -148,8 +148,8 @@ func TestQueueDeviceMustBeInContext(t *testing.T) {
 
 func TestBufferFootprintAccounting(t *testing.T) {
 	ctx, _ := newCPUQueue(t)
-	b1, _ := NewBuffer[float32](ctx, "feature", 256*30)
-	b2, _ := NewBuffer[int32](ctx, "membership", 256)
+	b1 := NewBuffer[float32](ctx, "feature", 256*30)
+	b2 := NewBuffer[int32](ctx, "membership", 256)
 	// Paper §4.4.1 arithmetic: footprint is the sum of allocation sizes.
 	want := int64(256*30*4 + 256*4)
 	if got := ctx.DeviceFootprintBytes(); got != want {
@@ -168,7 +168,8 @@ func TestBufferFootprintAccounting(t *testing.T) {
 
 func TestBufferTypedAccess(t *testing.T) {
 	ctx, _ := newCPUQueue(t)
-	b, s := NewBuffer[float32](ctx, "x", 8)
+	b := NewBuffer[float32](ctx, "x", 8)
+	s := Data[float32](b)
 	s[3] = 42
 	if got := Data[float32](b)[3]; got != 42 {
 		t.Fatalf("Data view disagrees with allocation slice: %f", got)
@@ -181,18 +182,56 @@ func TestBufferTypedAccess(t *testing.T) {
 	_ = Data[int32](b)
 }
 
+// A declared buffer counts in the footprint at once but has no backing
+// until its first Data call; every call after that, and every one of
+// several concurrent first calls, returns the same slice.
+func TestBufferAllocatedOnFirstUse(t *testing.T) {
+	ctx, _ := newCPUQueue(t)
+	const n = 1 << 10
+	b := NewBuffer[float32](ctx, "x", n)
+	if got := ctx.DeviceFootprintBytes(); got != 4*n {
+		t.Fatalf("footprint %d before first use, want %d", got, 4*n)
+	}
+	if b.data != nil {
+		t.Fatal("backing allocated at declaration")
+	}
+	const callers = 8
+	got := make([][]float32, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = Data[float32](b)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	got = append(got, Data[float32](b))
+	for i, s := range got {
+		if len(s) != n || &s[0] != &got[0][0] {
+			t.Fatalf("call %d returned a different backing (len %d)", i, len(s))
+		}
+	}
+	if got := ctx.DeviceFootprintBytes(); got != 4*n {
+		t.Fatalf("footprint %d after first use, want %d", got, 4*n)
+	}
+}
+
 func TestBufferElementSizes(t *testing.T) {
 	ctx, _ := newCPUQueue(t)
 	cases := []struct {
 		bytes int64
 		alloc func() *Buffer
 	}{
-		{4, func() *Buffer { b, _ := NewBuffer[float32](ctx, "a", 1); return b }},
-		{8, func() *Buffer { b, _ := NewBuffer[float64](ctx, "b", 1); return b }},
-		{8, func() *Buffer { b, _ := NewBuffer[complex64](ctx, "c", 1); return b }},
-		{16, func() *Buffer { b, _ := NewBuffer[complex128](ctx, "d", 1); return b }},
-		{1, func() *Buffer { b, _ := NewBuffer[uint8](ctx, "e", 1); return b }},
-		{2, func() *Buffer { b, _ := NewBuffer[int16](ctx, "f", 1); return b }},
+		{4, func() *Buffer { return NewBuffer[float32](ctx, "a", 1) }},
+		{8, func() *Buffer { return NewBuffer[float64](ctx, "b", 1) }},
+		{8, func() *Buffer { return NewBuffer[complex64](ctx, "c", 1) }},
+		{16, func() *Buffer { return NewBuffer[complex128](ctx, "d", 1) }},
+		{1, func() *Buffer { return NewBuffer[uint8](ctx, "e", 1) }},
+		{2, func() *Buffer { return NewBuffer[int16](ctx, "f", 1) }},
 	}
 	for i, c := range cases {
 		if got := c.alloc().Bytes(); got != c.bytes {
@@ -213,9 +252,9 @@ func simpleProfile(n NDRange) *sim.KernelProfile {
 func TestVectorAddKernel(t *testing.T) {
 	ctx, q := newCPUQueue(t)
 	const n = 1 << 14
-	_, a := NewBuffer[float32](ctx, "a", n)
-	_, b := NewBuffer[float32](ctx, "b", n)
-	_, c := NewBuffer[float32](ctx, "c", n)
+	a := Data[float32](NewBuffer[float32](ctx, "a", n))
+	b := Data[float32](NewBuffer[float32](ctx, "b", n))
+	c := Data[float32](NewBuffer[float32](ctx, "c", n))
 	for i := range a {
 		a[i] = float32(i)
 		b[i] = 2 * float32(i)
@@ -245,7 +284,7 @@ func TestVectorAddKernel(t *testing.T) {
 func TestKernel2DCoversIndexSpace(t *testing.T) {
 	ctx, q := newCPUQueue(t)
 	const gx, gy = 48, 32
-	_, hits := NewBuffer[int32](ctx, "hits", gx*gy)
+	hits := Data[int32](NewBuffer[int32](ctx, "hits", gx*gy))
 	k := &Kernel{
 		Name: "mark2d",
 		Fn: func(wi *Item) {
@@ -266,7 +305,7 @@ func TestKernel2DCoversIndexSpace(t *testing.T) {
 func TestKernelItemIdentities(t *testing.T) {
 	ctx, q := newCPUQueue(t)
 	const n, local = 256, 32
-	_, ok := NewBuffer[int32](ctx, "ok", n)
+	ok := Data[int32](NewBuffer[int32](ctx, "ok", n))
 	k := &Kernel{
 		Name: "ids",
 		Fn: func(wi *Item) {
@@ -295,8 +334,8 @@ func TestKernelItemIdentities(t *testing.T) {
 func TestBarrierReduction(t *testing.T) {
 	ctx, q := newCPUQueue(t)
 	const n, local = 1024, 64
-	_, in := NewBuffer[float32](ctx, "in", n)
-	_, out := NewBuffer[float32](ctx, "out", n/local)
+	in := Data[float32](NewBuffer[float32](ctx, "in", n))
+	out := Data[float32](NewBuffer[float32](ctx, "out", n/local))
 	for i := range in {
 		in[i] = 1
 	}
@@ -412,7 +451,7 @@ func TestSimulateOnlySkipsExecution(t *testing.T) {
 
 func TestQueueTimeline(t *testing.T) {
 	ctx, q := newCPUQueue(t)
-	b, _ := NewBuffer[float32](ctx, "x", 1<<16)
+	b := NewBuffer[float32](ctx, "x", 1<<16)
 	k := &Kernel{Name: "k", Fn: func(wi *Item) {}, Profile: simpleProfile}
 
 	w := q.EnqueueWrite(b)
