@@ -1,7 +1,8 @@
 // Command benchgate is the CI perf-regression gate. It parses `go test
 // -bench` output from stdin, writes the per-benchmark results as JSON
-// (benchmark name → ns/op, allocs/op), and — given a committed baseline —
-// fails when any benchmark regresses beyond the tolerance factor:
+// (benchmark name → ns/op, allocs/op and, under -benchmem, B/op), and —
+// given a committed baseline — fails when any benchmark regresses beyond
+// the tolerance factor:
 //
 //	go test ./internal/harness -run '^$' -bench RunGrid -benchtime 3x -benchmem |
 //	    benchgate -baseline ci/BENCH_grid.json -out BENCH_grid.json -tol 2
@@ -10,7 +11,8 @@
 // run to run, and the gate exists to catch order-of-magnitude losses of
 // the parallel-harness and store wins, not single-digit noise. Benchmarks
 // present in the baseline must still exist — deleting one without
-// refreshing the baseline fails the gate.
+// refreshing the baseline fails the gate. B/op is gated only for baseline
+// entries that record it.
 package main
 
 import (
@@ -25,15 +27,17 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's gated metrics.
+// Result is one benchmark's gated metrics. BytesPerOp is omitted when the
+// run did not report B/op.
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 }
 
 func main() {
 	var (
-		outPath  = flag.String("out", "", "write parsed results as JSON (benchmark name → ns/op, allocs/op)")
+		outPath  = flag.String("out", "", "write parsed results as JSON (benchmark name → ns/op, allocs/op, B/op)")
 		basePath = flag.String("baseline", "", "committed baseline JSON to gate against")
 		tol      = flag.Float64("tol", 2.0, "regression tolerance factor per metric")
 	)
@@ -83,9 +87,10 @@ func main() {
 			continue
 		}
 		b := base[name]
-		fmt.Printf("benchgate: %-28s ns/op %12.0f -> %12.0f (%.2fx)  allocs/op %10.0f -> %10.0f (%.2fx)\n",
+		fmt.Printf("benchgate: %-28s ns/op %12.0f -> %12.0f (%.2fx)  allocs/op %10.0f -> %10.0f (%.2fx)  B/op %12.0f -> %12.0f (%.2fx)\n",
 			name, b.NsPerOp, c.NsPerOp, ratio(c.NsPerOp, b.NsPerOp),
-			b.AllocsPerOp, c.AllocsPerOp, ratio(c.AllocsPerOp, b.AllocsPerOp))
+			b.AllocsPerOp, c.AllocsPerOp, ratio(c.AllocsPerOp, b.AllocsPerOp),
+			b.BytesPerOp, c.BytesPerOp, ratio(c.BytesPerOp, b.BytesPerOp))
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -103,7 +108,8 @@ func ratio(cur, base float64) float64 {
 	return cur / base
 }
 
-// parseBench extracts ns/op and allocs/op from `go test -bench` output.
+// parseBench extracts ns/op, allocs/op and B/op from `go test -bench`
+// output.
 // Benchmark names are normalised by stripping the "Benchmark" prefix and
 // the "-N" GOMAXPROCS suffix so baselines transfer across machines.
 func parseBench(r io.Reader) (map[string]Result, error) {
@@ -134,6 +140,8 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 				found = true
 			case "allocs/op":
 				res.AllocsPerOp = v
+			case "B/op":
+				res.BytesPerOp = v
 			}
 		}
 		if found {
@@ -144,7 +152,8 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 }
 
 // compare returns one message per metric exceeding baseline × tol, and per
-// baseline benchmark missing from the current run.
+// baseline benchmark missing from the current run. B/op counts only where
+// the baseline records it.
 func compare(base, cur map[string]Result, tol float64) []string {
 	var out []string
 	names := make([]string, 0, len(base))
@@ -164,6 +173,9 @@ func compare(base, cur map[string]Result, tol float64) []string {
 		}
 		if c.AllocsPerOp > b.AllocsPerOp*tol {
 			out = append(out, fmt.Sprintf("%s: %.0f allocs/op exceeds baseline %.0f × %.1f", name, c.AllocsPerOp, b.AllocsPerOp, tol))
+		}
+		if b.BytesPerOp > 0 && c.BytesPerOp > b.BytesPerOp*tol {
+			out = append(out, fmt.Sprintf("%s: %.0f B/op exceeds baseline %.0f × %.1f", name, c.BytesPerOp, b.BytesPerOp, tol))
 		}
 	}
 	return out

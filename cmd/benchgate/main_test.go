@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,7 @@ func TestParseBench(t *testing.T) {
 	if !ok {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %v", got)
 	}
-	if seq.NsPerOp != 412345678 || seq.AllocsPerOp != 31234 {
+	if seq.NsPerOp != 412345678 || seq.AllocsPerOp != 31234 || seq.BytesPerOp != 2012345 {
 		t.Fatalf("RunGridSequential = %+v", seq)
 	}
 	// A name with no -N suffix parses as-is.
@@ -74,5 +75,36 @@ func TestCompare(t *testing.T) {
 		"C": {NsPerOp: 100, AllocsPerOp: 10},
 	}, 2.0); len(vs) != 0 {
 		t.Fatalf("clean run flagged: %v", vs)
+	}
+}
+
+// B/op is gated only for baseline entries that record it, and a run
+// without -benchmem writes no bytes_per_op.
+func TestCompareBytesPerOp(t *testing.T) {
+	base := map[string]Result{
+		"Gated":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 1000},
+		"Ungated": {NsPerOp: 100, AllocsPerOp: 10},
+		"Within":  {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 1000},
+	}
+	cur := map[string]Result{
+		"Gated":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 80e6},
+		"Ungated": {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 80e6},
+		"Within":  {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: 2400},
+	}
+	vs := compare(base, cur, 2.5)
+	if len(vs) != 1 || !strings.Contains(vs[0], "Gated: 80000000 B/op exceeds baseline 1000") {
+		t.Fatalf("violations %v, want only Gated's B/op", vs)
+	}
+
+	got, err := parseBench(strings.NewReader("BenchmarkX-2 \t 3\t 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(got["X"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "bytes_per_op") {
+		t.Fatalf("run without B/op encoded as %s", raw)
 	}
 }
