@@ -201,7 +201,7 @@ func (b *groupBarrier) breakBarrier() {
 // (or as goroutines with a cyclic barrier for UsesBarrier kernels). Every
 // Item of the launch shares ndr, and each worker reuses one Item across the
 // barrier-free groups it runs.
-func (k *Kernel) execute(ndr *NDRange) error {
+func (k *Kernel) execute(ndr NDRange) error {
 	if k.Fn == nil {
 		return fmt.Errorf("opencl: kernel %q has no function", k.Name)
 	}
@@ -228,7 +228,7 @@ func (k *Kernel) execute(ndr *NDRange) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wi := &Item{ndr: ndr}
+			wi := &Item{ndr: &ndr}
 			for g := range idx {
 				gz := g / (groups[0] * groups[1])
 				rem := g % (groups[0] * groups[1])

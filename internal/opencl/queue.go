@@ -208,7 +208,7 @@ func (q *CommandQueue) EnqueueNDRange(k *Kernel, ndr NDRange) (*Event, error) {
 		return nil, err
 	}
 	if !q.simulateOnly {
-		if err := k.execute(&ndr); err != nil {
+		if err := k.execute(ndr); err != nil {
 			return nil, err
 		}
 	}
