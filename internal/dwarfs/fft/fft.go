@@ -250,8 +250,7 @@ func SerialFFT(x []complex128) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	// Each stage's twiddles are computed once, not once per block.
-	w := make([]complex128, n/2)
+	w := make([]complex128, n/2) // one stage's twiddles, shared by its blocks
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
 		step := -2 * math.Pi / float64(size)

@@ -337,3 +337,18 @@ func TestVerifyRejectsBinPastTolerance(t *testing.T) {
 		t.Fatalf("Verify of a bin 2×tol off: %v", err)
 	}
 }
+
+// The butterflies take their twiddles from the instance's table, so one
+// wrong entry shows in the spectrum and Verify rejects it. A kernel that
+// computed each twiddle itself would pass this unchanged.
+func TestButterfliesReadTwiddleTable(t *testing.T) {
+	inst := runFFT(t, 64, 2)
+	_, q := newEnv(t)
+	inst.tw[1] = 0 // k = 1 of the last pass
+	if err := inst.Iterate(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Verify(); err == nil {
+		t.Fatal("spectrum from a zeroed twiddle verified")
+	}
+}

@@ -236,7 +236,7 @@ func (in *Instance) Score() int32 {
 // Verify implements dwarfs.Instance: the full serial DP must match every
 // cell exactly (integer arithmetic). The reference runs in two rolling
 // rows, each compared with the kernel's as soon as it is complete, so the
-// first mismatch reported is still the lowest-indexed one.
+// mismatch reported is the lowest-indexed one.
 func (in *Instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("nw: Verify before Iterate")
