@@ -2,7 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -234,6 +237,59 @@ func TestGrid(t *testing.T) {
 	}
 	if n := len(body["devices"].([]any)); n != 2 {
 		t.Fatalf("%d devices, want 2", n)
+	}
+}
+
+// TestRouteBodiesGolden pins the bytes of the read routes: one SHA-256
+// over the /v1/grid body, two /v1/cells pages, /v1/predict for a measured
+// and an unmeasured cell, and /v1/schedule under heft and energy over the
+// default fleet (13 of its 15 devices predicted). Each request is made
+// twice, so the second answer is whatever the server keeps between
+// requests. Refresh the digest only with a documented wire change.
+func TestRouteBodiesGolden(t *testing.T) {
+	srv, _ := newTestServer(t)
+	sum := sha256.New()
+	do := func(method, target, body string) []byte {
+		t.Helper()
+		var first []byte
+		for i := 0; i < 2; i++ {
+			req := httptest.NewRequest(method, target, strings.NewReader(body))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d (body %s)", method, target, rec.Code, rec.Body)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("%s %s: Content-Type %q", method, target, ct)
+			}
+			if i == 0 {
+				first = rec.Body.Bytes()
+			} else if !bytes.Equal(rec.Body.Bytes(), first) {
+				t.Fatalf("%s %s: second answer differs:\nfirst:  %s\nsecond: %s", method, target, first, rec.Body)
+			}
+			sum.Write(rec.Body.Bytes())
+		}
+		return first
+	}
+
+	do("GET", "/v1/grid", "")
+	var page struct {
+		NextCursor string `json:"next_cursor"`
+	}
+	if err := json.Unmarshal(do("GET", "/v1/cells?limit=3", ""), &page); err != nil || page.NextCursor == "" {
+		t.Fatalf("first cells page: next_cursor %q, err %v", page.NextCursor, err)
+	}
+	do("GET", "/v1/cells?limit=3&cursor="+page.NextCursor, "")
+	do("GET", "/v1/predict?bench=fft&size=tiny&device=gtx1080", "")
+	do("GET", "/v1/predict?bench=fft&size=tiny&device=k20m", "")
+	for _, policy := range []string{"heft", "energy"} {
+		do("POST", "/v1/schedule",
+			`{"tasks":[{"benchmark":"fft","size":"tiny","count":2},{"benchmark":"crc","size":"tiny"}],"policy":"`+policy+`"}`)
+	}
+
+	const want = "d04912bb5cf32bcc64e7874e32dcc8b9278428070f67b182eec65ee7f7db5811"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("read-route bodies digest %s, want %s", got, want)
 	}
 }
 
