@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -53,24 +54,29 @@ func FuzzLastEventID(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCursor feeds arbitrary /v1/cells cursors to the decoder and
-// the route. A cursor that decodes has exactly two NUL separators and its
-// decoded form round-trips through encodeCursor; the route answers 200 for
-// exactly the cursors that decode and 400 for the rest. Nothing may panic.
+// FuzzDecodeCursor feeds arbitrary /v1/cells cursors and page limits to
+// the decoder and the route. A cursor that decodes has exactly two NUL
+// separators and its decoded form round-trips through encodeCursor; the
+// route answers 200 for exactly the positive limits with a cursor that
+// decodes, and 400 for every other pair. Nothing may panic.
 func FuzzDecodeCursor(f *testing.F) {
 	quietLog(f)
 	srv, g := newTestServer(f)
 	for _, m := range g.Measurements {
 		c := encodeCursor(cellCursor(m))
-		f.Add(c)
-		f.Add(c[:len(c)-1])
-		f.Add(c[:len(c)/2])
+		f.Add(c, int64(1))
+		f.Add(c, int64(math.MaxInt64))
+		f.Add(c[:len(c)-1], int64(2))
+		f.Add(c[:len(c)/2], int64(1))
 	}
 	for _, seed := range []string{"", "!!!", "not base64", "====", "AAAA"} {
-		f.Add(seed)
+		f.Add(seed, int64(defaultCellPageLimit))
 	}
+	f.Add("", int64(0))
+	f.Add("", int64(-1))
+	f.Add("", int64(math.MinInt64))
 
-	f.Fuzz(func(t *testing.T, cur string) {
+	f.Fuzz(func(t *testing.T, cur string, limit int64) {
 		d, err := decodeCursor(cur)
 		if err == nil {
 			if n := strings.Count(d, "\x00"); n != 2 {
@@ -80,15 +86,16 @@ func FuzzDecodeCursor(f *testing.F) {
 				t.Fatalf("cursor %q: %q does not round-trip through encodeCursor (%q, %v)", cur, d, back, err)
 			}
 		}
-		req := httptest.NewRequest("GET", "/v1/cells?cursor="+url.QueryEscape(cur), nil)
+		q := url.Values{"cursor": {cur}, "limit": {strconv.FormatInt(limit, 10)}}
+		req := httptest.NewRequest("GET", "/v1/cells?"+q.Encode(), nil)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		want := http.StatusBadRequest
-		if err == nil || cur == "" {
+		if (err == nil || cur == "") && limit > 0 {
 			want = http.StatusOK
 		}
 		if rec.Code != want {
-			t.Fatalf("cursor %q: status %d, want %d", cur, rec.Code, want)
+			t.Fatalf("cursor %q, limit %d: status %d, want %d", cur, limit, rec.Code, want)
 		}
 	})
 }

@@ -549,7 +549,8 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 		// the page resumes at the first cell strictly after the cursor.
 		start = sort.Search(len(matched), func(i int) bool { return cellCursor(matched[i]) > after })
 	}
-	end := min(start+limit, len(matched))
+	// Clamp before adding: start+limit overflows for a limit near MaxInt.
+	end := start + min(limit, len(matched)-start)
 	items := make([]cellSummary, 0, end-start)
 	for _, m := range matched[start:end] {
 		items = append(items, summarize(m))

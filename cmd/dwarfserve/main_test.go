@@ -221,6 +221,13 @@ func TestCellsPagination(t *testing.T) {
 		t.Fatalf("?%s did not get the {items, next_cursor, total} envelope: %v", legacyQuery, legacy)
 	}
 
+	// A limit near MaxInt with a cursor is one page holding the rest.
+	first := get(t, srv, "/v1/cells?bench=fft&limit=1", http.StatusOK)
+	rest := get(t, srv, "/v1/cells?bench=fft&limit=9223372036854775807&cursor="+first["next_cursor"].(string), http.StatusOK)
+	if n := len(rest["items"].([]any)); n != 1 || rest["next_cursor"] != "" {
+		t.Fatalf("limit=MaxInt64 after a cursor: %d items, next_cursor %v; want the last fft cell", n, rest["next_cursor"])
+	}
+
 	get(t, srv, "/v1/cells?limit=0", http.StatusBadRequest)
 	get(t, srv, "/v1/cells?limit=x", http.StatusBadRequest)
 	get(t, srv, "/v1/cells?cursor=%25not-base64", http.StatusBadRequest)
