@@ -48,6 +48,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -63,6 +64,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -240,7 +242,7 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// server answers queries from a grid snapshot of the store. The snapshot is
+// server answers queries from a snapshot of the store. The snapshot is
 // loaded at startup and reloaded whenever an async job finishes, so query
 // handlers see new cells without a restart; sweeps run by other processes
 // still become visible on restart only.
@@ -252,27 +254,9 @@ type server struct {
 	metrics     *obs.Registry // one registry for HTTP, store, jobs and gauges
 	started     time.Time     // process start, for /v1/status uptime
 
-	// mu guards the query snapshot: the grid, the O(1) cell index and the
-	// axes (distinct values in store listing order).
-	mu                         sync.RWMutex
-	grid                       *harness.Grid
-	byCell                     map[string]*harness.Measurement
-	benchmarks, sizes, devices []string
-	gridGen                    int // bumped per reload; stale forests retrain
-
-	// The forest is trained lazily on first /v1/predict over the snapshot
-	// of the current generation; a reload invalidates it.
-	trainMu    sync.Mutex
-	trainedGen int
-	forest     *predict.Forest
-	trainErr   error
-
-	// The scheduler's cost provider follows the same generation
-	// discipline, built lazily on first /v1/schedule; see schedule.go.
-	schedMu    sync.Mutex
-	schedGen   int
-	schedCosts *sched.Costs
-	schedErr   error
+	// snap is the current store generation; setGrid replaces it whole,
+	// and each handler loads it once.
+	snap atomic.Pointer[snapshot]
 
 	// Async sweep jobs; see jobs.go.
 	jobMu      sync.Mutex
@@ -313,8 +297,6 @@ func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 		cfg:         cfg,
 		metrics:     obs.NewRegistry(),
 		started:     time.Now(),
-		trainedGen:  -1,
-		schedGen:    -1,
 		jobs:        make(map[string]*job),
 		keepAlive:   15 * time.Second,
 		quarantined: make(map[string]string),
@@ -349,37 +331,74 @@ func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 }
 
 // cells reports the current snapshot's cell count.
-func (s *server) cells() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.grid.Cells()
+func (s *server) cells() int { return s.snap.Load().grid.Cells() }
+
+// snapshot is one store generation as the read routes see it: the grid,
+// its O(1) cell index, the axes (distinct values in store listing order)
+// and three values derived from them, each built at most once, by the
+// first request that needs it. Nothing in a snapshot changes after
+// setGrid publishes it; a request that loaded an older one finishes on
+// it, and whatever it builds there is dropped with it.
+type snapshot struct {
+	grid                       *harness.Grid
+	byCell                     map[string]*harness.Measurement
+	benchmarks, sizes, devices []string
+
+	gridBody func() ([]byte, error)          // the /v1/grid response body
+	forest   func() (*predict.Forest, error) // the /v1/predict time forest
+	costs    func() (*sched.Costs, error)    // the /v1/schedule cost provider
 }
 
-// setGrid installs a fresh query snapshot and invalidates the forest.
+// setGrid publishes a fresh snapshot of grid. Its forests (deterministic
+// in cfg.Seed) and its /v1/grid body are built lazily: the reload lies on
+// every job's path to grid_done, so nothing is encoded or trained here.
 func (s *server) setGrid(grid *harness.Grid) {
-	byCell := make(map[string]*harness.Measurement, grid.Cells())
-	var benchmarks, sizes, devices []string
+	sn := &snapshot{grid: grid, byCell: make(map[string]*harness.Measurement, grid.Cells())}
 	seenB, seenS, seenD := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, m := range grid.Measurements {
-		byCell[cellID(m.Benchmark, m.Size, m.Device.ID)] = m
+		sn.byCell[cellID(m.Benchmark, m.Size, m.Device.ID)] = m
 		if !seenB[m.Benchmark] {
 			seenB[m.Benchmark] = true
-			benchmarks = append(benchmarks, m.Benchmark)
+			sn.benchmarks = append(sn.benchmarks, m.Benchmark)
 		}
 		if !seenS[m.Size] {
 			seenS[m.Size] = true
-			sizes = append(sizes, m.Size)
+			sn.sizes = append(sn.sizes, m.Size)
 		}
 		if !seenD[m.Device.ID] {
 			seenD[m.Device.ID] = true
-			devices = append(devices, m.Device.ID)
+			sn.devices = append(sn.devices, m.Device.ID)
 		}
 	}
-	s.mu.Lock()
-	s.grid, s.byCell = grid, byCell
-	s.benchmarks, s.sizes, s.devices = benchmarks, sizes, devices
-	s.gridGen++
-	s.mu.Unlock()
+	cfg := s.cfg
+	sn.gridBody = sync.OnceValues(sn.encodeGrid)
+	sn.forest = sync.OnceValues(func() (*predict.Forest, error) {
+		ds, err := predict.FromGrid(grid)
+		if err != nil {
+			return nil, err
+		}
+		return predict.Train(ds, cfg)
+	})
+	sn.costs = sync.OnceValues(func() (*sched.Costs, error) { return sched.NewCosts(grid, cfg) })
+	s.snap.Store(sn)
+}
+
+// encodeGrid renders the /v1/grid body: every cell's summary and the axes,
+// the bytes writeJSON would write for them.
+func (sn *snapshot) encodeGrid() ([]byte, error) {
+	cells := make([]cellSummary, 0, sn.grid.Cells())
+	for _, m := range sn.grid.Measurements {
+		cells = append(cells, summarize(m))
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(map[string]any{
+		"benchmarks": sn.benchmarks,
+		"sizes":      sn.sizes,
+		"devices":    sn.devices,
+		"count":      len(cells),
+		"cells":      cells,
+	})
+	return buf.Bytes(), err
 }
 
 // reloadFromStore rebuilds the snapshot from the store — called after a
@@ -519,15 +538,13 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	bench, size, device := q.Get("bench"), q.Get("size"), q.Get("device")
 	var matched []*harness.Measurement
-	s.mu.RLock()
-	for _, m := range s.grid.Measurements {
+	for _, m := range s.snap.Load().grid.Measurements {
 		if (bench == "" || m.Benchmark == bench) &&
 			(size == "" || m.Size == size) &&
 			(device == "" || m.Device.ID == device) {
 			matched = append(matched, m)
 		}
 	}
-	s.mu.RUnlock()
 
 	limit := defaultCellPageLimit
 	if v := q.Get("limit"); v != "" {
@@ -566,21 +583,19 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleGrid writes the snapshot's body, encoded by the generation's first
+// /v1/grid.
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cells := make([]cellSummary, 0, s.grid.Cells())
-	for _, m := range s.grid.Measurements {
-		cells = append(cells, summarize(m))
+	body, err := s.snap.Load().gridBody()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	resp := map[string]any{
-		"benchmarks": s.benchmarks,
-		"sizes":      s.sizes,
-		"devices":    s.devices,
-		"count":      len(cells),
-		"cells":      cells,
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		log.Printf("dwarfserve: write /v1/grid: %v", err)
 	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -591,22 +606,20 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Snapshot the generation's grid: training and lookup must agree even
-	// if a job reloads the snapshot mid-request.
-	s.mu.RLock()
-	grid, gen, devices := s.grid, s.gridGen, s.devices
+	// One snapshot serves the whole request: training and lookup agree
+	// even if a job reloads mid-request.
+	sn := s.snap.Load()
 	// The workload half of the feature vector comes from any stored
 	// measurement of this benchmark × size — AIWC profiles are
 	// device-independent, so the first one is as good as any.
 	var src *harness.Measurement
-	for _, d := range devices {
-		if m := s.byCell[cellID(bench, size, d)]; m != nil {
+	for _, d := range sn.devices {
+		if m := sn.byCell[cellID(bench, size, d)]; m != nil {
 			src = m
 			break
 		}
 	}
-	actual := s.byCell[cellID(bench, size, device)]
-	s.mu.RUnlock()
+	actual := sn.byCell[cellID(bench, size, device)]
 	if src == nil {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("no stored measurement of %s/%s on any device; sweep it into the store first", bench, size))
@@ -627,7 +640,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	forest, err := s.trainedForest(grid, gen)
+	forest, err := sn.forest()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -640,35 +653,13 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		"device":         device,
 		"predicted_ns":   predNs,
 		"measured":       actual != nil,
-		"training_cells": grid.Cells(),
+		"training_cells": sn.grid.Cells(),
 	}
 	if actual != nil {
 		resp["actual_ns"] = actual.Kernel.Median
 		resp["ape"] = 100 * math.Abs(predNs-actual.Kernel.Median) / actual.Kernel.Median
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// trainedForest returns the forest for the given snapshot generation,
-// training it (deterministically in cfg.Seed) when the cached one is
-// missing or was trained on an older generation. A request that snapshot
-// its grid before a reload trains without caching, so a straggler can
-// never overwrite a newer generation's forest and force re-training.
-func (s *server) trainedForest(grid *harness.Grid, gen int) (*predict.Forest, error) {
-	s.trainMu.Lock()
-	defer s.trainMu.Unlock()
-	if s.trainedGen == gen {
-		return s.forest, s.trainErr
-	}
-	ds, err := predict.FromGrid(grid)
-	if err != nil {
-		return nil, err
-	}
-	forest, trainErr := predict.Train(ds, s.cfg)
-	if gen > s.trainedGen {
-		s.forest, s.trainErr, s.trainedGen = forest, trainErr, gen
-	}
-	return forest, trainErr
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

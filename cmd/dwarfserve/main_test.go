@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,9 +374,13 @@ func waitJob(t *testing.T, srv *server, id string) map[string]any {
 // TestJobSweepRoundTrip is the async acceptance path: a job extends the
 // store with a new device, SSE delivers its per-cell events live, and the
 // resulting /v1/grid is byte-for-byte what a synchronous sweep of the same
-// selection serves.
+// selection serves. /v1/grid is read once before the job, so a body kept
+// from the first generation would fail the comparison.
 func TestJobSweepRoundTrip(t *testing.T) {
 	srv, _ := newTestServer(t) // crc,fft × tiny × i7-6700k,gtx1080 = 4 cells
+	if body := get(t, srv, "/v1/grid", http.StatusOK); body["count"] != float64(4) {
+		t.Fatalf("grid count before the job %v, want 4", body["count"])
+	}
 
 	// A live SSE follower attached before the job exists would 404; attach
 	// right after submit, while the job runs, and follow it to the end.
@@ -473,6 +478,64 @@ func TestJobSweepRoundTrip(t *testing.T) {
 	rawSync := getRaw(t, syncSrv, "/v1/grid")
 	if rawAsync != rawSync {
 		t.Fatalf("async and sync /v1/grid differ:\nasync: %s\nsync:  %s", rawAsync, rawSync)
+	}
+}
+
+// TestReadRoutesAcrossReload serves /v1/grid, /v1/predict and /v1/schedule
+// from 4 goroutines while a job reloads the snapshot under them. Every
+// answer is a 200 from one generation or the other, and once the job is
+// done every route answers from the new one.
+func TestReadRoutesAcrossReload(t *testing.T) {
+	srv, _ := newTestServer(t)
+	reqs := []struct{ method, target, body string }{
+		{"GET", "/v1/grid", ""},
+		{"GET", "/v1/predict?bench=crc&size=tiny&device=k20m", ""},
+		{"POST", "/v1/schedule", `{"tasks":[{"benchmark":"fft","size":"tiny","count":2}],"devices":["k20m","gtx1080"]}`},
+	}
+	serve := func(i int) (int, map[string]any) {
+		r := reqs[i%len(reqs)]
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			body = map[string]any{"error": err.Error()}
+		}
+		return rec.Code, body
+	}
+
+	id := postJob(t, srv, `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["k20m"],"samples":6}`, http.StatusAccepted)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				code, body := serve(i)
+				if code != http.StatusOK {
+					t.Errorf("%s %s: status %d: %v", reqs[i%len(reqs)].method, reqs[i%len(reqs)].target, code, body)
+					return
+				}
+				if n, ok := body["count"]; ok && n != float64(len(body["cells"].([]any))) {
+					t.Errorf("/v1/grid count %v beside %d cells", n, len(body["cells"].([]any)))
+					return
+				}
+			}
+		}()
+	}
+	waitJob(t, srv, id)
+	close(stop)
+	wg.Wait()
+
+	for i, want := range []string{"count", "training_cells", "training_cells"} {
+		if code, body := serve(i); code != http.StatusOK || body[want] != float64(6) {
+			t.Fatalf("%s after the job: status %d, %s %v; want 6", reqs[i].target, code, want, body[want])
+		}
 	}
 }
 

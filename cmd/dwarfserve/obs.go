@@ -122,9 +122,7 @@ func buildVersion() (version, goVersion, revision string) {
 // store snapshot counters that used to live in /healthz, and the job and
 // SSE-subscriber population.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	cells := s.grid.Cells()
-	s.mu.RUnlock()
+	cells := s.cells()
 
 	s.jobMu.Lock()
 	jobs := len(s.jobs)

@@ -6,9 +6,9 @@ package main
 // catalogue) and a policy; the response is the evaluated schedule — per
 // device timelines, makespan, energy, constraint violations — with every
 // slot flagged measured or predicted. The cost provider resolves measured
-// cells from the server's grid snapshot and predicts the rest with the §5
-// forests, cached per snapshot generation exactly like /v1/predict's
-// forest: a job that lands new cells invalidates it, and the next schedule
+// cells from the server's snapshot and predicts the rest with the §5
+// forests. It is built once per snapshot, like /v1/predict's forest: a job
+// that lands new cells publishes a new snapshot, and the next schedule
 // resolves those cells as measured.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strings"
 
-	"opendwarfs/internal/harness"
 	"opendwarfs/internal/sched"
 	"opendwarfs/internal/suite"
 )
@@ -93,10 +92,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		fleet = kept
 	}
 
-	s.mu.RLock()
-	grid, gen := s.grid, s.gridGen
-	s.mu.RUnlock()
-	costs, err := s.scheduleCosts(grid, gen)
+	costs, err := s.snap.Load().costs()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -132,22 +128,4 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		"slots":           schedule.Slots,
 		"lanes":           schedule.Lanes,
 	})
-}
-
-// scheduleCosts returns the cost provider for the given snapshot
-// generation, building it (two forests, deterministic in cfg.Seed) when
-// the cached one is missing or stale — the same generation discipline as
-// trainedForest, under its own lock so schedules and predictions do not
-// serialise each other's training.
-func (s *server) scheduleCosts(grid *harness.Grid, gen int) (*sched.Costs, error) {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	if s.schedGen == gen {
-		return s.schedCosts, s.schedErr
-	}
-	costs, err := sched.NewCosts(grid, s.cfg)
-	if gen > s.schedGen {
-		s.schedCosts, s.schedErr, s.schedGen = costs, err, gen
-	}
-	return costs, err
 }

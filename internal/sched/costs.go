@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/harness"
@@ -44,12 +45,17 @@ type CostProvider interface {
 // the benchmark × size's AIWC profiles; those come from any measured cell
 // of that row (profiles are device-independent), or from a characterisation
 // registered with EnsureProfiles for rows never measured anywhere.
+// Predicted cells are memoised: the forests are pure functions, so a
+// memoised cost is bitwise the one a forest walk would compute again.
 type Costs struct {
 	measured map[string]*harness.Measurement
 	rows     map[string]rowProfile
 	timeF    *predict.Forest
 	energyF  *predict.Forest
 	cells    int
+
+	mu        sync.Mutex
+	predicted map[string]Cost // by costKey, like measured
 }
 
 // rowProfile is the device-independent half of a row's feature vector.
@@ -88,11 +94,12 @@ func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 	}
 
 	c := &Costs{
-		measured: make(map[string]*harness.Measurement, g.Cells()),
-		rows:     map[string]rowProfile{},
-		timeF:    timeF,
-		energyF:  energyF,
-		cells:    g.Cells(),
+		measured:  make(map[string]*harness.Measurement, g.Cells()),
+		rows:      map[string]rowProfile{},
+		timeF:     timeF,
+		energyF:   energyF,
+		cells:     g.Cells(),
+		predicted: map[string]Cost{},
 	}
 	for _, m := range g.Measurements {
 		c.measured[costKey(m.Benchmark, m.Size, m.Device.ID)] = m
@@ -114,21 +121,33 @@ func (c *Costs) Measured(bench, size, device string) bool {
 
 // Cost resolves one cell: measured when present, predicted otherwise. A
 // row measured on no device at all needs a characterisation first — see
-// EnsureProfiles.
+// EnsureProfiles. A predicted cell walks the forests once per provider.
 func (c *Costs) Cost(bench, size string, dev *sim.DeviceSpec) (Cost, error) {
-	if m, ok := c.measured[costKey(bench, size, dev.ID)]; ok {
+	key := costKey(bench, size, dev.ID)
+	if m, ok := c.measured[key]; ok {
 		return Cost{TimeNs: m.Kernel.Median, EnergyJ: m.Energy.Median, Source: SourceMeasured}, nil
+	}
+	c.mu.Lock()
+	cost, ok := c.predicted[key]
+	c.mu.Unlock()
+	if ok {
+		return cost, nil
 	}
 	rp, ok := c.rows[rowKey(bench, size)]
 	if !ok {
 		return Cost{}, fmt.Errorf("sched: %s/%s has no measured cell on any device and no registered characterisation; measure it once or call EnsureProfiles", bench, size)
 	}
 	x := predict.Features(rp.profiles, rp.launches, dev)
-	return Cost{
+	cost = Cost{
 		TimeNs:  c.timeF.PredictNs(x),
 		EnergyJ: c.energyF.PredictNs(x), // exp(log-Joules): the same transform
 		Source:  SourcePredicted,
-	}, nil
+	}
+	c.mu.Lock()
+	// A fresh key: storing key itself would move it to the heap on hits too.
+	c.predicted[costKey(bench, size, dev.ID)] = cost
+	c.mu.Unlock()
+	return cost, nil
 }
 
 // EnsureProfiles characterises every workload row that no measured cell

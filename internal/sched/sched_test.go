@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"opendwarfs/internal/harness"
@@ -339,6 +341,77 @@ func TestCostProviderSources(t *testing.T) {
 	}
 }
 
+// TestPredictedCostsMemoised resolves every predicted cell of a small grid
+// over the whole catalogue from 8 goroutines on one provider: each answer
+// must be bitwise the one a fresh provider computes, and a repeated
+// predicted Cost must come from the memo — it allocates nothing, where a
+// forest walk builds a feature vector.
+func TestPredictedCostsMemoised(t *testing.T) {
+	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"i7-6700k", "gtx1080"}, nil)
+	shared, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		bench string
+		dev   *sim.DeviceSpec
+	}
+	var cells []cell
+	want := map[cell]Cost{}
+	for _, bench := range []string{"crc", "fft"} {
+		for _, dev := range sim.Devices() {
+			if fresh.Measured(bench, "tiny", dev.ID) {
+				continue
+			}
+			c, err := fresh.Cost(bench, "tiny", dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, cell{bench, dev})
+			want[cell{bench, dev}] = c
+		}
+	}
+	if len(cells) != 26 {
+		t.Fatalf("%d predicted cells, want 2 rows × 13 unmeasured devices", len(cells))
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine starts at its own offset, so first walks race.
+			for i := range cells {
+				k := cells[(i+3*w)%len(cells)]
+				c, err := shared.Cost(k.bench, "tiny", k.dev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ref := want[k]; c.Source != SourcePredicted ||
+					math.Float64bits(c.TimeNs) != math.Float64bits(ref.TimeNs) ||
+					math.Float64bits(c.EnergyJ) != math.Float64bits(ref.EnergyJ) {
+					t.Errorf("%s/tiny on %s: %+v, fresh provider computes %+v", k.bench, k.dev.ID, c, ref)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	k := cells[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := shared.Cost(k.bench, "tiny", k.dev); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a repeated predicted Cost allocates %v times: it bypasses the memo", allocs)
+	}
+}
+
 // TestPoliciesBeatRoundRobin: on measured costs over a heterogeneous fleet
 // (including the KNL, which round-robin blindly loads), the cost-aware
 // schedulers strictly win on makespan — the ISSUE's acceptance shape.
@@ -389,7 +462,9 @@ func TestPoliciesBeatRoundRobin(t *testing.T) {
 // many workers trained the forests, and one that matches a committed
 // digest of every policy's JSON schedule. nw/tiny is never measured, so
 // the digest also pins the forest predictions made through NewCosts and
-// EnsureProfiles. Refresh it only with a documented model change.
+// EnsureProfiles. Every policy runs twice on the same provider, and the
+// second pass, served from the memo, must repeat the first byte for byte.
+// Refresh the digest only with a documented model change.
 func TestScheduleDeterministicAcrossWorkers(t *testing.T) {
 	const want = "725fa89c7e4b6b54bb3e24aaa9af5b5bc645ffd8f6956125916b6332f5d5385b"
 	devices := []string{"i7-6700k", "gtx1080", "k20m"}
@@ -409,20 +484,25 @@ func TestScheduleDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string][]byte{}
-		for _, name := range Policies() {
-			pol, err := LookupPolicy(name)
-			if err != nil {
-				t.Fatal(err)
+		for pass := 0; pass < 2; pass++ {
+			for _, name := range Policies() {
+				pol, err := LookupPolicy(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := pol.Schedule(w, fleet, costs, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf, err := json.Marshal(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pass == 1 && !bytes.Equal(buf, out[name]) {
+					t.Fatalf("policy %s: a second schedule on the same provider differs", name)
+				}
+				out[name] = buf
 			}
-			s, err := pol.Schedule(w, fleet, costs, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[name] = buf
 		}
 		return out
 	}
