@@ -506,6 +506,8 @@ func TestReadRoutesAcrossReload(t *testing.T) {
 	id := postJob(t, srv, `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["k20m"],"samples":6}`, http.StatusAccepted)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop) // also when waitJob or a check below fails
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -529,8 +531,6 @@ func TestReadRoutesAcrossReload(t *testing.T) {
 		}()
 	}
 	waitJob(t, srv, id)
-	close(stop)
-	wg.Wait()
 
 	for i, want := range []string{"count", "training_cells", "training_cells"} {
 		if code, body := serve(i); code != http.StatusOK || body[want] != float64(6) {
