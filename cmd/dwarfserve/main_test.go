@@ -337,6 +337,13 @@ func TestPredictMeasuredAndUnmeasured(t *testing.T) {
 	get(t, srv, "/v1/predict?bench=fft&size=tiny&device=gtx1081", http.StatusNotFound)
 	// Missing parameters → 400.
 	get(t, srv, "/v1/predict?bench=fft", http.StatusBadRequest)
+
+	// An empty store knows no row: 404, like any unmeasured workload.
+	empty, err := newServer(openStore(t), predict.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, empty, "/v1/predict?bench=fft&size=tiny&device=gtx1080", http.StatusNotFound)
 }
 
 // postJob submits a job and returns its ID.

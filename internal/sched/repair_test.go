@@ -276,4 +276,5 @@ func TestOnlineLoopShrinksFleetOnQuarantine(t *testing.T) {
 	if len(res.Quarantined) != 1 || res.Quarantined[0] != "k20m" {
 		t.Fatalf("loop Quarantined = %v, want [k20m]", res.Quarantined)
 	}
+	checkRoundsDigest(t, res.Rounds, "48660a5e2ff0b86b051731ef797f3c33045167e3c99981446dc6081cd89be49b")
 }

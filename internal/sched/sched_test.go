@@ -662,6 +662,22 @@ func TestOnlineLoopRegretNonIncreasing(t *testing.T) {
 	if last.RegretPct > 100 {
 		t.Fatalf("final-round regret %.1f%% is wildly off the oracle", last.RegretPct)
 	}
+	checkRoundsDigest(t, res.Rounds, "92fee5337d4a1629c7a6bb883e4e213c68cced23816d08d46b5940c7057752a3")
+}
+
+// checkRoundsDigest pins an online loop's rounds — every schedule, cost
+// source count, regret and fault tally — by the SHA-256 of their JSON.
+// Refresh a digest only with a documented model or policy change.
+func checkRoundsDigest(t *testing.T, rounds []Round, want string) {
+	t.Helper()
+	buf, err := json.Marshal(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("rounds digest %s, want %s", got, want)
+	}
 }
 
 // TestOnlineLoopCarriesCharacterisations: a workload row with no measured
