@@ -1,9 +1,7 @@
 // Command dwarfserve serves a persistent result store over HTTP — the
 // query and execution side of the dwarfsweep/dwarfbench/dwarfpredict
 // -store pipeline. It loads every cell of the store into an in-memory
-// index at startup (the store's own index is sharded by fingerprint; the
-// server adds O(1) cell addressing by benchmark × size × device) and
-// answers JSON queries:
+// snapshot at startup and answers JSON queries:
 //
 //	GET    /healthz                               liveness
 //	GET    /v1/status                             build info, uptime, cell/segment/job counts
@@ -26,10 +24,14 @@
 //	GET    /v1/jobs/{id}/events  per-cell event stream (Server-Sent Events)
 //	DELETE /v1/jobs/{id}        cancel; completed cells stay persisted
 //
-// /v1/predict trains the internal/predict random forest over all stored
-// cells on first use (deterministic in -seed, retrained after a job adds
-// cells) and answers for any catalogue device — including devices the
-// benchmark never ran on, the paper's §7 scenario.
+// /v1/predict and /v1/schedule answer from one internal/sched cost
+// provider per store generation, which indexes the stored cells by
+// benchmark × size × device. Its time forest trains on the first request
+// that predicts a cell, its energy forest on the first schedule that
+// places a task on an unmeasured cell (deterministic in -seed, retrained
+// after a job adds cells), and /v1/predict answers for any catalogue
+// device — including devices the benchmark never ran on, the paper's §7
+// scenario.
 //
 // Every request passes a metrics/logging middleware (route-labelled
 // request counters and latency histograms; 4xx/5xx logged server-side),
@@ -84,9 +86,9 @@ func main() {
 		storeDir    = flag.String("store", "", "persistent result store directory (required)")
 		compactOver = flag.Int64("compact-over", 0, "compact the store after a job reload whenever its on-disk footprint exceeds this many bytes (0 = never)")
 		addr        = flag.String("addr", ":7077", "listen address")
-		trees       = flag.Int("trees", def.Trees, "forest size for /v1/predict")
-		depth       = flag.Int("depth", def.MaxDepth, "maximum tree depth for /v1/predict")
-		seed        = flag.Int64("seed", def.Seed, "training seed for /v1/predict")
+		trees       = flag.Int("trees", def.Trees, "forest size of the cost model behind /v1/predict and /v1/schedule")
+		depth       = flag.Int("depth", def.MaxDepth, "maximum tree depth of the cost model's forests")
+		seed        = flag.Int64("seed", def.Seed, "training seed of the cost model's forests")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
 		sampleEvery = flag.Duration("sample-interval", time.Second, "telemetry sampling period for /v1/metrics/history and /v1/metrics/stream")
@@ -289,8 +291,6 @@ type server struct {
 	quarantined map[string]string
 }
 
-func cellID(bench, size, device string) string { return bench + "\x00" + size + "\x00" + device }
-
 func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 	s := &server{
 		st:          st,
@@ -334,29 +334,26 @@ func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 func (s *server) cells() int { return s.snap.Load().grid.Cells() }
 
 // snapshot is one store generation as the read routes see it: the grid,
-// its O(1) cell index, the axes (distinct values in store listing order)
-// and three values derived from them, each built at most once, by the
-// first request that needs it. Nothing in a snapshot changes after
-// setGrid publishes it; a request that loaded an older one finishes on
-// it, and whatever it builds there is dropped with it.
+// the axes (distinct values in store listing order) and two values derived
+// from them, each built at most once, by the first request that needs it.
+// Nothing in a snapshot changes after setGrid publishes it; a request that
+// loaded an older one finishes on it, and whatever it builds there is
+// dropped with it.
 type snapshot struct {
 	grid                       *harness.Grid
-	byCell                     map[string]*harness.Measurement
 	benchmarks, sizes, devices []string
 
-	gridBody func() ([]byte, error)          // the /v1/grid response body
-	forest   func() (*predict.Forest, error) // the /v1/predict time forest
-	costs    func() (*sched.Costs, error)    // the /v1/schedule cost provider
+	gridBody func() ([]byte, error)       // the /v1/grid response body
+	costs    func() (*sched.Costs, error) // the /v1/predict and /v1/schedule cost provider
 }
 
-// setGrid publishes a fresh snapshot of grid. Its forests (deterministic
-// in cfg.Seed) and its /v1/grid body are built lazily: the reload lies on
-// every job's path to grid_done, so nothing is encoded or trained here.
+// setGrid publishes a fresh snapshot of grid. Its cost provider and its
+// /v1/grid body are built lazily: the reload lies on every job's path to
+// grid_done, so nothing is indexed, encoded or trained here.
 func (s *server) setGrid(grid *harness.Grid) {
-	sn := &snapshot{grid: grid, byCell: make(map[string]*harness.Measurement, grid.Cells())}
+	sn := &snapshot{grid: grid}
 	seenB, seenS, seenD := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, m := range grid.Measurements {
-		sn.byCell[cellID(m.Benchmark, m.Size, m.Device.ID)] = m
 		if !seenB[m.Benchmark] {
 			seenB[m.Benchmark] = true
 			sn.benchmarks = append(sn.benchmarks, m.Benchmark)
@@ -372,13 +369,6 @@ func (s *server) setGrid(grid *harness.Grid) {
 	}
 	cfg := s.cfg
 	sn.gridBody = sync.OnceValues(sn.encodeGrid)
-	sn.forest = sync.OnceValues(func() (*predict.Forest, error) {
-		ds, err := predict.FromGrid(grid)
-		if err != nil {
-			return nil, err
-		}
-		return predict.Train(ds, cfg)
-	})
 	sn.costs = sync.OnceValues(func() (*sched.Costs, error) { return sched.NewCosts(grid, cfg) })
 	s.snap.Store(sn)
 }
@@ -606,54 +596,41 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One snapshot serves the whole request: training and lookup agree
-	// even if a job reloads mid-request.
-	sn := s.snap.Load()
-	// The workload half of the feature vector comes from any stored
-	// measurement of this benchmark × size — AIWC profiles are
-	// device-independent, so the first one is as good as any.
-	var src *harness.Measurement
-	for _, d := range sn.devices {
-		if m := sn.byCell[cellID(bench, size, d)]; m != nil {
-			src = m
-			break
-		}
-	}
-	actual := sn.byCell[cellID(bench, size, device)]
-	if src == nil {
+	// One provider serves the whole request, so lookup and prediction
+	// agree even if a job reloads mid-request. It fails only on an empty
+	// store, which holds no row either.
+	costs, err := s.snap.Load().costs()
+	if err != nil || !costs.Profiled(bench, size) {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("no stored measurement of %s/%s on any device; sweep it into the store first", bench, size))
 		return
 	}
 
-	// The device half comes from the stored cell when this exact device
-	// was measured, otherwise from the catalogue — which is what lets the
-	// daemon answer for devices the benchmark never ran on.
+	// The device half of the feature vector comes from the stored cell
+	// when this exact device was measured, otherwise from the catalogue —
+	// which is what lets the daemon answer for devices the benchmark never
+	// ran on.
+	actual := costs.Cell(bench, size, device)
 	var spec *sim.DeviceSpec
 	if actual != nil {
 		spec = actual.Device
-	} else {
-		var err error
-		if spec, err = sim.Lookup(device); err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
+	} else if spec, err = sim.Lookup(device); err != nil {
+		writeError(w, http.StatusNotFound, err.Error())
+		return
 	}
 
-	forest, err := sn.forest()
+	predNs, err := costs.PredictNs(bench, size, spec)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-
-	predNs := forest.PredictNs(predict.Features(src.Profiles, src.KernelLaunches, spec))
 	resp := map[string]any{
 		"benchmark":      bench,
 		"size":           size,
 		"device":         device,
 		"predicted_ns":   predNs,
 		"measured":       actual != nil,
-		"training_cells": sn.grid.Cells(),
+		"training_cells": costs.TrainingCells(),
 	}
 	if actual != nil {
 		resp["actual_ns"] = actual.Kernel.Median

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -41,18 +42,19 @@ type CostProvider interface {
 // Costs is the standard provider: measured cells answer exactly, unmeasured
 // cells fall back to random-forest predictions — one forest over log kernel
 // time (the §5 model) and one over log energy, both trained on the same
-// measured grid. The workload half of a prediction's feature vector needs
-// the benchmark × size's AIWC profiles; those come from any measured cell
-// of that row (profiles are device-independent), or from a characterisation
-// registered with EnsureProfiles for rows never measured anywhere.
-// Predicted cells are memoised: the forests are pure functions, so a
-// memoised cost is bitwise the one a forest walk would compute again.
+// measured grid. Each forest trains on the first call that needs it, so a
+// plan whose cells are all measured trains neither, and PredictNs trains
+// only the time forest. The workload half of a prediction's feature vector
+// needs the benchmark × size's AIWC profiles; those come from any measured
+// cell of that row (profiles are device-independent), or from a
+// characterisation registered with EnsureProfiles for rows never measured
+// anywhere. Predicted cells are memoised: the forests are pure functions,
+// so a memoised cost is bitwise the one a forest walk would compute again.
 type Costs struct {
-	measured map[string]*harness.Measurement
-	rows     map[string]rowProfile
-	timeF    *predict.Forest
-	energyF  *predict.Forest
-	cells    int
+	measured       map[string]*harness.Measurement
+	rows           map[string]rowProfile
+	timeF, energyF func() (*predict.Forest, error)
+	cells          int
 
 	mu        sync.Mutex
 	predicted map[string]Cost // by costKey, like measured
@@ -67,37 +69,22 @@ type rowProfile struct {
 func costKey(bench, size, device string) string { return bench + "\x00" + size + "\x00" + device }
 func rowKey(bench, size string) string          { return bench + "\x00" + size }
 
-// NewCosts trains the provider over a grid of measured cells. The grid
-// needs enough cells to train on (predict's minimum, 2 × MinLeaf); both
-// forests are pure functions of (grid, cfg minus Workers), so the provider
-// — and every schedule built on it — is bitwise-identical at any worker
-// count.
+// NewCosts builds the provider over a grid of measured cells. It only
+// indexes the grid; the forests train later, on the cells g holds now,
+// and need enough of them (predict's minimum, 2 × MinLeaf). Both forests
+// are pure functions of (grid, cfg minus Workers), so the provider — and
+// every schedule built on it — is bitwise-identical at any worker count.
 func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 	if g == nil || g.Cells() == 0 {
 		return nil, fmt.Errorf("sched: no measured cells to build a cost model from")
 	}
-	timeDS, err := predict.FromGrid(g)
-	if err != nil {
-		return nil, err
-	}
-	timeF, err := predict.Train(timeDS, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sched: time model: %w", err)
-	}
-	energyDS, err := predict.EnergyFromGrid(g)
-	if err != nil {
-		return nil, err
-	}
-	energyF, err := predict.Train(energyDS, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sched: energy model: %w", err)
-	}
-
+	// A copy of the cell list: callers go on merging cells into g.
+	train := &harness.Grid{Measurements: slices.Clone(g.Measurements)}
 	c := &Costs{
 		measured:  make(map[string]*harness.Measurement, g.Cells()),
 		rows:      map[string]rowProfile{},
-		timeF:     timeF,
-		energyF:   energyF,
+		timeF:     lazyForest(train, predict.FromGrid, cfg),
+		energyF:   lazyForest(train, predict.EnergyFromGrid, cfg),
 		cells:     g.Cells(),
 		predicted: map[string]Cost{},
 	}
@@ -110,12 +97,29 @@ func NewCosts(g *harness.Grid, cfg predict.Config) (*Costs, error) {
 	return c, nil
 }
 
-// TrainingCells returns how many measured cells the forests were fit on.
+// lazyForest returns the forest over dataset(g), trained by the first call.
+func lazyForest(g *harness.Grid, dataset func(*harness.Grid) (*predict.Dataset, error), cfg predict.Config) func() (*predict.Forest, error) {
+	return sync.OnceValues(func() (*predict.Forest, error) {
+		ds, err := dataset(g)
+		if err != nil {
+			return nil, err
+		}
+		return predict.Train(ds, cfg)
+	})
+}
+
+// TrainingCells returns how many measured cells the forests are fit on.
 func (c *Costs) TrainingCells() int { return c.cells }
 
-// Measured reports whether the exact cell is measured (vs predicted).
-func (c *Costs) Measured(bench, size, device string) bool {
-	_, ok := c.measured[costKey(bench, size, device)]
+// Cell returns the exact cell's measurement, or nil when it is predicted.
+func (c *Costs) Cell(bench, size, device string) *harness.Measurement {
+	return c.measured[costKey(bench, size, device)]
+}
+
+// Profiled reports whether the row's cells can be resolved on any device:
+// some device measured it, or EnsureProfiles characterised it.
+func (c *Costs) Profiled(bench, size string) bool {
+	_, ok := c.rows[rowKey(bench, size)]
 	return ok
 }
 
@@ -133,14 +137,21 @@ func (c *Costs) Cost(bench, size string, dev *sim.DeviceSpec) (Cost, error) {
 	if ok {
 		return cost, nil
 	}
-	rp, ok := c.rows[rowKey(bench, size)]
-	if !ok {
-		return Cost{}, fmt.Errorf("sched: %s/%s has no measured cell on any device and no registered characterisation; measure it once or call EnsureProfiles", bench, size)
+	x, err := c.features(bench, size, dev)
+	if err != nil {
+		return Cost{}, err
 	}
-	x := predict.Features(rp.profiles, rp.launches, dev)
+	timeF, err := c.timeF()
+	if err != nil {
+		return Cost{}, err
+	}
+	energyF, err := c.energyF()
+	if err != nil {
+		return Cost{}, err
+	}
 	cost = Cost{
-		TimeNs:  c.timeF.PredictNs(x),
-		EnergyJ: c.energyF.PredictNs(x), // exp(log-Joules): the same transform
+		TimeNs:  timeF.PredictNs(x),
+		EnergyJ: energyF.PredictNs(x), // exp(log-Joules): the same transform
 		Source:  SourcePredicted,
 	}
 	c.mu.Lock()
@@ -148,6 +159,30 @@ func (c *Costs) Cost(bench, size string, dev *sim.DeviceSpec) (Cost, error) {
 	c.predicted[costKey(bench, size, dev.ID)] = cost
 	c.mu.Unlock()
 	return cost, nil
+}
+
+// PredictNs returns the time forest's runtime prediction for one cell,
+// measured or not: what the §5 model says, beside what Cost resolves. It
+// never trains the energy forest.
+func (c *Costs) PredictNs(bench, size string, dev *sim.DeviceSpec) (float64, error) {
+	x, err := c.features(bench, size, dev)
+	if err != nil {
+		return 0, err
+	}
+	f, err := c.timeF()
+	if err != nil {
+		return 0, err
+	}
+	return f.PredictNs(x), nil
+}
+
+// features builds one cell's feature vector from its row's profiles.
+func (c *Costs) features(bench, size string, dev *sim.DeviceSpec) ([]float64, error) {
+	rp, ok := c.rows[rowKey(bench, size)]
+	if !ok {
+		return nil, fmt.Errorf("sched: %s/%s has no measured cell on any device and no registered characterisation; measure it once or call EnsureProfiles", bench, size)
+	}
+	return predict.Features(rp.profiles, rp.launches, dev), nil
 }
 
 // EnsureProfiles characterises every workload row that no measured cell
@@ -161,7 +196,7 @@ func (c *Costs) EnsureProfiles(ctx context.Context, reg *dwarfs.Registry, opt ha
 	opt.Verify = false
 	for _, row := range w.Rows() {
 		bench, size := row[0], row[1]
-		if _, ok := c.rows[rowKey(bench, size)]; ok {
+		if c.Profiled(bench, size) {
 			continue
 		}
 		b, err := reg.Get(bench)
@@ -198,7 +233,7 @@ func (c *Costs) AdoptProfiles(o *Costs) {
 func (c *Costs) MissingRows(w *Workload) []string {
 	var out []string
 	for _, row := range w.Rows() {
-		if _, ok := c.rows[rowKey(row[0], row[1])]; !ok {
+		if !c.Profiled(row[0], row[1]) {
 			out = append(out, row[0]+"/"+row[1])
 		}
 	}

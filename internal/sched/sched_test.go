@@ -314,8 +314,8 @@ func TestCostProviderSources(t *testing.T) {
 	if c.TimeNs <= 0 || c.EnergyJ <= 0 {
 		t.Fatalf("non-positive predicted cost: %+v", c)
 	}
-	if !costs.Measured("crc", "tiny", "i7-6700k") || costs.Measured("crc", "tiny", "titanx") {
-		t.Fatal("Measured() disagrees with the grid")
+	if costs.Cell("crc", "tiny", "i7-6700k") != m || costs.Cell("crc", "tiny", "titanx") != nil {
+		t.Fatal("Cell() disagrees with the grid")
 	}
 
 	// nw/tiny was never measured on any device: error until characterised.
@@ -338,6 +338,46 @@ func TestCostProviderSources(t *testing.T) {
 	}
 	if c.Source != SourcePredicted || c.TimeNs <= 0 {
 		t.Fatalf("characterised row predicted badly: %+v", c)
+	}
+}
+
+// TestForestsTrainOnFirstNeed: a grid the energy model refuses (one cell
+// with zero median energy) still builds a provider. Measured costs and time
+// predictions answer without the energy forest; only a predicted Cost, the
+// one call that needs it, reports its error. Measured costs need no forest
+// at all: a config no forest trains under still resolves them.
+func TestForestsTrainOnFirstNeed(t *testing.T) {
+	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"i7-6700k", "gtx1080"}, nil)
+	g.Measurements[0].Energy.Median = 0
+	if _, err := predict.EnergyFromGrid(g); err == nil {
+		t.Fatal("EnergyFromGrid accepted a zero-energy cell")
+	}
+	noTrees := testForest()
+	noTrees.Trees = 0
+	titanx := fleetOf(t, "titanx")[0]
+	for _, cfg := range []predict.Config{testForest(), noTrees} {
+		costs, err := NewCosts(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range g.Measurements {
+			if _, err := costs.Cost(m.Benchmark, m.Size, m.Device); err != nil {
+				t.Fatalf("trees=%d: measured %s/%s on %s: %v", cfg.Trees, m.Benchmark, m.Size, m.Device.ID, err)
+			}
+		}
+		ns, err := costs.PredictNs("crc", "tiny", titanx)
+		if cfg.Trees == 0 {
+			if err == nil {
+				t.Fatal("time prediction without trees succeeded")
+			}
+			continue
+		}
+		if err != nil || ns <= 0 {
+			t.Fatalf("time prediction for an unmeasured device: %v, %v", ns, err)
+		}
+		if _, err := costs.Cost("crc", "tiny", titanx); err == nil || !strings.Contains(err.Error(), "energy") {
+			t.Fatalf("predicted Cost err = %v, want the energy model's", err)
+		}
 	}
 }
 
@@ -364,7 +404,7 @@ func TestPredictedCostsMemoised(t *testing.T) {
 	want := map[cell]Cost{}
 	for _, bench := range []string{"crc", "fft"} {
 		for _, dev := range sim.Devices() {
-			if fresh.Measured(bench, "tiny", dev.ID) {
+			if fresh.Cell(bench, "tiny", dev.ID) != nil {
 				continue
 			}
 			c, err := fresh.Cost(bench, "tiny", dev)
