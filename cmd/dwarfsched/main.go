@@ -241,17 +241,7 @@ func main() {
 		}
 		known.Merge(truth)
 		if dead := known.Quarantined; len(dead) > 0 {
-			deadSet := map[string]bool{}
-			for _, d := range dead {
-				deadSet[d] = true
-			}
-			oracleFleet = fleet[:0:0]
-			for _, d := range fleet {
-				if !deadSet[d.ID] {
-					oracleFleet = append(oracleFleet, d)
-				}
-			}
-			if len(oracleFleet) == 0 {
+			if oracleFleet = sched.Survivors(fleet, dead); len(oracleFleet) == 0 {
 				fatal(fmt.Errorf("every fleet device is quarantined: %v", dead))
 			}
 			fmt.Printf("\nQuarantined during measurement: %s; oracle graded over the %d survivors\n",

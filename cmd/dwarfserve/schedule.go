@@ -7,14 +7,17 @@ package main
 // device timelines, makespan, energy, constraint violations — with every
 // slot flagged measured or predicted. The cost provider resolves measured
 // cells from the server's snapshot and predicts the rest with the §5
-// forests. It is built once per snapshot, like /v1/predict's forest: a job
-// that lands new cells publishes a new snapshot, and the next schedule
-// resolves those cells as measured.
+// forests, which train only when a plan first places a task on an
+// unmeasured cell. It is built once per snapshot and shared with
+// /v1/predict: a job that lands new cells publishes a new snapshot, and
+// the next schedule resolves those cells as measured.
 
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 
 	"opendwarfs/internal/sched"
@@ -59,18 +62,13 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// is a conflict the client must resolve; the default (whole-catalogue)
 	// fleet silently shrinks around them.
 	s.quarMu.Lock()
-	quarantined := make(map[string]string, len(s.quarantined))
-	for d, reason := range s.quarantined {
-		quarantined[d] = reason
-	}
+	quarantined := maps.Clone(s.quarantined)
 	s.quarMu.Unlock()
-	if len(req.Devices) > 0 {
-		for _, d := range req.Devices {
-			if reason, ok := quarantined[d]; ok {
-				writeError(w, http.StatusConflict,
-					fmt.Sprintf("device %s is quarantined (%s); drop it from the fleet or restart the daemon", d, reason))
-				return
-			}
+	for _, d := range req.Devices {
+		if reason, ok := quarantined[d]; ok {
+			writeError(w, http.StatusConflict,
+				fmt.Sprintf("device %s is quarantined (%s); drop it from the fleet or restart the daemon", d, reason))
+			return
 		}
 	}
 	fleet, err := sched.Fleet(req.Devices)
@@ -78,18 +76,11 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Devices) == 0 && len(quarantined) > 0 {
-		kept := fleet[:0:0]
-		for _, dev := range fleet {
-			if _, ok := quarantined[dev.ID]; !ok {
-				kept = append(kept, dev)
-			}
-		}
-		if len(kept) == 0 {
+	if len(req.Devices) == 0 {
+		if fleet = sched.Survivors(fleet, slices.Collect(maps.Keys(quarantined))); len(fleet) == 0 {
 			writeError(w, http.StatusServiceUnavailable, "every catalogue device is quarantined")
 			return
 		}
-		fleet = kept
 	}
 
 	costs, err := s.snap.Load().costs()

@@ -306,8 +306,8 @@ func OnlineLoop(ctx context.Context, p LoopParams) (*LoopResult, error) {
 	best := 0.0
 	prev := p.Costs
 	// Quarantined devices drop out of the scheduling fleet for every later
-	// round; p.Fleet itself is not mutated.
-	fleet := append([]*sim.DeviceSpec(nil), p.Fleet...)
+	// round.
+	fleet := p.Fleet
 	for r := 0; r < p.Rounds; r++ {
 		rctx, rspan := obs.StartSpan(ctx, "sched.round", obs.Int("round", r))
 		p.Metrics.Counter(mRoundsTotal).Inc()
@@ -351,20 +351,9 @@ func OnlineLoop(ctx context.Context, p LoopParams) (*LoopResult, error) {
 		}
 		s = outc.Schedule
 		if len(outc.Quarantined) > 0 {
-			dead := map[string]bool{}
-			for _, d := range outc.Quarantined {
-				dead[d] = true
-			}
-			kept := fleet[:0:0]
-			for _, dev := range fleet {
-				if !dead[dev.ID] {
-					kept = append(kept, dev)
-				}
-			}
-			if len(kept) == 0 {
+			if fleet = Survivors(fleet, outc.Quarantined); len(fleet) == 0 {
 				return res, fmt.Errorf("sched: round %d: every fleet device is quarantined", r)
 			}
-			fleet = kept
 			res.Quarantined = unionSorted(res.Quarantined, outc.Quarantined)
 		}
 		// Slot-source counters track the schedule in force at round end

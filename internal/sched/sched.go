@@ -38,6 +38,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/sim"
@@ -168,4 +169,17 @@ func Fleet(ids []string) ([]*sim.DeviceSpec, error) {
 		seen[d.ID] = true
 	}
 	return fleet, nil
+}
+
+// Survivors returns the fleet without the dead devices, in fleet order.
+// The fleet itself is not modified; an empty result is the caller's to
+// report.
+func Survivors(fleet []*sim.DeviceSpec, dead []string) []*sim.DeviceSpec {
+	kept := make([]*sim.DeviceSpec, 0, len(fleet))
+	for _, d := range fleet {
+		if !slices.Contains(dead, d.ID) {
+			kept = append(kept, d)
+		}
+	}
+	return kept
 }
