@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"sync"
@@ -77,7 +78,7 @@ type Rule struct {
 	// Window is the burn-rate averaging window (default 60s).
 	Window time.Duration `json:"-"`
 	// For keeps a true condition in StatePending until it has held this
-	// long; zero fires immediately.
+	// long; zero fires immediately, and a negative For is invalid.
 	For time.Duration `json:"-"`
 	// Severity is a free-form label surfaced on /v1/alerts ("warn",
 	// "page", ...). Informational only.
@@ -109,6 +110,9 @@ func (r Rule) Validate() error {
 	}
 	if r.Metric == "" {
 		return fmt.Errorf("rule %s: empty metric", r.Name)
+	}
+	if r.For < 0 {
+		return fmt.Errorf("rule %s: negative for duration %v", r.Name, r.For)
 	}
 	switch r.Kind {
 	case KindThreshold:
@@ -164,14 +168,22 @@ func LoadRules(rd io.Reader) ([]Rule, error) {
 	seen := map[string]bool{}
 	rules := make([]Rule, 0, len(f.Rules))
 	for _, jr := range f.Rules {
+		window, err := seconds(jr.Name, "window_sec", jr.WindowSec)
+		if err != nil {
+			return nil, err
+		}
+		sustain, err := seconds(jr.Name, "for_sec", jr.ForSec)
+		if err != nil {
+			return nil, err
+		}
 		r := Rule{
 			Name:     jr.Name,
 			Kind:     jr.Kind,
 			Metric:   jr.Metric,
 			Op:       Op(jr.Op),
 			Value:    jr.Value,
-			Window:   time.Duration(jr.WindowSec * float64(time.Second)),
-			For:      time.Duration(jr.ForSec * float64(time.Second)),
+			Window:   window,
+			For:      sustain,
 			Severity: jr.Severity,
 		}
 		if err := r.Validate(); err != nil {
@@ -184,6 +196,17 @@ func LoadRules(rd io.Reader) ([]Rule, error) {
 		rules = append(rules, r)
 	}
 	return rules, nil
+}
+
+// seconds converts a rule file's duration field. Negative seconds, and
+// seconds past what a time.Duration holds (about 292 years), are refused:
+// converted unchecked, the latter would wrap to a negative duration.
+func seconds(rule, field string, sec float64) (time.Duration, error) {
+	ns := sec * float64(time.Second)
+	if !(ns >= 0 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("rule %s: %s %v is negative or out of range", rule, field, sec)
+	}
+	return time.Duration(ns), nil
 }
 
 // State is an alert's lifecycle position.

@@ -187,15 +187,35 @@ func TestNoDataIsOK(t *testing.T) {
 	}
 }
 
+// loadRulesGood and loadRulesBad are TestLoadRules' rule files, and
+// FuzzLoadRules' seeds.
+const loadRulesGood = `{"rules": [
+  {"name": "failed_cells_burn", "kind": "burn_rate",
+   "metric": "harness_failed_cells_total", "value": 0.5, "window_sec": 30},
+  {"name": "jobs_backlogged", "kind": "threshold",
+   "metric": "jobs_running", "op": "ge", "value": 4, "for_sec": 10,
+   "severity": "warn"}
+]}`
+
+var loadRulesBad = []string{
+	`{"rules":[{"name":"BadName","kind":"threshold","metric":"m","value":1}]}`,
+	`{"rules":[{"name":"kebab-case","kind":"threshold","metric":"m","value":1}]}`,
+	`{"rules":[{"name":"ok_name","kind":"threshold","metric":"","value":1}]}`,
+	`{"rules":[{"name":"ok_name","kind":"nonsense","metric":"m","value":1}]}`,
+	`{"rules":[{"name":"ok_name","kind":"burn_rate","metric":"m","value":1}]}`,
+	`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","op":"spaceship","value":1}]}`,
+	`{"rules":[{"name":"dup","kind":"threshold","metric":"m","value":1},
+	           {"name":"dup","kind":"threshold","metric":"m","value":2}]}`,
+	`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","value":1,"bogus_field":true}]}`,
+	// Durations: negative, and past what a time.Duration holds — 1e10 s
+	// once wrapped to a negative For that fired on the first tick.
+	`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","value":1,"for_sec":-5}]}`,
+	`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","value":1,"for_sec":1e10}]}`,
+	`{"rules":[{"name":"ok_name","kind":"burn_rate","metric":"m","value":1,"window_sec":1e10}]}`,
+}
+
 func TestLoadRules(t *testing.T) {
-	const good = `{"rules": [
-	  {"name": "failed_cells_burn", "kind": "burn_rate",
-	   "metric": "harness_failed_cells_total", "value": 0.5, "window_sec": 30},
-	  {"name": "jobs_backlogged", "kind": "threshold",
-	   "metric": "jobs_running", "op": "ge", "value": 4, "for_sec": 10,
-	   "severity": "warn"}
-	]}`
-	rules, err := LoadRules(strings.NewReader(good))
+	rules, err := LoadRules(strings.NewReader(loadRulesGood))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +229,51 @@ func TestLoadRules(t *testing.T) {
 		t.Fatalf("fields not decoded: %+v", rules[1])
 	}
 
-	bad := []string{
-		`{"rules":[{"name":"BadName","kind":"threshold","metric":"m","value":1}]}`,
-		`{"rules":[{"name":"kebab-case","kind":"threshold","metric":"m","value":1}]}`,
-		`{"rules":[{"name":"ok_name","kind":"threshold","metric":"","value":1}]}`,
-		`{"rules":[{"name":"ok_name","kind":"nonsense","metric":"m","value":1}]}`,
-		`{"rules":[{"name":"ok_name","kind":"burn_rate","metric":"m","value":1}]}`,
-		`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","op":"spaceship","value":1}]}`,
-		`{"rules":[{"name":"dup","kind":"threshold","metric":"m","value":1},
-		           {"name":"dup","kind":"threshold","metric":"m","value":2}]}`,
-		`{"rules":[{"name":"ok_name","kind":"threshold","metric":"m","value":1,"bogus_field":true}]}`,
-	}
-	for _, src := range bad {
-		if _, err := LoadRules(strings.NewReader(src)); err == nil {
+	for _, src := range loadRulesBad {
+		_, err := LoadRules(strings.NewReader(src))
+		if err == nil {
 			t.Errorf("LoadRules accepted %s", src)
+			continue
+		}
+		// A duration is refused by the field that holds it.
+		for _, field := range []string{"for_sec", "window_sec"} {
+			if strings.Contains(src, field) && !strings.Contains(err.Error(), field) {
+				t.Errorf("LoadRules(%s): error %q does not name %s", src, err, field)
+			}
 		}
 	}
+}
+
+// FuzzLoadRules feeds arbitrary rule files to LoadRules. Every rule it
+// accepts must pass Validate, never wait a negative time, average a
+// burn rate over a positive window, and build an engine. Nothing may
+// panic.
+func FuzzLoadRules(f *testing.F) {
+	f.Add(loadRulesGood)
+	for _, src := range loadRulesBad {
+		f.Add(src)
+	}
+	rig := newRig()
+	f.Fuzz(func(t *testing.T, src string) {
+		rules, err := LoadRules(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("accepted rule fails Validate: %v", err)
+			}
+			if r.For < 0 {
+				t.Fatalf("rule %s: For = %v", r.Name, r.For)
+			}
+			if r.Kind == KindBurnRate && r.Window <= 0 {
+				t.Fatalf("burn_rate rule %s: Window = %v", r.Name, r.Window)
+			}
+		}
+		if _, err := NewEngine(rig.rec, rules, nil); err != nil {
+			t.Fatalf("NewEngine refused loaded rules: %v", err)
+		}
+	})
 }
 
 func TestEngineRejectsBadRules(t *testing.T) {
@@ -235,5 +284,8 @@ func TestEngineRejectsBadRules(t *testing.T) {
 	dup := Threshold("same_name", "m", OpGT, 1, 0)
 	if _, err := NewEngine(rig.rec, []Rule{dup, dup}, nil); err == nil {
 		t.Fatal("engine accepted duplicate rule names")
+	}
+	if _, err := NewEngine(rig.rec, []Rule{Threshold("negative_for", "m", OpGT, 1, -time.Second)}, nil); err == nil {
+		t.Fatal("engine accepted a negative For")
 	}
 }
