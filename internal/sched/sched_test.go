@@ -56,14 +56,17 @@ func measure(t *testing.T, benches, sizes, devices []string, st *store.Store) *h
 	return g
 }
 
+// testWorkloadSpec is the workload most tests schedule: 8 tasks over three
+// tiny rows.
+var testWorkloadSpec = WorkloadSpec{Tasks: []TaskSpec{
+	{Benchmark: "crc", Size: "tiny", Count: 3},
+	{Benchmark: "fft", Size: "tiny", Count: 3},
+	{Benchmark: "nw", Size: "tiny", Count: 2},
+}}
+
 func testWorkload(t *testing.T) *Workload {
 	t.Helper()
-	spec := WorkloadSpec{Tasks: []TaskSpec{
-		{Benchmark: "crc", Size: "tiny", Count: 3},
-		{Benchmark: "fft", Size: "tiny", Count: 3},
-		{Benchmark: "nw", Size: "tiny", Count: 2},
-	}}
-	w, err := spec.Expand(suite.New())
+	w, err := testWorkloadSpec.Expand(suite.New())
 	if err != nil {
 		t.Fatal(err)
 	}
