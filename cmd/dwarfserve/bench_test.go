@@ -61,6 +61,10 @@ var routeFixture = sync.OnceValues(func() (*server, error) {
 // route phase A rotates through. The schedule request is phase A's: the
 // grid's first, middle and last rows under heft over the whole catalogue.
 // A first untimed request per route builds what the route builds lazily.
+// schedule_after_reload times what a job's reload leaves to the next
+// schedule: each iteration publishes a fresh snapshot of the grid and
+// plans the same rows over the measured devices only, which must train
+// no forest.
 func BenchmarkRoute(b *testing.B) {
 	srv, err := routeFixture()
 	if err != nil {
@@ -83,6 +87,14 @@ func BenchmarkRoute(b *testing.B) {
 		b.Fatal(err)
 	}
 	predictURL := "/v1/predict?bench=" + mid.Benchmark + "&size=" + mid.Size + "&device="
+	reloadBody, err := json.Marshal(map[string]any{
+		"tasks":   []sched.TaskSpec{rows[0], mid, rows[len(rows)-1]},
+		"policy":  "heft",
+		"devices": srv.snap.Load().devices,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	for _, r := range []struct {
 		name, method string
@@ -111,4 +123,17 @@ func BenchmarkRoute(b *testing.B) {
 			}
 		})
 	}
+
+	b.Run("schedule_after_reload", func(b *testing.B) {
+		grid := srv.snap.Load().grid
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			srv.setGrid(grid)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/schedule", strings.NewReader(string(reloadBody))))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("POST /v1/schedule after a reload: status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	})
 }

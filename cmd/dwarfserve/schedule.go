@@ -76,7 +76,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Devices) == 0 {
+	if len(req.Devices) == 0 && len(quarantined) > 0 {
 		if fleet = sched.Survivors(fleet, slices.Collect(maps.Keys(quarantined))); len(fleet) == 0 {
 			writeError(w, http.StatusServiceUnavailable, "every catalogue device is quarantined")
 			return

@@ -22,8 +22,10 @@ var fullDataset = sync.OnceValues(func() (*Dataset, error) {
 })
 
 // BenchmarkTrain times one forest at DefaultConfig on the full grid: the
-// training dwarfserve runs before its first /v1/predict and after every
-// job, and sched.NewCosts runs twice. -cpu sets its worker count.
+// training a sched.Costs provider runs for its time forest on the first
+// prediction it makes, and again for its energy forest on the first
+// predicted Cost — in dwarfserve, once per store generation each. -cpu
+// sets its worker count.
 func BenchmarkTrain(b *testing.B) {
 	ds, err := fullDataset()
 	if err != nil {
