@@ -109,7 +109,7 @@ func CellFeatures(m *harness.Measurement) []float64 {
 // Rows come out in grid order, so the dataset — like the grid — is
 // deterministic and independent of how many workers measured it.
 func fromGrid(g *harness.Grid, what string, target func(*harness.Measurement) float64) (*Dataset, error) {
-	ds := &Dataset{FeatureNames: FeatureNames()}
+	ds := &Dataset{FeatureNames: FeatureNames(), Rows: make([]Row, 0, len(g.Measurements))}
 	for _, m := range g.Measurements {
 		v := target(m)
 		if v <= 0 {
