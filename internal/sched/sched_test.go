@@ -347,40 +347,45 @@ func TestCostProviderSources(t *testing.T) {
 // TestForestsTrainOnFirstNeed: a grid the energy model refuses (one cell
 // with zero median energy) still builds a provider. Measured costs and time
 // predictions answer without the energy forest; only a predicted Cost, the
-// one call that needs it, reports its error. Measured costs need no forest
-// at all: a config no forest trains under still resolves them.
+// one call that needs it, reports its error.
 func TestForestsTrainOnFirstNeed(t *testing.T) {
 	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"i7-6700k", "gtx1080"}, nil)
 	g.Measurements[0].Energy.Median = 0
 	if _, err := predict.EnergyFromGrid(g); err == nil {
 		t.Fatal("EnergyFromGrid accepted a zero-energy cell")
 	}
-	noTrees := testForest()
-	noTrees.Trees = 0
 	titanx := fleetOf(t, "titanx")[0]
-	for _, cfg := range []predict.Config{testForest(), noTrees} {
-		costs, err := NewCosts(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	measuredAnswer := func(costs *Costs) {
+		t.Helper()
 		for _, m := range g.Measurements {
 			if _, err := costs.Cost(m.Benchmark, m.Size, m.Device); err != nil {
-				t.Fatalf("trees=%d: measured %s/%s on %s: %v", cfg.Trees, m.Benchmark, m.Size, m.Device.ID, err)
+				t.Fatalf("measured %s/%s on %s: %v", m.Benchmark, m.Size, m.Device.ID, err)
 			}
 		}
-		ns, err := costs.PredictNs("crc", "tiny", titanx)
-		if cfg.Trees == 0 {
-			if err == nil {
-				t.Fatal("time prediction without trees succeeded")
-			}
-			continue
-		}
-		if err != nil || ns <= 0 {
-			t.Fatalf("time prediction for an unmeasured device: %v, %v", ns, err)
-		}
-		if _, err := costs.Cost("crc", "tiny", titanx); err == nil || !strings.Contains(err.Error(), "energy") {
-			t.Fatalf("predicted Cost err = %v, want the energy model's", err)
-		}
+	}
+
+	costs, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	measuredAnswer(costs)
+	if ns, err := costs.PredictNs("crc", "tiny", titanx); err != nil || ns <= 0 {
+		t.Fatalf("time prediction for an unmeasured device: %v, %v", ns, err)
+	}
+	if _, err := costs.Cost("crc", "tiny", titanx); err == nil || !strings.Contains(err.Error(), "energy") {
+		t.Fatalf("predicted Cost err = %v, want the energy model's", err)
+	}
+
+	// Measured costs need no forest at all: they answer under a config no
+	// forest trains with.
+	noTrees := testForest()
+	noTrees.Trees = 0
+	if costs, err = NewCosts(g, noTrees); err != nil {
+		t.Fatal(err)
+	}
+	measuredAnswer(costs)
+	if _, err := costs.PredictNs("crc", "tiny", titanx); err == nil {
+		t.Fatal("time prediction without trees succeeded")
 	}
 }
 
