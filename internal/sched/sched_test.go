@@ -389,6 +389,39 @@ func TestForestsTrainOnFirstNeed(t *testing.T) {
 	}
 }
 
+// TestCostsTrainOnGridAsBuilt: the forests train after NewCosts returns,
+// on the cells the grid held then. dwarfsched merges its oracle sweep into
+// the grid its provider was built on, replacing cells in place and adding
+// others; the provider's predictions must not move.
+func TestCostsTrainOnGridAsBuilt(t *testing.T) {
+	g := measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"i7-6700k", "gtx1080"}, nil)
+	titanx := fleetOf(t, "titanx")[0]
+	ref, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.PredictNs("crc", "tiny", titanx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	costs, err := NewCosts(g, testForest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced := *g.Measurements[0]
+	replaced.Kernel.Median *= 10
+	g.Merge(&harness.Grid{Measurements: []*harness.Measurement{&replaced}})
+	g.Merge(measure(t, []string{"crc", "fft"}, []string{"tiny"}, []string{"k20m"}, nil))
+	got, err := costs.PredictNs("crc", "tiny", titanx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("prediction %v after the grid grew, want %v: the forest trained on the merged grid", got, want)
+	}
+}
+
 // TestPredictedCostsMemoised resolves every predicted cell of a small grid
 // over the whole catalogue from 8 goroutines on one provider: each answer
 // must be bitwise the one a fresh provider computes, and a repeated
