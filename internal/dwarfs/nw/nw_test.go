@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -221,5 +222,26 @@ func TestVerifyNamesCorruptedCell(t *testing.T) {
 	}
 	if err := inst.Verify(); err != nil {
 		t.Fatalf("restored matrix: %v", err)
+	}
+}
+
+// TestMatrixGolden pins the DP matrix one executing Iterate fills at seed
+// 1, after the characterisation pass harness.Prepare runs first. Verify
+// replays the same match scores the kernel reads, so a shared slip in how
+// both look a score up would pass it; this digest would not.
+func TestMatrixGolden(t *testing.T) {
+	for _, c := range []struct{ size, want string }{
+		{dwarfs.SizeSmall, "0a032d609aa7cf2e3e291d56558386e9149d402e69f80b12fb69f97fd6528858"},
+		{dwarfs.SizeMedium, "b6335a78d0d440d8c8ad7ca40c25d6a2e51379c3549b6cfa71284b5e130826df"},
+		{dwarfs.SizeLarge, "0e7b155d026539be7683edd5ceab36412cbad061730873d6e159fb052c66fbad"},
+	} {
+		inst, q := dwarfstest.Characterise(t, New(), c.size, 1)
+		q.SetSimulateOnly(false)
+		if err := inst.Iterate(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := dwarfstest.Digest(inst.(*Instance).m); got != c.want {
+			t.Errorf("%s: matrix digest %s, want %s", c.size, got, c.want)
+		}
 	}
 }

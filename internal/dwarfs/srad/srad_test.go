@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opendwarfs/internal/dwarfs"
+	"opendwarfs/internal/dwarfs/dwarfstest"
 	"opendwarfs/internal/opencl"
 )
 
@@ -164,5 +165,26 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
+	}
+}
+
+// TestGridGolden pins J after one executing Iterate at seed 1, after the
+// characterisation pass harness.Prepare runs first. Verify checks the
+// kernels against a replay of the same cell arithmetic; this digest holds
+// both to the bits they had when it was computed.
+func TestGridGolden(t *testing.T) {
+	for _, c := range []struct{ size, want string }{
+		{dwarfs.SizeSmall, "55192e856670e31042d0d397b340c03a1bbffa0f8dde6e61fcde6d9514205359"},
+		{dwarfs.SizeMedium, "d1605d21f90053dcd9f982f975a6e1fc5f3d961458ddf5e5169a1e442813f777"},
+		{dwarfs.SizeLarge, "a365ede829b29e5d20850d910131e11ac2b4c4ada86c1ba6f812c0aa030f7aea"},
+	} {
+		inst, q := dwarfstest.Characterise(t, New(), c.size, 1)
+		q.SetSimulateOnly(false)
+		if err := inst.Iterate(q); err != nil {
+			t.Fatal(err)
+		}
+		if got := dwarfstest.Digest(inst.(*Instance).J); got != c.want {
+			t.Errorf("%s: grid digest %s, want %s", c.size, got, c.want)
+		}
 	}
 }
