@@ -61,7 +61,7 @@ func TestRecurrenceHoldsAtRandomCells(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		i := rng.Intn(inst.n) + 1
 		j := rng.Intn(inst.n) + 1
-		want := inst.m[(i-1)*dim+j-1] + inst.reference[i*dim+j]
+		want := inst.m[(i-1)*dim+j-1] + inst.score[int(inst.seq2[i-1])*(Alphabet+1)+int(inst.seq1[j-1])]
 		if up := inst.m[(i-1)*dim+j] - Penalty; up > want {
 			want = up
 		}
