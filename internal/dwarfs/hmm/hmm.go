@@ -165,6 +165,8 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		f32("alpha", T*n), f32("beta", T*n), f32("gamma", T*n), f32("scale", T),
 	}
 
+	// The kernels read the backings through locals: draw sets them after
+	// Setup, so each work-item loads them from in once.
 	in.kFwdInit = &opencl.Kernel{
 		Name: "hmm_forward_init",
 		Fn: func(wi *opencl.Item) {
@@ -177,13 +179,12 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		Name: "hmm_forward_step",
 		Fn: func(wi *opencl.Item) {
 			i := wi.GlobalID(0)
-			t := in.t
+			t, a, alpha := in.t, in.a, in.alpha
 			sum := float32(0)
-			prev := in.alpha[(t-1)*n:]
-			for j := 0; j < n; j++ {
-				sum += prev[j] * in.a[j*n+i]
+			for j, p := range alpha[(t-1)*n : t*n] {
+				sum += p * a[j*n+i]
 			}
-			in.alpha[t*n+i] = sum * in.b[i*in.s+int(in.obs[t])]
+			alpha[t*n+i] = sum * in.b[i*in.s+int(in.obs[t])]
 		},
 		Profile: func(ndr opencl.NDRange) *sim.KernelProfile { return in.profileMat("hmm_forward_step", ndr) },
 	}
@@ -191,13 +192,14 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		Name: "hmm_backward_step",
 		Fn: func(wi *opencl.Item) {
 			i := wi.GlobalID(0)
-			t := in.t
+			t, b, s, beta := in.t, in.b, in.s, in.beta
+			o := int(in.obs[t+1])
+			next := beta[(t+1)*n : (t+2)*n]
 			sum := float32(0)
-			next := in.beta[(t+1)*n:]
-			for j := 0; j < n; j++ {
-				sum += in.a[i*n+j] * in.b[j*in.s+int(in.obs[t+1])] * next[j]
+			for j, aij := range in.a[i*n : (i+1)*n] {
+				sum += aij * b[j*s+o] * next[j]
 			}
-			in.beta[t*n+i] = sum / in.scale[t+1]
+			beta[t*n+i] = sum / in.scale[t+1]
 		},
 		Profile: func(ndr opencl.NDRange) *sim.KernelProfile { return in.profileMat("hmm_backward_step", ndr) },
 	}
@@ -214,14 +216,16 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		Fn: func(wi *opencl.Item) {
 			idx := wi.GlobalID(0)
 			i, j := idx/n, idx%n
+			alpha, beta, gamma, scale, obs := in.alpha, in.beta, in.gamma, in.scale, in.obs
+			aij, bj := in.a[idx], in.b[j*in.s:]
 			num, den := float32(0), float32(0)
 			for t := 0; t < T-1; t++ {
-				xi := in.alpha[t*n+i] * in.a[i*n+j] * in.b[j*in.s+int(in.obs[t+1])] * in.beta[(t+1)*n+j] / in.scale[t+1]
+				xi := alpha[t*n+i] * aij * bj[obs[t+1]] * beta[(t+1)*n+j] / scale[t+1]
 				num += xi
-				den += in.gamma[t*n+i]
+				den += gamma[t*n+i]
 			}
 			if den > 0 {
-				in.a[i*n+j] = num / den
+				in.a[idx] = num / den
 			}
 		},
 		Profile: func(ndr opencl.NDRange) *sim.KernelProfile { return in.profileUpdate("hmm_update_a", ndr) },
@@ -403,16 +407,18 @@ func (in *Instance) Verify() error {
 	return nil
 }
 
-// serialStep replays one Baum-Welch step serially with the same arithmetic
-// order as the kernels.
+// serialStep replays one Baum-Welch step serially. Every sum runs over the
+// same terms in the same order as the kernel's, so the replay matches the
+// kernels bit for bit; the forward step and the A update accumulate a row
+// of states at a time, so that they read A along its rows.
 func (in *Instance) serialStep() (refA, refB []float32) {
 	n, s := in.n, in.s
-	a := append([]float32(nil), in.a0...)
-	b := append([]float32(nil), in.b0...)
+	a, b := in.a0, in.b0
 	alpha := make([]float32, T*n)
 	beta := make([]float32, T*n)
 	gamma := make([]float32, T*n)
 	scale := make([]float32, T)
+	row := make([]float32, n) // one sum per state
 
 	for i := 0; i < n; i++ {
 		alpha[i] = in.pi0[i] * b[i*s+int(in.obs[0])]
@@ -432,12 +438,15 @@ func (in *Instance) serialStep() (refA, refB []float32) {
 	}
 	resc(0)
 	for t := 1; t < T; t++ {
-		for i := 0; i < n; i++ {
-			sum := float32(0)
-			for j := 0; j < n; j++ {
-				sum += alpha[(t-1)*n+j] * a[j*n+i]
+		clear(row)
+		for j, p := range alpha[(t-1)*n : t*n] {
+			for i, aji := range a[j*n : (j+1)*n] {
+				row[i] += p * aji
 			}
-			alpha[t*n+i] = sum * b[i*s+int(in.obs[t])]
+		}
+		o := int(in.obs[t])
+		for i, sum := range row {
+			alpha[t*n+i] = sum * b[i*s+o]
 		}
 		resc(t)
 	}
@@ -445,10 +454,12 @@ func (in *Instance) serialStep() (refA, refB []float32) {
 		beta[(T-1)*n+i] = 1
 	}
 	for t := T - 2; t >= 0; t-- {
+		o := int(in.obs[t+1])
+		next := beta[(t+1)*n : (t+2)*n]
 		for i := 0; i < n; i++ {
 			sum := float32(0)
-			for j := 0; j < n; j++ {
-				sum += a[i*n+j] * b[j*s+int(in.obs[t+1])] * beta[(t+1)*n+j]
+			for j, aij := range a[i*n : (i+1)*n] {
+				sum += aij * b[j*s+o] * next[j]
 			}
 			beta[t*n+i] = sum / scale[t+1]
 		}
@@ -459,14 +470,20 @@ func (in *Instance) serialStep() (refA, refB []float32) {
 	refA = make([]float32, n*n)
 	copy(refA, a)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			num, den := float32(0), float32(0)
-			for t := 0; t < T-1; t++ {
-				xi := alpha[t*n+i] * a[i*n+j] * b[j*s+int(in.obs[t+1])] * beta[(t+1)*n+j] / scale[t+1]
-				num += xi
-				den += gamma[t*n+i]
+		clear(row)
+		den := float32(0)
+		ai := a[i*n : (i+1)*n]
+		for t := 0; t < T-1; t++ {
+			at, st, o := alpha[t*n+i], scale[t+1], int(in.obs[t+1])
+			next := beta[(t+1)*n : (t+2)*n]
+			for j, aij := range ai {
+				xi := at * aij * b[j*s+o] * next[j] / st
+				row[j] += xi
 			}
-			if den > 0 {
+			den += gamma[t*n+i]
+		}
+		if den > 0 {
+			for j, num := range row {
 				refA[i*n+j] = num / den
 			}
 		}
