@@ -129,7 +129,8 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		Fn: func(wi *opencl.Item) {
 			j := wi.GlobalID(0)
 			i := wi.GlobalID(1)
-			srad1Cell(in, i, j, rows, cols)
+			idx := i*cols + j
+			in.dN[idx], in.dS[idx], in.dW[idx], in.dE[idx], in.c[idx] = srad1Cell(in.J, in.q0sqr, i, j, rows, cols)
 		},
 		Profile: func(ndr opencl.NDRange) *sim.KernelProfile { return in.profile("srad1", ndr, 5*4, 5*4) },
 	}
@@ -138,7 +139,9 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 		Fn: func(wi *opencl.Item) {
 			j := wi.GlobalID(0)
 			i := wi.GlobalID(1)
-			srad2Cell(in, i, j, rows, cols)
+			row, south := i*cols, min(i+1, rows-1)*cols
+			srad2Cell(in.J[row:row+cols], in.c[row:row+cols], in.c[south:south+cols],
+				in.dN[row:], in.dS[row:], in.dW[row:], in.dE[row:], j)
 		},
 		Profile: func(ndr opencl.NDRange) *sim.KernelProfile { return in.profile("srad2", ndr, 6*4, 4) },
 	}
@@ -150,50 +153,48 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 	return nil
 }
 
-// srad1Cell computes the Rodinia srad kernel 1 update for one cell:
-// four-neighbour gradients, instantaneous coefficient of variation, and the
-// clamped diffusion coefficient.
-func srad1Cell(in *Instance, i, j, rows, cols int) {
-	idx := i*cols + j
-	jc := in.J[idx]
-	n := in.J[max(i-1, 0)*cols+j] - jc
-	s := in.J[min(i+1, rows-1)*cols+j] - jc
-	w := in.J[i*cols+max(j-1, 0)] - jc
-	e := in.J[i*cols+min(j+1, cols-1)] - jc
-	in.dN[idx], in.dS[idx], in.dW[idx], in.dE[idx] = n, s, w, e
+// srad1Cell returns the Rodinia srad kernel 1 values for cell (i, j) of J:
+// the four-neighbour gradients and the clamped diffusion coefficient
+// derived from the instantaneous coefficient of variation.
+func srad1Cell(J []float32, q0sqr float32, i, j, rows, cols int) (n, s, w, e, c float32) {
+	jc := J[i*cols+j]
+	n = J[max(i-1, 0)*cols+j] - jc
+	s = J[min(i+1, rows-1)*cols+j] - jc
+	w = J[i*cols+max(j-1, 0)] - jc
+	e = J[i*cols+min(j+1, cols-1)] - jc
 
 	g2 := (n*n + s*s + w*w + e*e) / (jc * jc)
 	l := (n + s + w + e) / jc
 	num := 0.5*g2 - (l*l)/16
 	den := 1 + 0.25*l
 	qsqr := num / (den * den)
-	if in.q0sqr == 0 {
+	if q0sqr == 0 {
 		// Perfectly homogeneous ROI: no speckle to diffuse. The original
 		// code divides by zero here and NaN-poisons the grid — one of the
 		// robustness failures the paper's curation targets (§2); clamp to
 		// full conduction instead.
-		in.c[idx] = 1
-		return
+		return n, s, w, e, 1
 	}
-	d := (qsqr - in.q0sqr) / (in.q0sqr * (1 + in.q0sqr))
-	cv := 1 / (1 + d)
-	if cv < 0 {
-		cv = 0
-	} else if cv > 1 {
-		cv = 1
+	d := (qsqr - q0sqr) / (q0sqr * (1 + q0sqr))
+	c = 1 / (1 + d)
+	if c < 0 {
+		c = 0
+	} else if c > 1 {
+		c = 1
 	}
-	in.c[idx] = cv
+	return n, s, w, e, c
 }
 
-// srad2Cell applies the divergence update for one cell.
-func srad2Cell(in *Instance, i, j, rows, cols int) {
-	idx := i*cols + j
-	cN := in.c[idx]
-	cS := in.c[min(i+1, rows-1)*cols+j]
-	cW := in.c[idx]
-	cE := in.c[i*cols+min(j+1, cols-1)]
-	d := cN*in.dN[idx] + cS*in.dS[idx] + cW*in.dW[idx] + cE*in.dE[idx]
-	in.J[idx] += 0.25 * Lambda * d
+// srad2Cell applies the divergence update to cell j of row J. c and the
+// four derivatives are srad1's output on the same row, and south is c on
+// the row below (the same row at the bottom edge).
+func srad2Cell(J, c, south, dN, dS, dW, dE []float32, j int) {
+	cN := c[j]
+	cS := south[j]
+	cW := c[j]
+	cE := c[min(j+1, len(c)-1)]
+	d := cN*dN[j] + cS*dS[j] + cW*dW[j] + cE*dE[j]
+	J[j] += 0.25 * Lambda * d
 }
 
 // profile characterises a grid pass: a classic five-point stencil,
@@ -269,38 +270,43 @@ func gridLocal(n int) int {
 func (in *Instance) Grid() []float32 { return in.J }
 
 // Verify implements dwarfs.Instance: replay the same number of iterations
-// serially and require bitwise-identical grids (same per-cell arithmetic
-// order).
+// serially and require bitwise-identical grids (same per-cell arithmetic).
+// The replay keeps srad1's output for two rows: srad2 on row i reads it on
+// rows i and i+1, and srad1 on row i+1 is the last reader of row i's J
+// before srad2 updates it.
 func (in *Instance) Verify() error {
 	if in.iterations == 0 {
 		return fmt.Errorf("srad: Verify before an executing Iterate")
 	}
-	ref := &Instance{
-		rows: in.rows, cols: in.cols,
-		r1: in.r1, r2: in.r2, c1: in.c1, c2: in.c2,
-		J:  append([]float32(nil), in.originalJ...),
-		c:  make([]float32, in.rows*in.cols),
-		dN: make([]float32, in.rows*in.cols),
-		dS: make([]float32, in.rows*in.cols),
-		dW: make([]float32, in.rows*in.cols),
-		dE: make([]float32, in.rows*in.cols),
+	rows, cols := in.rows, in.cols
+	J := append([]float32(nil), in.originalJ...)
+	var c, dN, dS, dW, dE [2][]float32
+	for _, p := range []*[2][]float32{&c, &dN, &dS, &dW, &dE} {
+		p[0], p[1] = make([]float32, cols), make([]float32, cols)
+	}
+	srad1Row := func(i int, q0sqr float32) {
+		r := i % 2
+		for j := 0; j < cols; j++ {
+			dN[r][j], dS[r][j], dW[r][j], dE[r][j], c[r][j] = srad1Cell(J, q0sqr, i, j, rows, cols)
+		}
 	}
 	for it := 0; it < in.iterations; it++ {
-		ref.q0sqr = roiStatistic(ref.J, ref.cols, ref.r1, ref.r2, ref.c1, ref.c2)
-		for i := 0; i < ref.rows; i++ {
-			for j := 0; j < ref.cols; j++ {
-				srad1Cell(ref, i, j, ref.rows, ref.cols)
+		q0sqr := roiStatistic(J, cols, in.r1, in.r2, in.c1, in.c2)
+		srad1Row(0, q0sqr)
+		for i := 0; i < rows; i++ {
+			if i+1 < rows {
+				srad1Row(i+1, q0sqr)
 			}
-		}
-		for i := 0; i < ref.rows; i++ {
-			for j := 0; j < ref.cols; j++ {
-				srad2Cell(ref, i, j, ref.rows, ref.cols)
+			r, south := i%2, min(i+1, rows-1)%2
+			row := J[i*cols : (i+1)*cols]
+			for j := 0; j < cols; j++ {
+				srad2Cell(row, c[r], c[south], dN[r], dS[r], dW[r], dE[r], j)
 			}
 		}
 	}
-	for idx := range ref.J {
-		if ref.J[idx] != in.J[idx] {
-			return fmt.Errorf("srad: cell %d = %f, reference %f", idx, in.J[idx], ref.J[idx])
+	for idx := range J {
+		if J[idx] != in.J[idx] {
+			return fmt.Errorf("srad: cell %d = %f, reference %f", idx, in.J[idx], J[idx])
 		}
 	}
 	return nil
