@@ -3,6 +3,8 @@ package data
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +141,30 @@ func TestCreateCSRValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortColumns agrees with slices.Sort on distinct columns at one, two and
+// three radix passes, below and above the row length it sorts by radix.
+func TestSortColumnsMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var scratch []int32
+	for passes := 1; passes <= 3; passes++ {
+		for _, k := range []int{0, 5, 31, 32, 80, 200} {
+			seen := map[int32]bool{}
+			row := make([]int32, 0, k)
+			for len(row) < k {
+				if c := int32(rng.Intn(1 << (8 * passes))); !seen[c] {
+					seen[c] = true
+					row = append(row, c)
+				}
+			}
+			want := slices.Sorted(slices.Values(row))
+			scratch = sortColumns(row, scratch, passes)
+			if !slices.Equal(row, want) {
+				t.Fatalf("%d passes, %d columns: %v, want %v", passes, k, row, want)
+			}
+		}
 	}
 }
 
