@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"opendwarfs/internal/sim"
 )
@@ -196,8 +197,9 @@ func (b *groupBarrier) breakBarrier() {
 	b.mu.Unlock()
 }
 
-// execute runs the kernel functionally over the NDRange: work-groups are
-// distributed over a host worker pool; items within a group run sequentially
+// execute runs the kernel functionally over the NDRange. Workers claim
+// work-group indices from a shared counter, the launching goroutine among
+// them, so groups run in any order; items within a group run sequentially
 // (or as goroutines with a cyclic barrier for UsesBarrier kernels). Every
 // Item of the launch shares ndr, and each worker reuses one Item across the
 // barrier-free groups it runs.
@@ -206,89 +208,84 @@ func (k *Kernel) execute(ndr NDRange) error {
 		return fmt.Errorf("opencl: kernel %q has no function", k.Name)
 	}
 	groups := ndr.NumGroups()
-	nGroups := groups[0] * groups[1] * groups[2]
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nGroups {
-		workers = nGroups
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	perZ := groups[0] * groups[1]
+	nGroups := perZ * groups[2]
 
-	var wg sync.WaitGroup
-	idx := make(chan int, workers)
-	errs := make(chan error, 1)
-	reportErr := func(err error) {
-		select {
-		case errs <- err:
-		default:
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		first error
+	)
+	work := func() {
+		wi := &Item{ndr: &ndr}
+		for g := int(next.Add(1) - 1); g < nGroups; g = int(next.Add(1) - 1) {
+			if err := k.runGroup(wi, [3]int{g % groups[0], g % perZ / groups[0], g / perZ}); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
 		}
 	}
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), nGroups); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wi := &Item{ndr: &ndr}
-			for g := range idx {
-				gz := g / (groups[0] * groups[1])
-				rem := g % (groups[0] * groups[1])
-				gy := rem / groups[0]
-				gx := rem % groups[0]
-				if err := k.runGroup(wi, [3]int{gx, gy, gz}); err != nil {
-					reportErr(err)
-				}
-			}
+			work()
 		}()
 	}
-	for g := 0; g < nGroups; g++ {
-		idx <- g
-	}
-	close(idx)
+	work()
 	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
+	return first
 }
 
 // runGroup executes one work-group, converting work-item panics to errors.
-// A barrier-free group runs its items in turn on wi, the worker's Item; a
-// barrier group gets one Item per work-item, each on its own goroutine.
+// A barrier-free group runs its items in turn on wi, the worker's Item, and
+// allocates nothing unless MakeLocals does; a barrier group runs on
+// runBarrierGroup.
 func (k *Kernel) runGroup(wi *Item, grp [3]int) (err error) {
 	ndr := wi.ndr
 	var locals any
 	if k.MakeLocals != nil {
 		locals = k.MakeLocals()
 	}
-	if !k.UsesBarrier {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("opencl: kernel %q panicked in group %v: %v", k.Name, grp, r)
-			}
-		}()
-		wi.grp, wi.Locals = grp, locals
-		for lz := 0; lz < ndr.Local[2]; lz++ {
-			for ly := 0; ly < ndr.Local[1]; ly++ {
-				for lx := 0; lx < ndr.Local[0]; lx++ {
-					wi.lid = [3]int{lx, ly, lz}
-					wi.gid = [3]int{
-						grp[0]*ndr.Local[0] + lx,
-						grp[1]*ndr.Local[1] + ly,
-						grp[2]*ndr.Local[2] + lz,
-					}
-					k.Fn(wi)
+	if k.UsesBarrier {
+		return k.runBarrierGroup(ndr, grp, locals)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("opencl: kernel %q panicked in group %v: %v", k.Name, grp, r)
+		}
+	}()
+	wi.grp, wi.Locals = grp, locals
+	for lz := 0; lz < ndr.Local[2]; lz++ {
+		for ly := 0; ly < ndr.Local[1]; ly++ {
+			for lx := 0; lx < ndr.Local[0]; lx++ {
+				wi.lid = [3]int{lx, ly, lz}
+				wi.gid = [3]int{
+					grp[0]*ndr.Local[0] + lx,
+					grp[1]*ndr.Local[1] + ly,
+					grp[2]*ndr.Local[2] + lz,
 				}
+				k.Fn(wi)
 			}
 		}
-		return nil
 	}
+	return nil
+}
 
-	size := ndr.GroupSize()
-	bar := newGroupBarrier(size)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+// runBarrierGroup executes one work-group of a UsesBarrier kernel: one Item
+// per work-item, each on its own goroutine, sharing a cyclic barrier. The
+// first work-item panic becomes the error and breaks the barrier.
+func (k *Kernel) runBarrierGroup(ndr *NDRange, grp [3]int, locals any) error {
+	bar := newGroupBarrier(ndr.GroupSize())
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		err error
+	)
 	for lz := 0; lz < ndr.Local[2]; lz++ {
 		for ly := 0; ly < ndr.Local[1]; ly++ {
 			for lx := 0; lx < ndr.Local[0]; lx++ {

@@ -281,6 +281,31 @@ func TestVectorAddKernel(t *testing.T) {
 	}
 }
 
+// A barrier-free launch allocates as much over 4096 work-groups as over
+// one: no work-group allocates. (AllocsPerRun runs at GOMAXPROCS 1, so
+// both launches have one worker.)
+func TestBarrierFreeGroupsAllocateNothing(t *testing.T) {
+	ctx, q := newCPUQueue(t)
+	const local, most = 16, 4096
+	out := Data[int32](NewBuffer[int32](ctx, "out", most*local))
+	k := &Kernel{
+		Name:    "mark",
+		Fn:      func(wi *Item) { out[wi.GlobalID(0)]++ },
+		Profile: simpleProfile,
+	}
+	allocs := func(groups int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := q.EnqueueNDRange(k, NDR1(groups*local, local)); err != nil {
+				t.Fatal(err)
+			}
+			q.DrainEvents()
+		})
+	}
+	if one, many := allocs(1), allocs(most); one != many {
+		t.Fatalf("a launch of 1 group allocates %v times, of %d groups %v times", one, most, many)
+	}
+}
+
 func TestKernel2DCoversIndexSpace(t *testing.T) {
 	ctx, q := newCPUQueue(t)
 	const gx, gy = 48, 32
