@@ -824,6 +824,18 @@ func TestScheduleValidation(t *testing.T) {
 
 	// srad/tiny is a valid workload but has no stored cells on any device.
 	postSchedule(t, srv, `{"tasks":[{"benchmark":"srad","size":"tiny"}]}`, http.StatusNotFound)
+
+	// An empty store holds none of the workload's rows: 404 naming each,
+	// sorted, as for unmeasured rows on any store.
+	empty, err := newServer(openStore(t), predict.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postSchedule(t, empty, `{"tasks":[{"benchmark":"fft","size":"tiny"},{"benchmark":"crc","size":"small"},{"benchmark":"fft","size":"tiny"}]}`,
+		http.StatusNotFound)
+	if want := "no stored measurement of crc/small, fft/tiny on any device"; !strings.Contains(resp["error"].(string), want) {
+		t.Fatalf("empty-store error %q, want it to contain %q", resp["error"], want)
+	}
 }
 
 // TestPredictRetrainsAfterJob: the forest is invalidated when a job adds

@@ -83,14 +83,20 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	costs, err := s.snap.Load().costs()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	// Prediction needs each row's AIWC profiles, which come from stored
 	// cells; a row never measured on any device is a 404, like /v1/predict.
-	if missing := costs.MissingRows(workload); len(missing) > 0 {
+	// The provider fails only on an empty store, which holds no row.
+	costs, err := s.snap.Load().costs()
+	var missing []string
+	if err != nil {
+		for _, row := range workload.Rows() {
+			missing = append(missing, row[0]+"/"+row[1])
+		}
+		slices.Sort(missing)
+	} else {
+		missing = costs.MissingRows(workload)
+	}
+	if len(missing) > 0 {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("no stored measurement of %s on any device; sweep them into the store first",
 				strings.Join(missing, ", ")))

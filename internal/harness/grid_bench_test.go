@@ -192,8 +192,9 @@ func BenchmarkRunGridCachedCells(b *testing.B) {
 
 // BenchmarkPrepare times one row's Prepare at the paper's options. dwt,
 // lud and hmm at large exceed the functional budget, so their datasets
-// are never drawn and each costs only the characterisation pass; csr/large
-// and fft/medium generate, execute and verify.
+// are never drawn and each costs only the characterisation pass; csr/large,
+// fft/medium, nw/large, hmm/small and srad/large generate, execute and
+// verify.
 func BenchmarkPrepare(b *testing.B) {
 	reg := suite.New()
 	opt := DefaultOptions()
@@ -206,6 +207,9 @@ func BenchmarkPrepare(b *testing.B) {
 		{"hmm", "large", false},
 		{"csr", "large", true},
 		{"fft", "medium", true},
+		{"nw", "large", true},
+		{"hmm", "small", true},
+		{"srad", "large", true},
 	} {
 		bench, err := reg.Get(row.bench)
 		if err != nil {

@@ -109,6 +109,40 @@ func TestPrepareSimulateOnlyAllocatesNoBuffers(t *testing.T) {
 	}
 }
 
+// A functional row allocates what its execution needs and little more:
+// nw/large its one DP matrix (its reference buffer is declared but never
+// backed, and Verify keeps two rows), srad/large eight grid planes (the
+// input image, six buffers and Verify's replayed J, which keeps its
+// derivatives for two rows). Each may add 4 MiB of smaller allocations.
+func TestPrepareAllocatesOnlyWhatRuns(t *testing.T) {
+	reg := suite.New()
+	for _, row := range []struct {
+		bench string
+		bytes uint64
+	}{
+		{"nw", 4097 * 4097 * 4},
+		{"srad", 8 * 2048 * 1024 * 4},
+	} {
+		b, err := reg.Get(row.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := Prepare(context.Background(), b, "large", DefaultOptions())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Functional || !p.Verified {
+			t.Fatalf("%s/large: Functional %v, Verified %v; want both", row.bench, p.Functional, p.Verified)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= row.bytes+4<<20 {
+			t.Errorf("%s/large: Prepare allocated %d B, want < %d B + 4 MiB", row.bench, alloc, row.bytes)
+		}
+	}
+}
+
 func TestRunEveryBenchmarkTinyFunctional(t *testing.T) {
 	// Every dwarf except nqueens (n=18) must run functionally and verify
 	// at the tiny size on a CPU device.
