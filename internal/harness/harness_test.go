@@ -112,8 +112,9 @@ func TestPrepareSimulateOnlyAllocatesNoBuffers(t *testing.T) {
 // A functional row allocates what its execution needs and little more:
 // nw/large its one DP matrix (its reference buffer is declared but never
 // backed, and Verify keeps two rows), srad/large eight grid planes (the
-// input image, six buffers and Verify's replayed J, which keeps its
-// derivatives for two rows). Each may add 4 MiB of smaller allocations.
+// input image, six buffers and the J Verify replays; the replay keeps
+// srad1's output for two rows). Each may add 4 MiB of smaller
+// allocations.
 func TestPrepareAllocatesOnlyWhatRuns(t *testing.T) {
 	reg := suite.New()
 	for _, row := range []struct {
