@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"opendwarfs/internal/par"
 )
 
 // Prediction is one held-out cell's predicted-versus-actual pair.
@@ -76,7 +78,7 @@ func crossValidate(ds *Dataset, cfg Config, groupBy string, keys []string, key f
 	// minus Workers), so slot-addressed writes keep determinism.
 	inner := cfg
 	inner.Workers = 1
-	cfg.forEach(len(sorted), func(i int) {
+	par.For(cfg.Workers, len(sorted), func(i int) {
 		held, rest := ds.Split(func(r *Row) bool { return key(r) == sorted[i] })
 		fold, err := evalFold(ds.FeatureNames, sorted[i], held, rest, inner)
 		if err != nil {

@@ -3,11 +3,9 @@ package predict
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"opendwarfs/internal/par"
 )
 
 // Config parameterises forest training. The zero value is not usable; see
@@ -22,9 +20,9 @@ type Config struct {
 	// FeatureFrac is the fraction of features each split considers.
 	FeatureFrac float64
 	// Seed drives bootstrap sampling and feature subsampling. Training is
-	// a pure function of (data, Config minus Workers): every tree derives
-	// its own rng from Seed and its index, so Workers changes wall-clock
-	// time, never the model.
+	// a pure function of (data, Config minus Workers): every tree draws
+	// from a generator seeded from Seed and its index, so Workers changes
+	// wall-clock time, never the model.
 	Seed int64
 	// Workers is the goroutine count for training and cross-validation,
 	// with RunGrid's convention: 0 = GOMAXPROCS, 1 = sequential.
@@ -46,49 +44,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("predict: feature fraction out of (0,1]")
 	}
 	return nil
-}
-
-func (c Config) workers(jobs int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEach runs fn(i) for i in [0,n) across the configured worker count —
-// the same atomic-counter pool RunGrid uses for grid cells. Results must be
-// written to index-addressed slots so the outcome is order-independent.
-func (c Config) forEach(n int, fn func(int)) {
-	workers := c.workers(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Forest is a trained random-forest regressor over log-runtime.
@@ -154,14 +109,14 @@ func TrainRows(names []string, rows []Row, cfg Config) (*Forest, error) {
 	gc := growConfig{maxDepth: cfg.MaxDepth, minLeaf: cfg.MinLeaf, featureFrac: cfg.FeatureFrac}
 	// One grower per worker, lent to one tree at a time: the channel
 	// holds all of them, so taking one never blocks.
-	growers := make(chan *grower, cfg.workers(cfg.Trees))
+	growers := make(chan *grower, par.Workers(cfg.Workers, cfg.Trees))
 	for len(growers) < cap(growers) {
 		growers <- newGrower(cols, y, order, gc)
 	}
-	cfg.forEach(cfg.Trees, func(t int) {
+	par.For(cfg.Workers, cfg.Trees, func(t int) {
 		g := <-growers
 		imp := make([]float64, len(names))
-		f.trees[t] = g.grow(rand.New(rand.NewSource(treeSeed(cfg.Seed, t))), imp)
+		f.trees[t] = g.grow(treeSeed(cfg.Seed, t), imp)
 		perTree[t] = imp
 		growers <- g
 	})

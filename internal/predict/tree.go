@@ -46,11 +46,11 @@ func presort(cols [][]float64) [][]int32 {
 	return order
 }
 
-// grower holds one worker's tree-construction state. Its buffers are
-// sized once for the forest's rows and reused by every tree the worker
-// grows. All randomness flows through rng, which one goroutine owns, and
-// nodes are expanded depth-first left-to-right, so a tree is a pure
-// function of (data, rng seed).
+// grower holds one worker's tree-construction state. Its buffers, its
+// node buffer and its generator are made once and reused by every tree
+// the worker grows. All randomness flows through rng, which one goroutine
+// owns and grow re-seeds per tree, and nodes are expanded depth-first
+// left-to-right, so a tree is a pure function of (data, seed).
 //
 // A node owns the same range [lo, hi) of samples and of every feature's
 // segment of sorted. samples holds the node's bootstrap draws in draw
@@ -64,8 +64,8 @@ type grower struct {
 	cfg   growConfig
 
 	rng        *rand.Rand
-	nodes      []treeNode
-	importance []float64 // summed SSE reduction per feature
+	nodes      []treeNode // the tree being grown; grow hands out a copy
+	importance []float64  // summed SSE reduction per feature
 
 	featIdx []int   // feature subsampling
 	count   []int32 // per row: bootstrap multiplicity
@@ -79,6 +79,7 @@ func newGrower(cols [][]float64, y []float64, order [][]int32, cfg growConfig) *
 	n := len(y)
 	return &grower{
 		cols: cols, y: y, order: order, cfg: cfg,
+		rng:     rand.New(rand.NewSource(0)),
 		featIdx: make([]int, len(cols)),
 		count:   make([]int32, n),
 		samples: make([]int32, n),
@@ -88,14 +89,18 @@ func newGrower(cols [][]float64, y []float64, order [][]int32, cfg growConfig) *
 	}
 }
 
-// grow draws a bootstrap sample of the rows from rng and fits one tree on
-// it, drawing its feature subsets from the same rng. importance
-// accumulates each split's SSE reduction into the split feature's slot.
-func (g *grower) grow(rng *rand.Rand, importance []float64) *tree {
+// grow re-seeds the grower's generator with seed, draws a bootstrap
+// sample of the rows from it and fits one tree on that sample, drawing its
+// feature subsets from the same generator. Seed resets the generator's
+// whole state, so the draws are those of a fresh rand.NewSource(seed).
+// importance accumulates each split's SSE reduction into the split
+// feature's slot.
+func (g *grower) grow(seed int64, importance []float64) *tree {
 	n := len(g.y)
+	g.rng.Seed(seed)
 	clear(g.count)
 	for i := range g.samples {
-		r := int32(rng.Intn(n))
+		r := int32(g.rng.Intn(n))
 		g.samples[i] = r
 		g.count[r]++
 	}
@@ -111,9 +116,11 @@ func (g *grower) grow(rng *rand.Rand, importance []float64) *tree {
 			}
 		}
 	}
-	g.rng, g.importance, g.nodes = rng, importance, nil
+	g.importance, g.nodes = importance, g.nodes[:0]
 	g.build(0, n, 0)
-	return &tree{nodes: g.nodes}
+	nodes := make([]treeNode, len(g.nodes))
+	copy(nodes, g.nodes)
+	return &tree{nodes: nodes}
 }
 
 // build grows the subtree over the node range [lo, hi) at the given depth
