@@ -20,6 +20,9 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte(good + `{"key":"torn","val`))               // torn tail (TestTornTailLineIsDiscarded)
 	f.Add([]byte(good[:len(good)-20]))                       // truncated mid-line (TestCrashTruncationRecovery)
 	f.Add([]byte("not json\n{\"key\":\"k\",\"value\":1}\n")) // corrupt interior line (TestCorruptInteriorLineIsAnError)
+	f.Add([]byte(good + "not json\n{\"key\":\n"))            // two corrupt lines
+	f.Add([]byte("\n \n\t\n" + good + "not json\n"))         // blank lines before a corrupt line
+	f.Add([]byte(good + good))                               // every key duplicated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		const name = "seg-000001.jsonl"

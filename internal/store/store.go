@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"opendwarfs/internal/obs"
+	"opendwarfs/internal/par"
 )
 
 const (
@@ -121,8 +122,9 @@ func Open(dir string) (*Store, error) {
 	}
 	sort.Strings(segs)
 	files = append(files, segs...)
+	var rp replayer
 	for _, f := range files {
-		if err := s.replay(f); err != nil {
+		if err := s.replay(f, &rp); err != nil {
 			return nil, err
 		}
 	}
@@ -130,40 +132,101 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// replay loads one JSONL file into the index, later lines overriding earlier
-// ones. A torn final line (no trailing newline, from a crash mid-append) is
+// replayBatch bounds the bytes of whole lines Open reads and parses at a
+// time, and so the memory replay uses beyond the records it keeps. A line
+// longer than the batch is read whole.
+const replayBatch = 1 << 20
+
+// replayer is Open's scratch space, reused batch after batch and file
+// after file: the bytes read and the non-blank lines found in them.
+type replayer struct {
+	buf   []byte
+	lines []replayLine
+}
+
+// replayLine is one non-blank line of a batch, with its trailing newline,
+// its 1-based line number in its file and the error its parse returned.
+type replayLine struct {
+	text []byte
+	no   int
+	err  error
+}
+
+// replay loads one JSONL file into the index, later lines overriding
+// earlier ones. It reads whole lines in batches of up to replayBatch bytes;
+// applyBatch parses a batch on every core and applies it in line order. A
+// torn final line (no trailing newline, from a crash mid-append) is
 // silently dropped; a malformed interior line is an error.
-func (s *Store) replay(path string) error {
+func (s *Store) replay(path string, rp *replayer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	for lineNo := 1; ; lineNo++ {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			if len(bytes.TrimSpace(line)) > 0 {
-				return nil // torn tail write, discard
-			}
-			return nil
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %s: %w", path, err)
+	}
+	// A small file gets a small buffer; a file that grows while it is read
+	// is still read to its end.
+	if want := int(min(replayBatch, max(fi.Size(), 1))); len(rp.buf) < want {
+		rp.buf = make([]byte, want)
+	}
+	lineNo, tail := 0, 0 // lines consumed so far; bytes of an unfinished line at the front of buf
+	for {
+		if tail == len(rp.buf) {
+			rp.buf = append(rp.buf, make([]byte, len(rp.buf))...) // one line fills the buffer
 		}
-		if err != nil {
+		n, err := io.ReadFull(f, rp.buf[tail:])
+		eof := err == io.EOF || err == io.ErrUnexpectedEOF
+		if err != nil && !eof {
 			return fmt.Errorf("store: %s: %w", path, err)
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		filled := tail + n
+		end := bytes.LastIndexByte(rp.buf[:filled], '\n') + 1
+		if err := s.applyBatch(path, rp, rp.buf[:end], &lineNo); err != nil {
+			return err
 		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("store: %s line %d: %w", path, lineNo, err)
+		tail = copy(rp.buf, rp.buf[end:filled])
+		if eof {
+			return nil // buf[:tail] is a torn tail write, if anything: discard
 		}
-		if rec.Key == "" {
-			return fmt.Errorf("store: %s line %d: record with empty key", path, lineNo)
-		}
-		sh := s.shard(rec.Key)
-		sh.recs[rec.Key] = &rec
 	}
+}
+
+// applyBatch parses batch, whole newline-terminated lines numbered on from
+// *lineNo, into records on every core, then publishes them in line order,
+// so a later line wins and the first bad line in file order is the one
+// reported, whichever parse finished first. Blank lines are skipped but
+// counted.
+func (s *Store) applyBatch(path string, rp *replayer, batch []byte, lineNo *int) error {
+	rp.lines = rp.lines[:0]
+	for len(batch) > 0 {
+		i := bytes.IndexByte(batch, '\n') + 1
+		line := batch[:i]
+		batch = batch[i:]
+		*lineNo++
+		if len(bytes.TrimSpace(line)) > 0 {
+			rp.lines = append(rp.lines, replayLine{text: line, no: *lineNo})
+		}
+	}
+	recs := make([]Record, len(rp.lines))
+	par.For(0, len(rp.lines), func(i int) {
+		l := &rp.lines[i]
+		if err := json.Unmarshal(l.text, &recs[i]); err != nil {
+			l.err = fmt.Errorf("store: %s line %d: %w", path, l.no, err)
+		} else if recs[i].Key == "" {
+			l.err = fmt.Errorf("store: %s line %d: record with empty key", path, l.no)
+		}
+	})
+	for i := range rp.lines {
+		if err := rp.lines[i].err; err != nil {
+			return err
+		}
+		rec := &recs[i]
+		s.shard(rec.Key).recs[rec.Key] = rec
+	}
+	return nil
 }
 
 // shard returns key's shard of the in-memory index: the key's 32-bit

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -58,6 +59,9 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestLastWriteWins: within a segment the last line of a key wins, and a
+// later segment wins over an earlier one, however the replay's parses are
+// scheduled.
 func TestLastWriteWins(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -66,6 +70,9 @@ func TestLastWriteWins(t *testing.T) {
 	}
 	put(t, s, "k", "crc", "tiny", "gtx1080", 1)
 	put(t, s, "k", "crc", "tiny", "gtx1080", 2)
+	for v := 1; v <= 3; v++ {
+		put(t, s, "thrice", "fft", "tiny", "gtx1080", v)
+	}
 	if raw, _ := s.Get("k"); string(raw) != "2" {
 		t.Fatalf("in-process value %s, want 2", raw)
 	}
@@ -78,8 +85,29 @@ func TestLastWriteWins(t *testing.T) {
 	if raw, _ := s2.Get("k"); string(raw) != "2" {
 		t.Fatalf("replayed value %s, want 2", raw)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s2.Len())
+	if raw, _ := s2.Get("thrice"); string(raw) != "3" {
+		t.Fatalf("replayed value %s of a key written three times, want the third", raw)
+	}
+	if s2.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s2.Len())
+	}
+	// A second writer generation: its segment sorts after the first.
+	put(t, s2, "thrice", "fft", "tiny", "gtx1080", 4)
+	s2.Close()
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl")); len(segs) != 2 {
+		t.Fatalf("segments %v, want 2", segs)
+	}
+	if raw, _ := s3.Get("thrice"); string(raw) != "4" {
+		t.Fatalf("replayed value %s, want the later segment's 4", raw)
+	}
+	if raw, _ := s3.Get("k"); string(raw) != "2" || s3.Len() != 2 {
+		t.Fatalf("k = %s, Len = %d; want 2 and 2", raw, s3.Len())
 	}
 }
 
@@ -252,14 +280,93 @@ func TestCrashTruncationRecovery(t *testing.T) {
 	}
 }
 
+// TestCorruptInteriorLineIsAnError: a bad line that is not the torn tail
+// fails Open, and the error names the file and the first bad line in file
+// order, counting blank lines.
 func TestCorruptInteriorLineIsAnError(t *testing.T) {
+	const good = `{"key":"k","value":1}`
+	for _, c := range []struct {
+		name, data, want string
+	}{
+		{"malformed", "not json\n" + good + "\n", "line 1: invalid character"},
+		{"blank line counted", good + "\n\nnot json\n" + good + "\n{\"key\":\n" + good + "\n", "line 3: invalid character"},
+		{"empty key first", good + "\n{\"key\":\"\",\"value\":1}\nnot json\n", "line 2: record with empty key"},
+		{"malformed first", good + "\nnot json\n{\"key\":\"\",\"value\":1}\n", "line 2: invalid character"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "seg-000001.jsonl")
+			if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(dir)
+			if err == nil {
+				t.Fatal("corrupt interior line silently accepted")
+			}
+			if want := "store: " + path + " " + c.want; !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("Open error %q, want prefix %q", err, want)
+			}
+		})
+	}
+}
+
+// TestReplayAcrossBatches replays a segment several replay batches long:
+// lines straddle batch boundaries, one line is longer than a batch, blank
+// lines sit between records, and a key is rewritten in a later batch.
+// Every record must come back, and a bad line past the first batch must
+// still be reported by its line number in the file.
+func TestReplayAcrossBatches(t *testing.T) {
+	var data []byte
+	want := map[string]string{}
+	line := 0
+	add := func(key string, value string) {
+		rec, err := json.Marshal(Record{Key: key, Schema: 1, Value: json.RawMessage(value)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(append(data, rec...), '\n')
+		want[key] = value
+		line++
+	}
+	for i := 0; len(data) < 3*replayBatch; i++ {
+		// Values from ~1 KB to ~12 KB, so boundaries fall mid-line.
+		add(fmt.Sprintf("k%d", i), `"`+strings.Repeat("x", 1000+(i*997)%11000)+`"`)
+		if i%50 == 0 {
+			data = append(data, " \n"...)
+			line++
+		}
+		if i == 100 {
+			add("long", `"`+strings.Repeat("y", replayBatch+100)+`"`)
+		}
+	}
+	add("k0", `"rewritten"`)
+
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg-000001.jsonl")
-	if err := os.WriteFile(path, []byte("not json\n{\"key\":\"k\",\"value\":1}\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, `{"key":"torn"`...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("corrupt interior line silently accepted")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("Len %d, want %d", s.Len(), len(want))
+	}
+	for k, v := range want {
+		if raw, ok := s.Get(k); !ok || string(raw) != v {
+			t.Fatalf("key %s: %d bytes (found %v), want %d", k, len(raw), ok, len(v))
+		}
+	}
+	s.Close()
+
+	bad := append(append([]byte(nil), data...), "not json\n"...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir)
+	if want := fmt.Sprintf("store: %s line %d: invalid character", path, line+1); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Open error %v, want prefix %q", err, want)
 	}
 }
 
