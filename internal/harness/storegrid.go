@@ -3,7 +3,10 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 
+	"opendwarfs/internal/par"
 	"opendwarfs/internal/sim"
 	"opendwarfs/internal/store"
 )
@@ -84,25 +87,73 @@ func decodeMeasurementSlot(raw json.RawMessage) (any, error) {
 // GridFromStore reconstructs a Grid from every decodable cell of a store,
 // in the store's stable (benchmark, size, device) listing order — the read
 // path of dwarfserve and of any tool that wants results without
-// re-measuring. Cells are read through GetDecoded, so a warm reload from a
-// *store.Store assembles the grid from shared decoded cells without
-// re-parsing a single payload. Records written by other schema generations
-// are skipped, not errors: they are simply no longer addressable.
+// re-measuring. Cells are read through GetDecoded, once per listed record,
+// so a warm reload from a *store.Store assembles the grid from shared
+// decoded cells without re-parsing a single payload. Records written by
+// other schema generations are skipped, not errors: they are simply no
+// longer addressable.
+//
+// Warm slots are read inline, in listing order. The first record whose
+// slot misses hands the rest of the listing to par.For, which decodes on
+// every core into slots addressed by listing index, so a cold assembly
+// uses every core and an all-warm one starts no goroutine. The first
+// decode error in listing order is the one returned; records listed after
+// it may have been read by then.
 func GridFromStore(st store.CellStore) (*Grid, error) {
-	g := &Grid{}
-	for _, rec := range st.Records() {
-		if rec.Schema != StoreSchemaVersion {
-			continue
-		}
-		v, ok, err := st.GetDecoded(rec.Key, decodeMeasurementSlot)
-		if err != nil {
-			return nil, fmt.Errorf("harness: store cell %s: %w", rec.Key, err)
-		}
-		if !ok {
-			// The record listing raced a concurrent removal; skip.
-			continue
-		}
-		g.Measurements = append(g.Measurements, v.(*Measurement))
+	recs := st.Records()
+	cells := make([]*Measurement, len(recs))
+	missed := false
+	decodeFirst := func(raw json.RawMessage) (any, error) {
+		missed = true
+		return decodeMeasurementSlot(raw)
 	}
-	return g, nil
+	next := 0
+	for ; next < len(recs) && !missed; next++ {
+		var err error
+		if cells[next], err = readCell(st, recs[next], decodeFirst); err != nil {
+			return nil, err
+		}
+	}
+	if rest := recs[next:]; len(rest) > 0 {
+		var (
+			mu       sync.Mutex
+			errAt    = len(rest)
+			firstErr error
+		)
+		par.For(0, len(rest), func(i int) {
+			var err error
+			if cells[next+i], err = readCell(st, rest[i], decodeMeasurementSlot); err != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, firstErr = i, err
+				}
+				mu.Unlock()
+			}
+		})
+		if firstErr != nil {
+			return nil, firstErr
+		}
+	}
+	cells = slices.DeleteFunc(cells, func(m *Measurement) bool { return m == nil })
+	if len(cells) == 0 {
+		return &Grid{}, nil
+	}
+	return &Grid{Measurements: cells}, nil
+}
+
+// readCell returns rec's decoded cell, or nil for a record of another
+// schema generation or one whose key vanished between the listing and the
+// read.
+func readCell(st store.CellStore, rec *store.Record, decode store.DecodeFunc) (*Measurement, error) {
+	if rec.Schema != StoreSchemaVersion {
+		return nil, nil
+	}
+	v, ok, err := st.GetDecoded(rec.Key, decode)
+	if err != nil {
+		return nil, fmt.Errorf("harness: store cell %s: %w", rec.Key, err)
+	}
+	if !ok {
+		return nil, nil
+	}
+	return v.(*Measurement), nil
 }

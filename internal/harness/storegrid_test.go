@@ -470,6 +470,60 @@ func TestConcurrentStoreHitReaders(t *testing.T) {
 	}
 }
 
+// TestGridFromStoreFirstDecodeError: of two current-schema cell records
+// that do not decode, the one first in listing order is reported, whether
+// it is read inline or by the decode pool, and whichever decode finishes
+// first. The bad records' keys sort opposite to their listing order.
+func TestGridFromStoreFirstDecodeError(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunGrid(context.Background(), suite.New(), tinyStoreSpec(st)); err != nil {
+		t.Fatal(err)
+	}
+	bad := func(key, bench, device, value string) {
+		t.Helper()
+		rec := store.Record{Key: key, Benchmark: bench, Size: "tiny", Device: device, Schema: StoreSchemaVersion, Value: []byte(value)}
+		if err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Listed after crc's three good cells (the first of which starts the
+	// pool) and before every fft record. The first is slow to fail (a
+	// long sample array, no device), the second fails at once, so with
+	// two or more workers the second's error is usually found first.
+	bad("zz-first", "crc", "zz-bad", `{"KernelNs":[`+strings.Repeat("1.5,", 100000)+`1.5]}`)
+	bad("aa-second", "fft", "aa-bad", `{}`)
+	st.Close()
+
+	for i := 0; i < 20; i++ {
+		cold, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = GridFromStore(cold)
+		cold.Close()
+		if want := "harness: store cell zz-first: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("GridFromStore error %v, want prefix %q", err, want)
+		}
+	}
+
+	// A bad record listed first is read inline, before any decode pool.
+	first, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if err := first.Put(store.Record{Key: "mm-inline", Benchmark: "aaa", Size: "tiny", Device: "d", Schema: StoreSchemaVersion, Value: []byte(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GridFromStore(first); err == nil || !strings.HasPrefix(err.Error(), "harness: store cell mm-inline: ") {
+		t.Fatalf("GridFromStore error %v, want the inline record named", err)
+	}
+}
+
 // TestEncodedGridGolden pins the stored bytes of every cell of a one-device
 // grid over the benchmarks whose datasets are drawn lazily (dwt, lud, hmm,
 // fft, gem) and csr, at all sizes, seed 1 and the paper's options — so
@@ -508,28 +562,83 @@ func TestEncodedGridGolden(t *testing.T) {
 // and the default worker count. It sees every Functional and Verified
 // flag, footprint, profile and sample the suite produces, so a change
 // meant to speed up preparation or measurement must leave it untouched.
-// Refresh the digest only together with a deliberate StoreSchemaVersion
-// bump.
+// The grid is run without a store and again into one; the reopened store
+// must then give back, through GridFromStore, every cell encoding to the
+// bytes RunGrid returned. Refresh the digest only together with a
+// deliberate StoreSchemaVersion bump.
 func TestFullGridGolden(t *testing.T) {
 	const want = "2fdd3ba97bed4cd2f2701405c8b63a965cc7078cc3e59888194161601635b994"
 	opt := DefaultOptions()
 	opt.Seed = 2
-	g, err := RunGrid(context.Background(), suite.New(), GridSpec{Options: opt})
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Cells() != 615 {
-		t.Fatalf("%d cells, want 615", g.Cells())
-	}
-	h := sha256.New()
-	for _, m := range g.Measurements {
-		raw, err := EncodeMeasurement(m)
+	var stored *Grid
+	for _, spec := range []GridSpec{{Options: opt}, {Options: opt, Store: st}} {
+		g, err := RunGrid(context.Background(), suite.New(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(raw)
+		if g.Cells() != 615 {
+			t.Fatalf("%d cells, want 615", g.Cells())
+		}
+		h := sha256.New()
+		for _, m := range g.Measurements {
+			raw, err := EncodeMeasurement(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(raw)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("full grid digest %s, want %s (store attached: %v)", got, want, spec.Store != nil)
+		}
+		stored = g
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("full grid digest %s, want %s", got, want)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	served, err := GridFromStore(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Cells() != stored.Cells() {
+		t.Fatalf("GridFromStore: %d cells, want %d", served.Cells(), stored.Cells())
+	}
+	// In listing order: the store's cell records, preparations skipped.
+	i := 0
+	for _, rec := range reopened.Records() {
+		if rec.Schema != StoreSchemaVersion {
+			continue
+		}
+		if m := served.Measurements[i]; m.Benchmark != rec.Benchmark || m.Size != rec.Size || m.Device.ID != rec.Device {
+			t.Fatalf("served cell %d is %s/%s/%s, listing has %s/%s/%s", i, m.Benchmark, m.Size, m.Device.ID, rec.Benchmark, rec.Size, rec.Device)
+		}
+		i++
+	}
+	for _, m := range served.Measurements {
+		ref := stored.Find(m.Benchmark, m.Size, m.Device.ID)
+		if ref == nil {
+			t.Fatalf("served cell %s/%s/%s was not measured", m.Benchmark, m.Size, m.Device.ID)
+		}
+		got, err := EncodeMeasurement(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRaw, err := EncodeMeasurement(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantRaw) {
+			t.Fatalf("served cell %s/%s/%s encodes differently from the measured one", m.Benchmark, m.Size, m.Device.ID)
+		}
 	}
 }
