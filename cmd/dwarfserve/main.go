@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -105,19 +106,23 @@ func main() {
 	// One store handle serves everything: the initial snapshot load, every
 	// job and every reload share one decoded measurement per cell, and its
 	// slotcache_* counters are complete from process start.
+	start := time.Now()
 	st, err := store.Open(*storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
 		os.Exit(1)
 	}
+	openDur := time.Since(start)
 	cfg := def
 	cfg.Trees, cfg.MaxDepth, cfg.Seed = *trees, *depth, *seed
 
+	start = time.Now()
 	srv, err := newServer(st, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
 		os.Exit(1)
 	}
+	snapDur := time.Since(start)
 	srv.compactOver = *compactOver
 	if *pprofOn {
 		srv.enablePprof()
@@ -144,6 +149,13 @@ func main() {
 		srv.tracer = obs.NewTracer()
 	}
 	httpSrv := newHTTPServer(*addr, srv)
+	// Bind before logging, so a busy port fails here and the log names the
+	// address actually bound (the real port of -addr host:0).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
+		os.Exit(1)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -151,9 +163,9 @@ func main() {
 	defer samplerStop()
 	go srv.runSampler(samplerCtx)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("dwarfserve: %d cells from %s (%d segment files), listening on %s",
-		srv.cells(), *storeDir, st.Segments(), *addr)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	log.Printf("dwarfserve: %d cells from %s (%d segment files; open %v, snapshot %v), listening on %s",
+		srv.cells(), *storeDir, st.Segments(), openDur.Round(time.Microsecond), snapDur.Round(time.Microsecond), ln.Addr())
 
 	select {
 	case err := <-serveErr:
