@@ -432,3 +432,54 @@ func TestMergeFailuresAndQuarantine(t *testing.T) {
 		t.Fatalf("merged retries = %d, want 5", a.Retries)
 	}
 }
+
+// Every event carries the run's five counters as of its own emission, so
+// in emission order none of them ever runs backwards — dwarfserve copies
+// each event's counters into a job's status head and SSE frame. The warm
+// crc row makes Hits move beside Misses, and the dropped device emits
+// device_quarantined between a cell's start and its failure.
+func TestEventCountersNeverRunBackwards(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		spec := GridSpec{
+			Benchmarks: []string{"crc", "fft", "nw"}, Sizes: []string{"tiny"},
+			Devices: []string{"i7-6700k", "gtx1080", "k20m"},
+			Options: quickOpts(), Workers: workers, Store: st,
+		}
+		warm := spec
+		warm.Benchmarks = []string{"crc"}
+		if _, err := RunGrid(context.Background(), suite.New(), warm); err != nil {
+			t.Fatal(err)
+		}
+		spec.Retry = RetryPolicy{MaxAttempts: 3}
+		spec.Faults = &faults.Plan{Seed: 42, TransientRate: 0.3, Drop: []string{"k20m"}}
+		events, err := Stream(context.Background(), suite.New(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := [...]string{"done", "store_hits", "store_misses", "retries", "failed"}
+		var last [len(names)]int
+		var prev Event
+		for ev := range events {
+			cur := [len(names)]int{ev.Done, ev.Hits, ev.Misses, ev.Retries, ev.Failed}
+			for i := range cur {
+				if cur[i] < last[i] {
+					t.Fatalf("workers=%d: %s ran backwards from %d to %d at %s %s/%s/%s",
+						workers, names[i], last[i], cur[i], ev.Kind, ev.Benchmark, ev.Size, ev.Device)
+				}
+			}
+			last, prev = cur, ev
+		}
+		if prev.Kind != EventGridDone || prev.Err != nil {
+			t.Fatalf("workers=%d: stream ended with %s (%v)", workers, prev.Kind, prev.Err)
+		}
+		if prev.Hits == 0 || prev.Misses == 0 || prev.Retries == 0 || prev.Failed == 0 {
+			t.Fatalf("workers=%d: scenario left a counter at zero: hits=%d misses=%d retries=%d failed=%d",
+				workers, prev.Hits, prev.Misses, prev.Retries, prev.Failed)
+		}
+	}
+}

@@ -300,17 +300,19 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		wg      sync.WaitGroup
 	)
 
-	// send serialises event emission. Completion counters are assigned
-	// under the same mutex, so Done (and the hit/miss snapshot) is
-	// monotonically non-decreasing in emission order — consumers never
-	// see "cell 2/n" before "cell 1/n".
+	// send serialises event emission. Every event's counters are
+	// stamped under the same mutex, so each of Done, Hits, Misses,
+	// Retries and Failed is non-decreasing in emission order — consumers
+	// never see "cell 2/n" before "cell 1/n", nor a counter run backwards.
 	send := func(ev Event) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		if ev.Kind == EventCellDone || ev.Kind == EventStoreHit {
 			ev.Done = int(done.Add(1))
-			ev.Hits, ev.Misses = int(hits.Load()), int(misses.Load())
+		} else {
+			ev.Done = int(done.Load())
 		}
+		ev.Hits, ev.Misses = int(hits.Load()), int(misses.Load())
 		// Metrics are derived from the event stream itself — one bump per
 		// event, under the same mutex — so the registry's counters agree
 		// exactly with what consumers saw and with the returned grid.
@@ -352,7 +354,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		if already {
 			return
 		}
-		send(Event{Kind: EventDeviceQuarantined, Device: dev, Reason: reason, Total: len(cells), Done: int(done.Load())})
+		send(Event{Kind: EventDeviceQuarantined, Device: dev, Reason: reason, Total: len(cells)})
 	}
 
 	cellEvent := func(kind EventKind, c gridCell) Event {
@@ -361,10 +363,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			Benchmark: c.bench.Name(),
 			Size:      c.size,
 			Device:    c.dev.ID(),
-			Done:      int(done.Load()),
 			Total:     len(cells),
-			Hits:      int(hits.Load()),
-			Misses:    int(misses.Load()),
 		}
 	}
 
