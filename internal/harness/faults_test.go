@@ -2,8 +2,11 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"reflect"
 	"testing"
 	"time"
@@ -481,5 +484,76 @@ func TestEventCountersNeverRunBackwards(t *testing.T) {
 			t.Fatalf("workers=%d: scenario left a counter at zero: hits=%d misses=%d retries=%d failed=%d",
 				workers, prev.Hits, prev.Misses, prev.Retries, prev.Failed)
 		}
+	}
+}
+
+// TestChaosStreamGolden pins the one-worker event stream of a chaos run:
+// every event's kind, coordinate and counters, its attempt and reason,
+// the stored bytes of every measurement it carries, and the final grid's
+// failures, quarantines, retries and store counters. The plan mixes
+// transient faults, a dropped device, stragglers and power dropouts: of
+// nine cells, five are measured after four retries, one exhausts its
+// three attempts and three sit on the dropped device. It runs once
+// without a store, and twice over one store (cold, then warm), so the
+// digest sees misses and hits too. Wall-clock fields are left out. A
+// change to how a grid run is driven must leave both digests as they are.
+func TestChaosStreamGolden(t *testing.T) {
+	const (
+		wantPlain  = "df297bd39e75e63c9ab2739237fd6e4b936a5fd31a90e4e0cba939d6b5627e1f"
+		wantStored = "cbf8245f7e1edf35d008b9d20c0a0089b1601be7a82ff5e5e383840f5dfee7b5"
+	)
+	spec := GridSpec{
+		Benchmarks: []string{"crc", "fft", "nw"}, Sizes: []string{"tiny"},
+		Devices: []string{"i7-6700k", "gtx1080", "k20m"},
+		Options: quickOpts(), Workers: 1,
+		Retry: RetryPolicy{MaxAttempts: 3},
+		Faults: &faults.Plan{
+			Seed: 5, TransientRate: 0.4, Drop: []string{"k20m"},
+			StragglerRate: 0.3, PowerDropoutRate: 0.5,
+		},
+	}
+	digest := func(h hash.Hash, spec GridSpec) {
+		events, err := Stream(context.Background(), suite.New(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ev := range events {
+			fmt.Fprintf(h, "%s %s/%s/%s %d/%d %d/%d %d:%s %d/%d\n", ev.Kind,
+				ev.Benchmark, ev.Size, ev.Device, ev.Done, ev.Total, ev.Hits, ev.Misses,
+				ev.Attempt, ev.Reason, ev.Retries, ev.Failed)
+			if ev.Measurement != nil {
+				raw, err := EncodeMeasurement(ev.Measurement)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(raw)
+			}
+			if ev.Kind == EventGridDone {
+				if ev.Err != nil {
+					t.Fatal(ev.Err)
+				}
+				g := ev.Grid
+				fmt.Fprintf(h, "%+v %v %d %d/%d\n", g.Failed, g.Quarantined, g.Retries, g.StoreHits, g.StoreMisses)
+			}
+		}
+	}
+
+	h := sha256.New()
+	digest(h, spec)
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantPlain {
+		t.Errorf("chaos stream digest %s, want %s", got, wantPlain)
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	spec.Store = st
+	h = sha256.New()
+	digest(h, spec)
+	digest(h, spec)
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantStored {
+		t.Errorf("stored chaos stream digest %s, want %s", got, wantStored)
 	}
 }
