@@ -337,6 +337,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			mo.quarantines.Inc()
 		}
 		ev.Retries, ev.Failed = int(retries.Load()), int(failedN.Load())
+		//lint:allow locksend emitting under the lock is what orders events; Stream's emit selects on ctx.Done()
 		emit(ev)
 	}
 

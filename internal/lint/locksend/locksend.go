@@ -21,7 +21,9 @@
 //
 // Goroutine bodies launched under the lock are not flagged (they run
 // after the send point, usually past the unlock); function literals are
-// analyzed where they are defined, with the lock state at that point.
+// analyzed where they are defined, with the lock state at that point —
+// including literals defined with no lock held, whose own Lock...Unlock
+// regions are tracked like a function's.
 package locksend
 
 import (
@@ -186,9 +188,11 @@ func (c *checker) walkStmt(stmt ast.Stmt, held []string) []string {
 }
 
 // scan inspects an expression for blocking constructs under the lock:
-// dynamic calls and function literals invoked or defined here.
+// dynamic calls and function literals invoked or defined here. Literals
+// are walked whatever the region, since one defined with no lock held may
+// take a lock inside itself.
 func (c *checker) scan(e ast.Expr, held []string) {
-	if e == nil || len(held) == 0 {
+	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {

@@ -45,6 +45,15 @@ func (h *hub) blockingSelect(v int, stop chan struct{}) {
 	}
 }
 
+func (h *hub) closureSend(v int) {
+	send := func(x int) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.subs[0] <- x // want `channel send while holding h\.mu`
+	}
+	send(v)
+}
+
 func (h *hub) goodCopyThenSend(v int) {
 	h.mu.Lock()
 	subs := append([]chan int(nil), h.subs...)
