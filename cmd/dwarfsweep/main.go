@@ -65,7 +65,7 @@ func main() {
 		assertHits = flag.Float64("assert-store-hits", -1, "fail unless the store hit rate is ≥ this percentage (requires -store)")
 		compact    = flag.Bool("compact", false, "compact the store into a single snapshot after the sweep (requires -store)")
 		retries    = flag.Int("retries", 0, "measurement attempts per cell (0/1 = no retry); cells that exhaust them are reported and skipped")
-		backoff    = flag.Duration("retry-backoff", 5*time.Millisecond, "base delay before a retry, doubled per attempt with jitter")
+		backoff    = flag.Duration("retry-backoff", 5*time.Millisecond, "base delay before a retry, doubled per attempt")
 		chaos      = flag.Bool("chaos", false, "inject deterministic faults into the sweep (see -chaos-* flags)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "fault plan seed: same seed, same faults, any worker count")
 		chaosRate  = flag.Float64("chaos-transient", 0.2, "per-attempt transient fault probability")

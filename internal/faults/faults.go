@@ -46,11 +46,6 @@ type Decision struct {
 	// Dropped fails the attempt with ErrDeviceDown; the harness
 	// quarantines the device instead of retrying.
 	Dropped bool
-	// Hang blocks the attempt until its context expires, so only a
-	// per-attempt timeout (RetryPolicy.AttemptTimeout) or cancellation
-	// unblocks it. Plan never hangs; the field exists for bespoke test
-	// injectors exercising the timeout path.
-	Hang bool
 	// SlowFactor > 1 dilates the attempt's time samples by that factor
 	// (a straggler); 0 or 1 leaves them untouched.
 	SlowFactor float64

@@ -11,7 +11,7 @@ const (
 
 // Counted wraps an injector so every non-clean verdict bumps a
 // faults_injected_total{kind=…} counter on reg — one per Decision flag:
-// transient, device_down, hang, straggler, power_dropout. Decisions pass
+// transient, device_down, straggler, power_dropout. Decisions pass
 // through unchanged, so determinism is untouched: the counters are a pure
 // function of the same (cell, attempt) stream the inner injector sees.
 // With a nil inner injector or nil registry it returns inner unchanged.
@@ -23,15 +23,14 @@ func Counted(inner Injector, reg *obs.Registry) Injector {
 		inner:     inner,
 		transient: reg.Counter(obs.Name(mInjectedTotal, lblKind, "transient")),
 		down:      reg.Counter(obs.Name(mInjectedTotal, lblKind, "device_down")),
-		hang:      reg.Counter(obs.Name(mInjectedTotal, lblKind, "hang")),
 		straggler: reg.Counter(obs.Name(mInjectedTotal, lblKind, "straggler")),
 		power:     reg.Counter(obs.Name(mInjectedTotal, lblKind, "power_dropout")),
 	}
 }
 
 type counted struct {
-	inner                                   Injector
-	transient, down, hang, straggler, power *obs.Counter
+	inner                             Injector
+	transient, down, straggler, power *obs.Counter
 }
 
 func (c *counted) Decide(bench, size, device string, attempt int) Decision {
@@ -41,9 +40,6 @@ func (c *counted) Decide(bench, size, device string, attempt int) Decision {
 	}
 	if d.Dropped {
 		c.down.Inc()
-	}
-	if d.Hang {
-		c.hang.Inc()
 	}
 	if d.SlowFactor > 1 {
 		c.straggler.Inc()

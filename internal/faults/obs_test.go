@@ -13,15 +13,15 @@ func (s staticInjector) Decide(bench, size, device string, attempt int) Decision
 func TestCountedCountsByKind(t *testing.T) {
 	reg := obs.NewRegistry()
 	inj := Counted(staticInjector{Decision{
-		Transient: true, Dropped: true, Hang: true, SlowFactor: 4, PowerDropout: true,
+		Transient: true, Dropped: true, SlowFactor: 4, PowerDropout: true,
 	}}, reg)
-	want := Decision{Transient: true, Dropped: true, Hang: true, SlowFactor: 4, PowerDropout: true}
+	want := Decision{Transient: true, Dropped: true, SlowFactor: 4, PowerDropout: true}
 	for i := 0; i < 3; i++ {
 		if d := inj.Decide("crc", "tiny", "gtx1080", 1); d != want {
 			t.Fatalf("Counted changed the decision: %+v", d)
 		}
 	}
-	for _, kind := range []string{"transient", "device_down", "hang", "straggler", "power_dropout"} {
+	for _, kind := range []string{"transient", "device_down", "straggler", "power_dropout"} {
 		if n := reg.CounterValue(obs.Name("faults_injected_total", "kind", kind)); n != 3 {
 			t.Fatalf("faults_injected_total{kind=%s} = %d, want 3", kind, n)
 		}

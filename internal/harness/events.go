@@ -23,10 +23,9 @@ const (
 	// EventStoreHit fires instead of CellDone when the cell was decoded
 	// from the store rather than measured.
 	EventStoreHit EventKind = "store_hit"
-	// EventCellRetry fires when a measurement attempt failed for a
-	// retryable reason (transient fault, attempt timeout) and another
-	// attempt will follow. Attempt is the attempt that failed, Reason the
-	// fault class.
+	// EventCellRetry fires when a measurement attempt failed with a
+	// transient fault and another attempt will follow. Attempt is the
+	// attempt that failed, Reason the fault class.
 	EventCellRetry EventKind = "cell_retry"
 	// EventCellFailed fires when a cell exhausted its attempts (or its
 	// device dropped out) and will not be measured. The cell is absent
@@ -43,9 +42,11 @@ const (
 
 // Event is one typed progress notification from a grid run. Cell events
 // carry the cell coordinate; completion events additionally carry the
-// measurement and the wall-clock time the cell took. Fields that cannot be
-// serialised (the measurement, the grid, the error) are excluded from JSON;
-// wire consumers get the summary fields only.
+// measurement and the wall-clock time the cell took. Every event carries
+// the run's counters (Done, Hits, Misses, Retries, Failed) as of its own
+// emission, so none of them runs backwards from one event to the next.
+// Fields that cannot be serialised (the measurement, the grid, the error)
+// are excluded from JSON; wire consumers get the summary fields only.
 type Event struct {
 	Kind EventKind `json:"kind"`
 
@@ -74,8 +75,7 @@ type Event struct {
 	// CellFailed. Zero elsewhere.
 	Attempt int `json:"attempt,omitempty"`
 	// Reason classifies the fault behind a CellRetry, CellFailed or
-	// DeviceQuarantined event ("transient fault", "attempt timeout",
-	// "device down").
+	// DeviceQuarantined event ("transient fault", "device down").
 	Reason string `json:"reason,omitempty"`
 	// Retries and Failed are the run's cumulative fault counters at the
 	// time the event fired, maintained like Hits/Misses; both stay zero

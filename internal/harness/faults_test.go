@@ -222,62 +222,30 @@ func TestChaosDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestAttemptTimeoutIsRetryable(t *testing.T) {
-	spec := GridSpec{
-		Benchmarks: []string{"crc"}, Sizes: []string{"tiny"},
-		Devices: []string{"i7-6700k"},
-		Options: quickOpts(), Workers: 1,
-		Retry: RetryPolicy{MaxAttempts: 2, AttemptTimeout: 30 * time.Millisecond},
-		Faults: funcInjector(func(bench, size, device string, attempt int) faults.Decision {
-			return faults.Decision{Hang: attempt == 1}
-		}),
-	}
-	events, err := Stream(context.Background(), suite.New(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawTimeoutRetry bool
-	var g *Grid
-	for ev := range events {
-		if ev.Kind == EventCellRetry && ev.Reason == "attempt timeout" {
-			sawTimeoutRetry = true
-		}
-		if ev.Kind == EventGridDone {
-			g, err = ev.Grid, ev.Err
-		}
-	}
-	if err != nil {
-		t.Fatalf("grid error: %v", err)
-	}
-	if !sawTimeoutRetry {
-		t.Fatal("no cell_retry with reason \"attempt timeout\"")
-	}
-	if g.Cells() != 1 || len(g.Failed) != 0 {
-		t.Fatalf("cells=%d failed=%d after recovered timeout, want 1, 0", g.Cells(), len(g.Failed))
-	}
-}
-
-// Parent cancellation during a hung attempt (and during backoff) is a
+// Parent cancellation during an attempt (and during backoff) is a
 // cancellation, never a cell failure — errors.Is(err, context.Canceled)
-// must hold through the whole retry machinery.
+// must hold through the whole retry machinery. The injector cancels the
+// run from inside the first attempt and fails that attempt with a
+// transient fault, which would otherwise be retried.
 func TestCancellationDuringHangIsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(50*time.Millisecond, cancel)
+	defer cancel()
 	spec := GridSpec{
 		Benchmarks: []string{"crc"}, Sizes: []string{"tiny"},
 		Devices: []string{"i7-6700k"},
 		Options: quickOpts(), Workers: 1,
 		Retry: RetryPolicy{MaxAttempts: 3},
 		Faults: funcInjector(func(bench, size, device string, attempt int) faults.Decision {
-			return faults.Decision{Hang: true} // no AttemptTimeout: only cancellation unblocks
+			cancel()
+			return faults.Decision{Transient: true}
 		}),
 	}
 	g, err := RunGrid(ctx, suite.New(), spec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
-	if g == nil || len(g.Failed) != 0 || g.Cells() != 0 {
-		t.Fatalf("cancelled hung cell must be neither measured nor failed: %+v", g)
+	if g == nil || len(g.Failed) != 0 || g.Cells() != 0 || g.Retries != 0 {
+		t.Fatalf("cancelled cell must be neither measured, retried nor failed: %+v", g)
 	}
 }
 

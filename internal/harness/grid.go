@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"opendwarfs/internal/faults"
 	"opendwarfs/internal/obs"
 	"opendwarfs/internal/opencl"
+	"opendwarfs/internal/par"
 	"opendwarfs/internal/store"
 )
 
@@ -50,9 +50,9 @@ type GridSpec struct {
 	// the clean simulator. Store hits bypass injection: a cell already
 	// persisted is served from disk without re-rolling its fate.
 	Faults faults.Injector
-	// Retry governs per-cell retry, backoff and attempt timeouts. The
-	// zero value makes exactly one attempt per cell with no timeout,
-	// reproducing the non-retrying harness exactly.
+	// Retry governs per-cell retries and their backoff. The zero value
+	// makes exactly one attempt per cell, reproducing the non-retrying
+	// harness exactly.
 	Retry RetryPolicy
 	// Metrics, when non-nil, receives the run's counters and latency
 	// histograms (harness_*, store_decode_ns, faults_injected_total —
@@ -120,6 +120,9 @@ type gridCell struct {
 	size  string
 	dev   *opencl.Device
 }
+
+// String names the cell as benchmark/size/device, as errors quote it.
+func (c gridCell) String() string { return c.bench.Name() + "/" + c.size + "/" + c.dev.ID() }
 
 // planCells expands a spec into the ordered cell list (grid order:
 // benchmark-major, then size, then device).
@@ -240,23 +243,40 @@ func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, e
 	return nil, fmt.Errorf("harness: event stream closed without a grid_done event")
 }
 
-// runGrid is the worker-pool core shared by Stream (and through it,
-// RunGrid). It emits one CellStart per claimed cell and one CellDone or
-// StoreHit per completed cell via emit — which must be non-nil and is
-// called from worker goroutines, serialised by an internal mutex.
+// gridRun is the state of one runGrid call. Its methods are the phases of
+// one cell — store lookup, prepare, one measurement attempt, persist and
+// fail — which cell drives for one index of the dispatch order.
+type gridRun struct {
+	ctx      context.Context // the run's, with its harness.grid span
+	spec     GridSpec
+	cells    []gridCell
+	mo       gridMetrics
+	injector faults.Injector // spec.Faults, counted when metrics are on
+	tracer   *obs.Tracer
+	cache    *prepCache
+	emit     func(Event)
+
+	// Per-cell outcomes, each slot written only by the cell's worker.
+	results  []*Measurement
+	failures []*FailedCell
+
+	// mu guards the counters and the quarantine set, and orders
+	// emission; see send.
+	mu                                  sync.Mutex
+	done, hits, misses, retries, failed int
+	quarantined                         map[string]bool
+}
+
+// runGrid is the cell runner shared by Stream (and through it, RunGrid).
+// It emits one CellStart per claimed cell and one CellDone or StoreHit per
+// completed cell via emit — which must be non-nil and is called from
+// worker goroutines, serialised by the run's mutex.
 func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int, emit func(Event)) (*Grid, error) {
 	started := now()
 	if len(cells) == 0 {
 		return &Grid{}, ctx.Err()
 	}
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers := par.Workers(spec.Workers, len(cells))
 
 	// Observability: metric handles are resolved once here (nil registry
 	// yields nil metrics whose methods no-op, so the hot path never
@@ -264,323 +284,50 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// count injected faults by kind, and the tracer — from the spec, or
 	// carried by ctx for callers above the spec — roots a run-level span
 	// that every cell span parents under.
-	mo := newGridMetrics(spec.Metrics)
-	injector := spec.Faults
+	r := &gridRun{
+		spec:        spec,
+		cells:       cells,
+		mo:          newGridMetrics(spec.Metrics),
+		injector:    spec.Faults,
+		tracer:      spec.Tracer,
+		emit:        emit,
+		results:     make([]*Measurement, len(cells)),
+		failures:    make([]*FailedCell, len(cells)),
+		quarantined: map[string]bool{},
+	}
+	r.cache = newPrepCache(spec.Store, r.mo)
 	if spec.Metrics != nil {
-		injector = faults.Counted(injector, spec.Metrics)
+		r.injector = faults.Counted(r.injector, spec.Metrics)
 	}
-	tracer := spec.Tracer
-	if tracer == nil {
-		tracer = obs.TracerFrom(ctx)
+	if r.tracer == nil {
+		r.tracer = obs.TracerFrom(ctx)
 	}
-	if tracer != nil {
-		ctx = obs.ContextWithTracer(ctx, tracer)
+	if r.tracer != nil {
+		ctx = obs.ContextWithTracer(ctx, r.tracer)
 		var gspan *obs.Span
 		ctx, gspan = obs.StartSpan(ctx, "harness.grid",
 			obs.Int("cells", len(cells)), obs.Int("workers", workers))
 		defer gspan.End()
 	}
+	r.ctx = ctx
 
-	var (
-		cache   = newPrepCache(spec.Store, mo)
-		results = make([]*Measurement, len(cells))
-		failed  = make([]*FailedCell, len(cells))
-		errs    = make([]error, len(cells))
-		order   = dispatchOrder(len(cells), nDevices, workers)
-		next    atomic.Int64
-		done    atomic.Int64
-		hits    atomic.Int64
-		misses  atomic.Int64
-		retries atomic.Int64
-		failedN atomic.Int64
-		stopped atomic.Bool
-		quarMu  sync.Mutex
-		quarSet = map[string]bool{}
-		emitMu  sync.Mutex
-		wg      sync.WaitGroup
-	)
-
-	// send serialises event emission. Every event's counters are
-	// stamped under the same mutex, so each of Done, Hits, Misses,
-	// Retries and Failed is non-decreasing in emission order — consumers
-	// never see "cell 2/n" before "cell 1/n", nor a counter run backwards.
-	send := func(ev Event) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if ev.Kind == EventCellDone || ev.Kind == EventStoreHit {
-			ev.Done = int(done.Add(1))
-		} else {
-			ev.Done = int(done.Load())
-		}
-		ev.Hits, ev.Misses = int(hits.Load()), int(misses.Load())
-		// Metrics are derived from the event stream itself — one bump per
-		// event, under the same mutex — so the registry's counters agree
-		// exactly with what consumers saw and with the returned grid.
-		switch ev.Kind {
-		case EventCellDone:
-			mo.cells.Inc()
-			mo.deviceCells(ev.Device)
-			if spec.Store != nil {
-				mo.misses.Inc()
-			}
-			mo.cellNs.Observe(float64(ev.Elapsed))
-		case EventStoreHit:
-			mo.cells.Inc()
-			mo.deviceCells(ev.Device)
-			mo.hits.Inc()
-			mo.cellNs.Observe(float64(ev.Elapsed))
-		case EventCellRetry:
-			mo.retries.Inc()
-		case EventCellFailed:
-			mo.failed.Inc()
-		case EventDeviceQuarantined:
-			mo.quarantines.Inc()
-		}
-		ev.Retries, ev.Failed = int(retries.Load()), int(failedN.Load())
-		//lint:allow locksend emitting under the lock is what orders events; Stream's emit selects on ctx.Done()
-		emit(ev)
-	}
-
-	// quarantine marks a device down; the first caller per device emits
-	// the device_quarantined event. Subsequent cells on the device still
-	// roll their own (deterministic) attempt-1 verdict rather than
-	// consulting this set, so per-cell event sequences are identical at
-	// every worker count — the set exists for the single event and the
-	// grid's Quarantined listing, not for control flow.
-	quarantine := func(dev string, reason string) {
-		quarMu.Lock()
-		already := quarSet[dev]
-		quarSet[dev] = true
-		quarMu.Unlock()
-		if already {
+	errs := make([]error, len(cells))
+	var stopped atomic.Bool
+	order := dispatchOrder(len(cells), nDevices, workers)
+	par.For(workers, len(order), func(n int) {
+		if stopped.Load() || ctx.Err() != nil {
 			return
 		}
-		send(Event{Kind: EventDeviceQuarantined, Device: dev, Reason: reason, Total: len(cells)})
-	}
-
-	cellEvent := func(kind EventKind, c gridCell) Event {
-		return Event{
-			Kind:      kind,
-			Benchmark: c.bench.Name(),
-			Size:      c.size,
-			Device:    c.dev.ID(),
-			Total:     len(cells),
+		i := order[n]
+		if err := r.cell(i); err != nil {
+			// A cell aborted by cancellation is not a cell failure:
+			// the cell is simply not part of the partial grid.
+			if ctx.Err() == nil {
+				errs[i] = err
+			}
+			stopped.Store(true)
 		}
-	}
-
-	runCell := func(i int) (err error) {
-		c := cells[i]
-		cellStart := now()
-		// Workers run on their own goroutines, where an escaping panic
-		// would abort the process with no chance for the caller to
-		// recover; convert it to a cell error instead.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("harness: grid cell %s/%s/%s panicked: %v", c.bench.Name(), c.size, c.dev.ID(), r)
-			}
-		}()
-		// The cell span parents every phase below; attr construction is
-		// gated on the tracer so the untraced path stays allocation-free.
-		cctx := ctx
-		var cspan *obs.Span
-		if tracer != nil {
-			cctx, cspan = obs.StartSpan(ctx, "harness.cell",
-				obs.String("benchmark", c.bench.Name()),
-				obs.String("size", c.size),
-				obs.String("device", c.dev.ID()))
-		}
-		defer cspan.End()
-		send(cellEvent(EventCellStart, c))
-		var key string
-		if spec.Store != nil {
-			key = CellKey(c.bench.Name(), c.size, c.dev.Spec, spec.Options)
-			decodeStart := now()
-			// Zero-copy hit: the store hands back its shared decoded cell;
-			// only the first read of a key through the handle pays the JSON
-			// decode. An error with the key present means the payload was
-			// undecodable under the current code: recompute and overwrite
-			// below.
-			if v, ok, derr := spec.Store.GetDecoded(key, decodeMeasurementSlot); derr == nil && ok {
-				m := v.(*Measurement)
-				mo.decodeNs.Observe(float64(since(decodeStart)))
-				cspan.SetAttr("outcome", "store_hit")
-				results[i] = m
-				hits.Add(1)
-				ev := cellEvent(EventStoreHit, c)
-				ev.Elapsed = since(cellStart)
-				ev.Measurement = m
-				send(ev)
-				return nil
-			}
-		}
-		var pspan *obs.Span
-		pctx := cctx
-		if tracer != nil {
-			pctx, pspan = obs.StartSpan(cctx, "harness.prepare")
-		}
-		prepStart := now()
-		p, err := cache.prepare(pctx, c.bench, c.size, spec.Options)
-		mo.prepareNs.Observe(float64(since(prepStart)))
-		pspan.End()
-		if err != nil {
-			return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), err)
-		}
-
-		// measureOnce runs one attempt: the injector's verdict first,
-		// then the model under the per-attempt deadline. Fault decisions
-		// are pure functions of (cell, attempt), so the attempt sequence
-		// a cell sees is identical at every worker count.
-		measureOnce := func(attempt int) (*Measurement, error) {
-			mctx := cctx
-			var mspan *obs.Span
-			if tracer != nil {
-				mctx, mspan = obs.StartSpan(cctx, "harness.measure", obs.Int("attempt", attempt))
-			}
-			defer mspan.End()
-			var dec faults.Decision
-			if injector != nil {
-				dec = injector.Decide(c.bench.Name(), c.size, c.dev.ID(), attempt)
-			}
-			if dec.Dropped {
-				return nil, faults.ErrDeviceDown
-			}
-			actx, cancel := mctx, func() {}
-			if spec.Retry.AttemptTimeout > 0 {
-				actx, cancel = context.WithTimeout(mctx, spec.Retry.AttemptTimeout)
-			}
-			defer cancel()
-			if dec.Hang {
-				<-actx.Done()
-				return nil, actx.Err()
-			}
-			if dec.Transient {
-				return nil, faults.ErrTransient
-			}
-			measureStart := now()
-			m, err := p.Measure(actx, c.dev, spec.Options)
-			mo.measureNs.Observe(float64(since(measureStart)))
-			if err != nil {
-				return nil, err
-			}
-			applyDecision(m, dec)
-			return m, nil
-		}
-
-		// failCell records a fault-class failure: the cell stays out of
-		// the grid and the store, the run continues.
-		failCell := func(attempt int, reason string) {
-			cspan.SetAttr("outcome", "failed")
-			cspan.SetAttr("reason", reason)
-			failed[i] = &FailedCell{
-				Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID(),
-				Attempts: attempt, Reason: reason,
-			}
-			failedN.Add(1)
-			ev := cellEvent(EventCellFailed, c)
-			ev.Elapsed = since(cellStart)
-			ev.Attempt, ev.Reason = attempt, reason
-			send(ev)
-		}
-
-		for attempt := 1; ; attempt++ {
-			m, aerr := measureOnce(attempt)
-			if aerr == nil {
-				if spec.Store != nil {
-					raw, err := EncodeMeasurement(m)
-					if err != nil {
-						return err
-					}
-					if err := spec.Store.Put(store.Record{
-						Key: key, Benchmark: m.Benchmark, Size: m.Size, Device: m.Device.ID,
-						Schema: StoreSchemaVersion, Value: raw,
-					}); err != nil {
-						return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), err)
-					}
-					// A miss only counts once the measurement is persisted:
-					// under cancellation, hits + misses must equal exactly the
-					// completed cells.
-					misses.Add(1)
-				}
-				cspan.SetAttr("outcome", "measured")
-				results[i] = m
-				ev := cellEvent(EventCellDone, c)
-				ev.Elapsed = since(cellStart)
-				ev.Measurement = m
-				send(ev)
-				return nil
-			}
-			if ctx.Err() != nil {
-				// The run was cancelled: not a cell failure (and not a
-				// fault), exactly as before — the cell is simply not
-				// part of the partial grid.
-				return ctx.Err()
-			}
-			if errors.Is(aerr, faults.ErrDeviceDown) {
-				quarantine(c.dev.ID(), "device down")
-				failCell(attempt, "device down")
-				return nil
-			}
-			var reason string
-			switch {
-			case errors.Is(aerr, faults.ErrTransient):
-				reason = "transient fault"
-			case errors.Is(aerr, context.DeadlineExceeded):
-				// The attempt's own deadline; the parent context was
-				// checked live above.
-				reason = "attempt timeout"
-			default:
-				// A genuine harness/model error: abort the grid, as a
-				// non-faulted run would.
-				return fmt.Errorf("harness: grid cell %s/%s/%s: %w", c.bench.Name(), c.size, c.dev.ID(), aerr)
-			}
-			if attempt >= spec.Retry.attempts() {
-				failCell(attempt, reason)
-				return nil
-			}
-			retries.Add(1)
-			rev := cellEvent(EventCellRetry, c)
-			rev.Attempt, rev.Reason = attempt, reason
-			send(rev)
-			if d := spec.Retry.backoff(c.bench.Name(), c.size, c.dev.ID(), attempt+1); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				}
-			}
-		}
-	}
-
-	worker := func() {
-		defer wg.Done()
-		for {
-			if stopped.Load() || ctx.Err() != nil {
-				return
-			}
-			n := int(next.Add(1)) - 1
-			if n >= len(order) {
-				return
-			}
-			i := order[n]
-			if err := runCell(i); err != nil {
-				// A cell aborted by cancellation is not a cell failure:
-				// the cell is simply not part of the partial grid.
-				if ctx.Err() == nil {
-					errs[i] = err
-				}
-				stopped.Store(true)
-				return
-			}
-		}
-	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
+	})
 
 	// Error selection: the earliest failing cell in grid order among
 	// those attempted. With Workers: 1 this is exactly the sequential
@@ -593,19 +340,19 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		}
 	}
 	g := &Grid{
-		StoreHits:   int(hits.Load()),
-		StoreMisses: int(misses.Load()),
-		Retries:     int(retries.Load()),
+		StoreHits:   r.hits,
+		StoreMisses: r.misses,
+		Retries:     r.retries,
 		Elapsed:     since(started),
 	}
 	// Failures and quarantines apply to partial (cancelled) grids too:
 	// a cell that failed before the cancellation genuinely failed.
-	for _, f := range failed {
+	for _, f := range r.failures {
 		if f != nil {
 			g.Failed = append(g.Failed, *f)
 		}
 	}
-	for dev := range quarSet {
+	for dev := range r.quarantined {
 		g.Quarantined = append(g.Quarantined, dev)
 	}
 	sort.Strings(g.Quarantined)
@@ -613,13 +360,260 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 	// cancellation, missing only the failed cells otherwise. Every
 	// measurement was persisted before its CellDone event fired, so the
 	// store and the returned grid agree.
-	g.Measurements = make([]*Measurement, 0, done.Load())
-	for _, m := range results {
+	g.Measurements = make([]*Measurement, 0, r.done)
+	for _, m := range r.results {
 		if m != nil {
 			g.Measurements = append(g.Measurements, m)
 		}
 	}
 	return g, ctx.Err()
+}
+
+// cell runs the phases of cells[i] under its harness.cell span: store
+// lookup, prepare, then attempts until one is measured and persisted,
+// the device is down, or the attempts run out. It returns an error only
+// for what ends the run — cancellation, or a harness, model or store
+// error; a fault-class failure is recorded by fail and the run goes on.
+func (r *gridRun) cell(i int) (err error) {
+	c := r.cells[i]
+	start := now()
+	// Workers run on their own goroutines, where an escaping panic
+	// would abort the process with no chance for the caller to
+	// recover; convert it to a cell error instead.
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("harness: grid cell %s panicked: %v", c, v)
+		}
+	}()
+	// The cell span parents every phase below; attr construction is
+	// gated on the tracer so the untraced path stays allocation-free.
+	ctx := r.ctx
+	var span *obs.Span
+	if r.tracer != nil {
+		ctx, span = obs.StartSpan(ctx, "harness.cell",
+			obs.String("benchmark", c.bench.Name()),
+			obs.String("size", c.size),
+			obs.String("device", c.dev.ID()))
+	}
+	defer span.End()
+	r.send(r.event(EventCellStart, c))
+
+	var key string
+	if r.spec.Store != nil {
+		key = CellKey(c.bench.Name(), c.size, c.dev.Spec, r.spec.Options)
+		if m := r.lookup(key); m != nil {
+			span.SetAttr("outcome", "store_hit")
+			r.complete(i, EventStoreHit, m, start)
+			return nil
+		}
+	}
+	p, err := r.prepare(ctx, c)
+	if err != nil {
+		return fmt.Errorf("harness: grid cell %s: %w", c, err)
+	}
+	for attempt := 1; ; attempt++ {
+		m, aerr := r.attempt(ctx, c, p, attempt)
+		if aerr == nil {
+			if err := r.persist(c, key, m); err != nil {
+				return err
+			}
+			span.SetAttr("outcome", "measured")
+			r.complete(i, EventCellDone, m, start)
+			return nil
+		}
+		if ctx.Err() != nil {
+			// The run was cancelled: not a cell failure (and not a
+			// fault) — the cell is simply not part of the partial grid.
+			return ctx.Err()
+		}
+		if errors.Is(aerr, faults.ErrDeviceDown) {
+			r.send(Event{Kind: EventDeviceQuarantined, Device: c.dev.ID(), Reason: "device down", Total: len(r.cells)})
+			r.fail(i, span, start, attempt, "device down")
+			return nil
+		}
+		if !errors.Is(aerr, faults.ErrTransient) {
+			// A genuine harness/model error: abort the grid, as a
+			// non-faulted run would.
+			return fmt.Errorf("harness: grid cell %s: %w", c, aerr)
+		}
+		if attempt >= r.spec.Retry.attempts() {
+			r.fail(i, span, start, attempt, "transient fault")
+			return nil
+		}
+		ev := r.event(EventCellRetry, c)
+		ev.Attempt, ev.Reason = attempt, "transient fault"
+		r.send(ev)
+		if d := r.spec.Retry.backoff(attempt + 1); d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return ctx.Err()
+			}
+		}
+	}
+}
+
+// lookup serves a cell from the store. The store hands back its shared
+// decoded cell, so only the first read of a key through the handle pays
+// the JSON decode. A key whose payload does not decode under the current
+// code reads as a miss: the cell is measured and overwritten.
+func (r *gridRun) lookup(key string) *Measurement {
+	start := now()
+	v, ok, err := r.spec.Store.GetDecoded(key, decodeMeasurementSlot)
+	if err != nil || !ok {
+		return nil
+	}
+	r.mo.decodeNs.Observe(float64(since(start)))
+	return v.(*Measurement)
+}
+
+// prepare returns the cell's row preparation, shared by every device of
+// the row through the run's cache.
+func (r *gridRun) prepare(ctx context.Context, c gridCell) (*Preparation, error) {
+	var span *obs.Span
+	if r.tracer != nil {
+		ctx, span = obs.StartSpan(ctx, "harness.prepare")
+	}
+	start := now()
+	p, err := r.cache.prepare(ctx, c.bench, c.size, r.spec.Options)
+	r.mo.prepareNs.Observe(float64(since(start)))
+	span.End()
+	return p, err
+}
+
+// attempt runs one measurement attempt: the injector's verdict first,
+// then the model. Fault decisions are pure functions of (cell, attempt),
+// so the attempts a cell sees are the same at every worker count.
+func (r *gridRun) attempt(ctx context.Context, c gridCell, p *Preparation, n int) (*Measurement, error) {
+	var span *obs.Span
+	if r.tracer != nil {
+		ctx, span = obs.StartSpan(ctx, "harness.measure", obs.Int("attempt", n))
+	}
+	defer span.End()
+	var dec faults.Decision
+	if r.injector != nil {
+		dec = r.injector.Decide(c.bench.Name(), c.size, c.dev.ID(), n)
+	}
+	switch {
+	case dec.Dropped:
+		return nil, faults.ErrDeviceDown
+	case dec.Transient:
+		return nil, faults.ErrTransient
+	}
+	start := now()
+	m, err := p.Measure(ctx, c.dev, r.spec.Options)
+	r.mo.measureNs.Observe(float64(since(start)))
+	if err != nil {
+		return nil, err
+	}
+	applyDecision(m, dec)
+	return m, nil
+}
+
+// persist appends a measured cell to the store, when one is attached;
+// its cell_done fires only after.
+func (r *gridRun) persist(c gridCell, key string, m *Measurement) error {
+	if r.spec.Store == nil {
+		return nil
+	}
+	raw, err := EncodeMeasurement(m)
+	if err != nil {
+		return err
+	}
+	if err := r.spec.Store.Put(store.Record{
+		Key: key, Benchmark: m.Benchmark, Size: m.Size, Device: m.Device.ID,
+		Schema: StoreSchemaVersion, Value: raw,
+	}); err != nil {
+		return fmt.Errorf("harness: grid cell %s: %w", c, err)
+	}
+	return nil
+}
+
+// fail records a fault-class failure: the cell stays out of the grid and
+// the store, and the run goes on.
+func (r *gridRun) fail(i int, span *obs.Span, start time.Time, attempt int, reason string) {
+	c := r.cells[i]
+	span.SetAttr("outcome", "failed")
+	span.SetAttr("reason", reason)
+	r.failures[i] = &FailedCell{
+		Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID(),
+		Attempts: attempt, Reason: reason,
+	}
+	ev := r.event(EventCellFailed, c)
+	ev.Elapsed = since(start)
+	ev.Attempt, ev.Reason = attempt, reason
+	r.send(ev)
+}
+
+// complete files cell i's measurement, served or measured, and emits
+// its completion event.
+func (r *gridRun) complete(i int, kind EventKind, m *Measurement, start time.Time) {
+	r.results[i] = m
+	ev := r.event(kind, r.cells[i])
+	ev.Elapsed = since(start)
+	ev.Measurement = m
+	r.send(ev)
+}
+
+// event starts an event about cell c; send stamps its counters.
+func (r *gridRun) event(kind EventKind, c gridCell) Event {
+	return Event{Kind: kind, Benchmark: c.bench.Name(), Size: c.size, Device: c.dev.ID(), Total: len(r.cells)}
+}
+
+// send bumps the run's counters by the event's kind, stamps all five on
+// the event and emits it, under mu throughout. Each of Done, Hits,
+// Misses, Retries and Failed is therefore non-decreasing in emission
+// order — consumers never see "cell 2/n" before "cell 1/n" — and the
+// registry's counters, bumped in the same place, agree exactly with what
+// consumers saw and with the returned grid, partial grids included.
+func (r *gridRun) send(ev Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch ev.Kind {
+	case EventCellDone:
+		r.done++
+		if r.spec.Store != nil {
+			// A miss counts once it is persisted, which its cell_done
+			// follows: under cancellation, hits + misses equal exactly
+			// the completed cells.
+			r.misses++
+			r.mo.misses.Inc()
+		}
+		r.mo.cells.Inc()
+		r.mo.deviceCells(ev.Device)
+		r.mo.cellNs.Observe(float64(ev.Elapsed))
+	case EventStoreHit:
+		r.done++
+		r.hits++
+		r.mo.hits.Inc()
+		r.mo.cells.Inc()
+		r.mo.deviceCells(ev.Device)
+		r.mo.cellNs.Observe(float64(ev.Elapsed))
+	case EventCellRetry:
+		r.retries++
+		r.mo.retries.Inc()
+	case EventCellFailed:
+		r.failed++
+		r.mo.failed.Inc()
+	case EventDeviceQuarantined:
+		// Only the first cell to find a device down reports it. Later
+		// cells on the device still roll their own (deterministic)
+		// attempt-1 verdict rather than consulting this set, so per-cell
+		// event sequences are identical at every worker count — the set
+		// exists for the single event and the grid's Quarantined
+		// listing, not for control flow.
+		if r.quarantined[ev.Device] {
+			return
+		}
+		r.quarantined[ev.Device] = true
+		r.mo.quarantines.Inc()
+	}
+	ev.Done, ev.Hits, ev.Misses = r.done, r.hits, r.misses
+	ev.Retries, ev.Failed = r.retries, r.failed
+	//lint:allow locksend emitting under the lock is what orders events; Stream's emit selects on ctx.Done()
+	r.emit(ev)
 }
 
 // Cells returns the number of measured cells.

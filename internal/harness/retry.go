@@ -1,10 +1,6 @@
 package harness
 
 import (
-	"hash/fnv"
-	"io"
-	"math/rand"
-	"strconv"
 	"time"
 
 	"opendwarfs/internal/faults"
@@ -13,27 +9,15 @@ import (
 )
 
 // RetryPolicy governs per-cell measurement retries in a grid run. The
-// zero value makes exactly one attempt per cell with no timeout — the
-// non-retrying harness, unchanged.
+// zero value makes exactly one attempt per cell — the non-retrying
+// harness, unchanged.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of measurement attempts per cell,
 	// first try included; 0 and 1 both mean a single attempt.
 	MaxAttempts int
 	// BaseBackoff is the pause before the second attempt; each further
-	// retry doubles it (exponential backoff), capped at MaxBackoff when
-	// that is set. 0 retries immediately.
+	// retry doubles it (exponential backoff). 0 retries immediately.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth; 0 = uncapped.
-	MaxBackoff time.Duration
-	// Jitter ∈ [0,1] shortens each backoff by a pseudo-random fraction
-	// of itself, decorrelating retry storms across cells. The fraction
-	// is hashed from (cell, attempt) — deterministic, never drawn from a
-	// shared RNG — so jitter does not cost reproducibility.
-	Jitter float64
-	// AttemptTimeout bounds one measurement attempt. An attempt that
-	// exceeds it is classified as retryable (like a transient fault),
-	// provided the run's own context is still live. 0 = unbounded.
-	AttemptTimeout time.Duration
 }
 
 // attempts normalises MaxAttempts to at least one try.
@@ -44,35 +28,16 @@ func (r RetryPolicy) attempts() int {
 	return r.MaxAttempts
 }
 
-// backoff returns the deterministic pause before the given attempt
-// number (≥ 2): exponential in the attempt, capped, then jittered by the
-// cell-coordinate hash.
-func (r RetryPolicy) backoff(bench, size, device string, attempt int) time.Duration {
+// backoff returns the pause before the given attempt number (≥ 2):
+// BaseBackoff, doubled for every attempt after the second. Doubling stops
+// once the pause passes an hour, so no attempt count overflows it.
+func (r RetryPolicy) backoff(attempt int) time.Duration {
 	if r.BaseBackoff <= 0 || attempt <= 1 {
 		return 0
 	}
 	d := r.BaseBackoff
 	for i := 2; i < attempt && d < time.Hour; i++ {
 		d *= 2
-	}
-	if r.MaxBackoff > 0 && d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	if r.Jitter > 0 {
-		j := r.Jitter
-		if j > 1 {
-			j = 1
-		}
-		h := fnv.New64a()
-		io.WriteString(h, bench)
-		h.Write([]byte{0})
-		io.WriteString(h, size)
-		h.Write([]byte{0})
-		io.WriteString(h, device)
-		h.Write([]byte{0})
-		io.WriteString(h, strconv.Itoa(attempt))
-		rng := rand.New(rand.NewSource(int64(h.Sum64())))
-		d = time.Duration(float64(d) * (1 - j*rng.Float64()))
 	}
 	return d
 }

@@ -196,17 +196,14 @@ func WithFaults(inj FaultInjector) Option {
 	}
 }
 
-// WithRetry sets the per-cell retry policy: transient faults and attempt
-// timeouts are retried with exponential backoff up to MaxAttempts; a cell
-// that exhausts its attempts is reported in Grid.Failed instead of
-// aborting the run. The zero policy makes a single attempt per cell.
+// WithRetry sets the per-cell retry policy: transient faults are retried
+// with exponential backoff up to MaxAttempts; a cell that exhausts its
+// attempts is reported in Grid.Failed instead of aborting the run. The
+// zero policy makes a single attempt per cell.
 func WithRetry(r RetryPolicy) Option {
 	return func(s *Session) error {
 		if r.MaxAttempts < 0 {
 			return fmt.Errorf("opendwarfs: negative retry attempts %d", r.MaxAttempts)
-		}
-		if r.Jitter < 0 || r.Jitter > 1 {
-			return fmt.Errorf("opendwarfs: retry jitter %g outside [0,1]", r.Jitter)
 		}
 		s.retry = r
 		return nil
