@@ -82,26 +82,32 @@ func main() {
 	opt := harness.DefaultOptions()
 	opt.Samples = *samples
 
-	// st stays a concrete pointer so the nil check below is meaningful —
-	// assigning a typed-nil pointer into GridSpec.Store would read as "store
-	// attached".
-	var st *store.Store
+	// Every run goes through the grid harness, so -store shares its
+	// read/write path with dwarfsweep.
+	spec := harness.GridSpec{
+		Benchmarks: []string{b.Name()},
+		Sizes:      sizeList(*size, b),
+		Devices:    []string{dev.ID()},
+		Options:    opt,
+		Workers:    *parallel,
+	}
 	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir)
+		// Assigned only when opened: a typed-nil pointer in
+		// GridSpec.Store would read as "store attached".
+		st, err := store.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
 		defer st.Close()
+		spec.Store = st
 	}
 
 	// Ctrl-C cancels cleanly: with -store, completed cells stay persisted.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sizes := sizeList(*size, b)
-	if len(sizes) > 1 {
-		runSizes(ctx, reg, b, sizes, dev, opt, *parallel, *csvPath, *jsonlPath, *aiwcFlag, st)
+	if len(spec.Sizes) > 1 {
+		runSizes(ctx, reg, b, dev, spec, *csvPath, *jsonlPath, *aiwcFlag)
 		return
 	}
 	if *parallel != 0 {
@@ -109,29 +115,15 @@ func main() {
 	}
 
 	fmt.Printf("Benchmark : %s (%s dwarf)\n", b.Name(), b.Dwarf())
-	fmt.Printf("Arguments : %s %s\n", b.Name(), b.ArgString(sizes[0]))
+	fmt.Printf("Arguments : %s %s\n", b.Name(), b.ArgString(spec.Sizes[0]))
 	fmt.Printf("Device    : %s (%s, %s)\n", dev.Name(), dev.Spec.Class, dev.Spec.Series)
 
-	var m *harness.Measurement
-	if st != nil {
-		// Route the single cell through the grid harness so the store's
-		// read/write path is shared with dwarfsweep.
-		g, err := harness.RunGrid(ctx, reg, harness.GridSpec{
-			Benchmarks: []string{b.Name()},
-			Sizes:      sizes,
-			Devices:    []string{dev.ID()},
-			Options:    opt,
-			Workers:    1,
-			Store:      st, // non-nil: guarded above
-		})
-		if err != nil {
-			fatal(err)
-		}
-		m = g.Measurements[0]
-		report.StoreStats(os.Stdout, g)
-	} else if m, err = harness.Run(ctx, b, sizes[0], dev, opt); err != nil {
+	g, err := harness.RunGrid(ctx, reg, spec)
+	if err != nil {
 		fatal(err)
 	}
+	m := g.Measurements[0]
+	report.StoreStats(os.Stdout, g)
 
 	mode := "timing model"
 	if m.Verified {
@@ -186,19 +178,9 @@ func sizeList(flagVal string, b dwarfs.Benchmark) []string {
 
 // runSizes measures one benchmark × device across several sizes through
 // the grid harness, sharing one preparation per size across workers.
-func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, sizes []string, dev *opencl.Device, opt harness.Options, workers int, csvPath, jsonlPath string, aiwc bool, st *store.Store) {
-	fmt.Printf("Benchmark : %s (%s dwarf), sizes %v\n", b.Name(), b.Dwarf(), sizes)
+func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, dev *opencl.Device, spec harness.GridSpec, csvPath, jsonlPath string, aiwc bool) {
+	fmt.Printf("Benchmark : %s (%s dwarf), sizes %v\n", b.Name(), b.Dwarf(), spec.Sizes)
 	fmt.Printf("Device    : %s (%s, %s)\n", dev.Name(), dev.Spec.Class, dev.Spec.Series)
-	spec := harness.GridSpec{
-		Benchmarks: []string{b.Name()},
-		Sizes:      sizes,
-		Devices:    []string{dev.ID()},
-		Options:    opt,
-		Workers:    workers,
-	}
-	if st != nil {
-		spec.Store = st
-	}
 	events, err := harness.Stream(ctx, reg, spec)
 	if err != nil {
 		fatal(err)

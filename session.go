@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 
-	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/faults"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
-	"opendwarfs/internal/opencl"
 	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
@@ -294,42 +292,23 @@ func (s *Session) spec(sel Selection) harness.GridSpec {
 	}
 }
 
-// Run measures one benchmark at one size on one device. With a store
-// attached the cell is served from disk when present and persisted when
-// not. Cancelling ctx aborts between measurement phases.
+// Run measures one benchmark at one size on one device, as a one-cell
+// grid: with a store attached the cell is served from disk when present
+// and persisted when not, and faults and retries apply as in a sweep.
+// Cancelling ctx aborts between measurement phases.
 func (s *Session) Run(ctx context.Context, bench, size, deviceID string) (*Result, error) {
-	reg := suite.New()
-	b, err := reg.Get(bench)
+	g, err := harness.RunGrid(ctx, suite.New(), s.spec(Selection{
+		Benchmarks: []string{bench}, Sizes: []string{size}, Devices: []string{deviceID},
+	}))
 	if err != nil {
 		return nil, err
 	}
-	dev, err := opencl.LookupDevice(deviceID)
-	if err != nil {
-		return nil, err
+	if len(g.Measurements) == 1 {
+		return g.Measurements[0], nil
 	}
-	if !dwarfs.SupportsSize(b, size) {
-		return nil, fmt.Errorf("opendwarfs: %s does not support size %q (has %v)", bench, size, b.Sizes())
-	}
-	s.mu.Lock()
-	hasStore := s.st != nil
-	s.mu.Unlock()
-	if hasStore || s.faults != nil || s.retry.MaxAttempts > 1 {
-		// Route the single cell through the grid so the store and
-		// fault/retry paths are shared with sweeps.
-		g, err := harness.RunGrid(ctx, reg, s.spec(Selection{
-			Benchmarks: []string{bench}, Sizes: []string{size}, Devices: []string{deviceID},
-		}))
-		if err != nil {
-			return nil, err
-		}
-		if len(g.Measurements) == 1 {
-			return g.Measurements[0], nil
-		}
-		f := g.Failed[0]
-		return nil, fmt.Errorf("opendwarfs: %s/%s on %s failed after %d attempt(s): %s",
-			f.Benchmark, f.Size, f.Device, f.Attempts, f.Reason)
-	}
-	return harness.Run(ctx, b, size, dev, s.opt)
+	f := g.Failed[0]
+	return nil, fmt.Errorf("opendwarfs: %s/%s on %s failed after %d attempt(s): %s",
+		f.Benchmark, f.Size, f.Device, f.Attempts, f.Reason)
 }
 
 // RunGrid measures the selected benchmark × size × device slice and blocks
