@@ -19,11 +19,12 @@
 //     (subscriber callbacks) — named functions and methods are assumed
 //     to be lock-aware, dynamic callees are not.
 //
-// Goroutine bodies launched under the lock are not flagged (they run
-// after the send point, usually past the unlock); function literals are
-// analyzed where they are defined, with the lock state at that point —
-// including literals defined with no lock held, whose own Lock...Unlock
-// regions are tracked like a function's.
+// Goroutine bodies launched under the lock are not flagged for it (they
+// run after the send point, usually past the unlock), but their own
+// Lock...Unlock regions are tracked. Other function literals are analyzed
+// where they are defined, with the lock state at that point — including
+// literals defined with no lock held, whose own regions are tracked like
+// a function's.
 package locksend
 
 import (
@@ -115,8 +116,20 @@ func (c *checker) walkStmt(stmt ast.Stmt, held []string) []string {
 		}
 	case *ast.GoStmt:
 		// The goroutine runs concurrently; its body is not "while
-		// holding" for this path. Its argument expressions are.
+		// holding" for this path, so a literal body starts with no lock
+		// held. Its argument expressions are evaluated here.
 		c.scanExprs(s.Call.Args, held)
+		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
+			c.walkBlock(lit.Body.List, nil)
+		}
+	case *ast.DeclStmt:
+		if gd, ok := s.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					c.scanExprs(vs.Values, held)
+				}
+			}
+		}
 	case *ast.SendStmt:
 		c.flagSend(s, held)
 		c.scan(s.Chan, held)

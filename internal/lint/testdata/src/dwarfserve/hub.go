@@ -1,7 +1,8 @@
 // Package dwarfserve is a locksend fixture named to fall inside the
 // analyzer's default scope: blocking sends and subscriber callbacks
-// under a held mutex flag; copy-then-send, select-with-default, and
-// goroutine bodies do not.
+// under a held mutex flag, inside closures and goroutine bodies too;
+// copy-then-send, select-with-default, and a goroutine body's send under
+// the launcher's lock do not.
 package dwarfserve
 
 import "sync"
@@ -52,6 +53,23 @@ func (h *hub) closureSend(v int) {
 		h.subs[0] <- x // want `channel send while holding h\.mu`
 	}
 	send(v)
+}
+
+func (h *hub) declaredClosureSend(v int) {
+	var send = func(x int) {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.subs[0] <- x // want `channel send while holding h\.mu`
+	}
+	send(v)
+}
+
+func (h *hub) goroutineLocksAndSends(v int) {
+	go func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.subs[0] <- v // want `channel send while holding h\.mu`
+	}()
 }
 
 func (h *hub) goodCopyThenSend(v int) {
