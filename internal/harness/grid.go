@@ -247,7 +247,6 @@ func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, e
 // one cell — store lookup, prepare, one measurement attempt, persist and
 // fail — which cell drives for one index of the dispatch order.
 type gridRun struct {
-	ctx      context.Context // the run's, with its harness.grid span
 	spec     GridSpec
 	cells    []gridCell
 	mo       gridMetrics
@@ -309,7 +308,6 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			obs.Int("cells", len(cells)), obs.Int("workers", workers))
 		defer gspan.End()
 	}
-	r.ctx = ctx
 
 	errs := make([]error, len(cells))
 	var stopped atomic.Bool
@@ -319,7 +317,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 			return
 		}
 		i := order[n]
-		if err := r.cell(i); err != nil {
+		if err := r.cell(ctx, i); err != nil {
 			// A cell aborted by cancellation is not a cell failure:
 			// the cell is simply not part of the partial grid.
 			if ctx.Err() == nil {
@@ -374,7 +372,7 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 // the device is down, or the attempts run out. It returns an error only
 // for what ends the run — cancellation, or a harness, model or store
 // error; a fault-class failure is recorded by fail and the run goes on.
-func (r *gridRun) cell(i int) (err error) {
+func (r *gridRun) cell(ctx context.Context, i int) (err error) {
 	c := r.cells[i]
 	start := now()
 	// Workers run on their own goroutines, where an escaping panic
@@ -387,7 +385,6 @@ func (r *gridRun) cell(i int) (err error) {
 	}()
 	// The cell span parents every phase below; attr construction is
 	// gated on the tracer so the untraced path stays allocation-free.
-	ctx := r.ctx
 	var span *obs.Span
 	if r.tracer != nil {
 		ctx, span = obs.StartSpan(ctx, "harness.cell",
