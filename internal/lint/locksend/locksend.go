@@ -19,12 +19,12 @@
 //     (subscriber callbacks) — named functions and methods are assumed
 //     to be lock-aware, dynamic callees are not.
 //
-// Goroutine bodies launched under the lock are not flagged for it (they
-// run after the send point, usually past the unlock), but their own
-// Lock...Unlock regions are tracked. Other function literals are analyzed
-// where they are defined, with the lock state at that point — including
-// literals defined with no lock held, whose own regions are tracked like
-// a function's.
+// Goroutine bodies and deferred literals are not flagged for a lock held
+// where they are launched or deferred (they run after that point, usually
+// past the unlock), but their own Lock...Unlock regions are tracked. Other
+// function literals are analyzed where they are defined, with the lock
+// state at that point — including literals defined with no lock held,
+// whose own regions are tracked like a function's.
 package locksend
 
 import (
@@ -110,18 +110,17 @@ func (c *checker) walkStmt(stmt ast.Stmt, held []string) []string {
 	case *ast.DeferStmt:
 		// defer mu.Unlock() keeps the region open to function end; a
 		// deferred callback itself runs at return, when locks taken
-		// here are (usually) released — don't scan its body.
+		// here are (usually) released, so a literal body starts with no
+		// lock held. Its argument expressions are evaluated here.
 		if _, _, ok := c.mutexOp(s.Call); !ok {
 			c.scanExprs(s.Call.Args, held)
+			c.walkLit(s.Call.Fun)
 		}
 	case *ast.GoStmt:
 		// The goroutine runs concurrently; its body is not "while
-		// holding" for this path, so a literal body starts with no lock
-		// held. Its argument expressions are evaluated here.
+		// holding" for this path either.
 		c.scanExprs(s.Call.Args, held)
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.walkBlock(lit.Body.List, nil)
-		}
+		c.walkLit(s.Call.Fun)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -222,6 +221,14 @@ func (c *checker) scan(e ast.Expr, held []string) {
 		}
 		return true
 	})
+}
+
+// walkLit walks the body of a deferred or launched function literal as a
+// region of its own: the caller's locks do not cover it, its own do.
+func (c *checker) walkLit(fun ast.Expr) {
+	if lit, ok := fun.(*ast.FuncLit); ok {
+		c.walkBlock(lit.Body.List, nil)
+	}
 }
 
 func (c *checker) scanExprs(es []ast.Expr, held []string) {

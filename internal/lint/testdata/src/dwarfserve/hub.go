@@ -1,8 +1,8 @@
 // Package dwarfserve is a locksend fixture named to fall inside the
 // analyzer's default scope: blocking sends and subscriber callbacks
-// under a held mutex flag, inside closures and goroutine bodies too;
-// copy-then-send, select-with-default, and a goroutine body's send under
-// the launcher's lock do not.
+// under a held mutex flag, inside closures, goroutine bodies and
+// deferred literals too; copy-then-send, select-with-default, and a
+// goroutine body's send under the launcher's lock do not.
 package dwarfserve
 
 import "sync"
@@ -66,6 +66,14 @@ func (h *hub) declaredClosureSend(v int) {
 
 func (h *hub) goroutineLocksAndSends(v int) {
 	go func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.subs[0] <- v // want `channel send while holding h\.mu`
+	}()
+}
+
+func (h *hub) deferredLocksAndSends(v int) {
+	defer func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.subs[0] <- v // want `channel send while holding h\.mu`
