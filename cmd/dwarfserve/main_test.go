@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -591,6 +592,94 @@ func TestJobCancel(t *testing.T) {
 	checkJobStore(t, srv, st, status)
 	if body := get(t, srv, "/v1/status", http.StatusOK); int(body["cells"].(float64)) != done {
 		t.Fatalf("snapshot serves %v cells, want %d", body["cells"], done)
+	}
+}
+
+// failedStoreJob runs a job that fails on a store write after one store
+// hit. crc/tiny on i7-6700k is swept into a store whose handle is then
+// closed; a second handle, with no segment open yet, is served, and the
+// store directory is removed. The job's k20m cell is a miss whose Put
+// must create a segment in the missing directory, which fails with
+// ENOENT (for root too). It returns the job's final status and the data
+// of its terminal SSE frame.
+func failedStoreJob(t *testing.T) (srv *server, status, terminal map[string]any) {
+	t.Helper()
+	dir := t.TempDir()
+	seed, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := harness.DefaultOptions()
+	opt.Samples = 6
+	if _, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
+		Benchmarks: []string{"crc"},
+		Sizes:      []string{"tiny"},
+		Devices:    []string{"i7-6700k"},
+		Options:    opt,
+		Workers:    1,
+		Store:      seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	cfg := predict.DefaultConfig()
+	cfg.Trees = 20
+	if srv, err = newServer(st, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	id := postJob(t, srv,
+		`{"benchmarks":["crc"],"sizes":["tiny"],"devices":["i7-6700k","k20m"],"workers":1,"samples":6}`,
+		http.StatusAccepted)
+	status = waitJob(t, srv, id)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := dialSSE(t, ts.URL, id, "")
+	defer c.resp.Body.Close()
+	c.readUntil(t, "event: grid_done")
+	data := strings.TrimPrefix(c.readUntil(t, "data: "), "data: ")
+	if err := json.Unmarshal([]byte(data), &terminal); err != nil {
+		t.Fatalf("terminal SSE data %q: %v", data, err)
+	}
+	return srv, status, terminal
+}
+
+// TestFailedJobCounters: a job that fails on a store error reports the
+// cells that completed before the failure — in its status and in its
+// terminal SSE frame alike — and the snapshot still serves the store.
+func TestFailedJobCounters(t *testing.T) {
+	srv, status, terminal := failedStoreJob(t)
+	if status["state"] != string(jobFailed) {
+		t.Fatalf("job state %v, want failed: %v", status["state"], status)
+	}
+	if msg, _ := status["error"].(string); !strings.Contains(msg, "store: ") {
+		t.Fatalf("job error %q, want a store error", msg)
+	}
+	if terminal["state"] != string(jobFailed) {
+		t.Fatalf("terminal frame state %v, want failed", terminal["state"])
+	}
+	for _, report := range []struct {
+		name string
+		body map[string]any
+	}{{"status", status}, {"terminal frame", terminal}} {
+		for key, want := range map[string]float64{"done": 1, "total": 2, "store_hits": 1, "store_misses": 0} {
+			if got := report.body[key]; got != want {
+				t.Errorf("%s %s = %v, want %v", report.name, key, got, want)
+			}
+		}
+	}
+	if body := get(t, srv, "/v1/status", http.StatusOK); body["cells"] != float64(1) {
+		t.Fatalf("/v1/status serves %v cells, want 1", body["cells"])
 	}
 }
 
