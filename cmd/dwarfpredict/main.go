@@ -106,7 +106,7 @@ func main() {
 		}
 	}
 	if err != nil {
-		if grid != nil && grid.Cells() > 0 && *storeDir != "" {
+		if grid.Cells() > 0 && *storeDir != "" {
 			fatal(fmt.Errorf("%w (%d completed cells persisted)", err, grid.Cells()))
 		}
 		fatal(err)

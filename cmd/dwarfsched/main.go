@@ -15,7 +15,7 @@
 // -bootstrap devices (store hits when a -store already holds them) plus
 // whatever the store already knows; unmeasured (task, device) cells are
 // predicted by the §5 forests, and every placement is flagged with its
-// cost source. Execution flows through Session.Stream, so with -store each
+// cost source. Execution flows through Session.RunGrid, so with -store each
 // round's measured cells persist and later rounds prefer measurement over
 // prediction. Everything is deterministic in (-seed, workload, fleet).
 //
@@ -165,7 +165,7 @@ func main() {
 		ctx = obs.ContextWithTracer(ctx, traceTracer)
 	}
 	defer flushTrace()
-	stream := streamer(sess, *progress)
+	run := runner(sess, *progress)
 
 	// Bootstrap: the workload's rows on the bootstrap devices seed the
 	// forests (store hits when already measured).
@@ -173,7 +173,7 @@ func main() {
 		if _, err := sim.LookupAll(boot); err != nil {
 			fatal(err)
 		}
-		g, err := measureRows(ctx, stream, w, boot)
+		g, err := measureRows(ctx, run, w, boot)
 		if err != nil {
 			fatal(err)
 		}
@@ -235,7 +235,7 @@ func main() {
 		for i, d := range fleet {
 			fleetIDs[i] = d.ID
 		}
-		truth, err := measureRows(ctx, stream, w, fleetIDs)
+		truth, err := measureRows(ctx, run, w, fleetIDs)
 		if err != nil {
 			fatal(err)
 		}
@@ -258,7 +258,7 @@ func main() {
 	regret := 0.0
 	if *rounds > 0 {
 		params := sched.LoopParams{
-			Stream: stream, Workload: w, Fleet: fleet, Policy: primary,
+			Run: run, Workload: w, Fleet: fleet, Policy: primary,
 			Forest: cfg, Sched: schedOpt, Known: loopKnown, Costs: costs,
 			Rounds: *rounds,
 		}
@@ -457,35 +457,39 @@ func storedGrid(dir string) (*harness.Grid, error) {
 	return harness.GridFromStore(st)
 }
 
-// streamer adapts Session.Stream to the scheduler's Streamer shape,
-// optionally teeing per-cell progress lines to stderr.
-func streamer(sess *opendwarfs.Session, progress bool) sched.Streamer {
-	return func(ctx context.Context, benches, sizes, devs []string) (<-chan harness.Event, error) {
-		ch, err := sess.Stream(ctx, opendwarfs.Selection{Benchmarks: benches, Sizes: sizes, Devices: devs})
-		if err != nil || !progress {
-			return ch, err
+// runner adapts Session.RunGrid to the scheduler's Runner shape. With
+// -progress it drains Session.Stream instead, printing each completed
+// cell's progress line to stderr.
+func runner(sess *opendwarfs.Session, progress bool) sched.Runner {
+	return func(ctx context.Context, benches, sizes, devs []string) (*harness.Grid, error) {
+		sel := opendwarfs.Selection{Benchmarks: benches, Sizes: sizes, Devices: devs}
+		if !progress {
+			return sess.RunGrid(ctx, sel)
 		}
-		out := make(chan harness.Event)
-		go func() {
-			defer close(out)
-			for ev := range ch {
-				if line := ev.ProgressLine(); line != "" {
-					fmt.Fprintln(os.Stderr, line)
-				}
-				out <- ev
+		events, err := sess.Stream(ctx, sel)
+		if err != nil {
+			return nil, err
+		}
+		var g *harness.Grid
+		for ev := range events {
+			if line := ev.ProgressLine(); line != "" {
+				fmt.Fprintln(os.Stderr, line)
 			}
-		}()
-		return out, nil
+			if ev.Kind == harness.EventGridDone {
+				g, err = ev.Grid, ev.Err
+			}
+		}
+		return g, err
 	}
 }
 
 // measureRows measures each distinct workload row on the given devices —
-// exactly those cells, one stream per row (a row × devices selection is an
+// exactly those cells, one run per row (a row × devices selection is an
 // exact cross product).
-func measureRows(ctx context.Context, stream sched.Streamer, w *sched.Workload, devices []string) (*harness.Grid, error) {
+func measureRows(ctx context.Context, run sched.Runner, w *sched.Workload, devices []string) (*harness.Grid, error) {
 	out := &harness.Grid{}
 	for _, row := range w.Rows() {
-		sub, err := sched.StreamCells(ctx, stream, []string{row[0]}, []string{row[1]}, devices)
+		sub, err := run(ctx, []string{row[0]}, []string{row[1]}, devices)
 		out.Merge(sub)
 		if err != nil {
 			return out, err

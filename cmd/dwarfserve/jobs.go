@@ -85,7 +85,9 @@ type wireEvent struct {
 
 // job is one asynchronous sweep: identity, cancel handle, and a mutex-
 // guarded (event log, status head, notify channel) triple. notify is
-// closed and replaced on every append, waking all followers.
+// closed and replaced on every append, waking all followers. The status
+// head reads its counters from the last event in the log: every event
+// carries all five as of its emission.
 type job struct {
 	id      string
 	req     jobRequest
@@ -99,35 +101,26 @@ type job struct {
 	mu          sync.Mutex
 	state       jobState
 	events      []wireEvent
-	done        int
-	total       int
-	hits        int
-	misses      int
-	retries     int
-	failed      int
 	quarantined []string
 	errMsg      string
 	finished    time.Time
 	notify      chan struct{}
 }
 
-// updateCountersLocked mirrors an event's cumulative counters into the
-// status head. Callers hold j.mu.
-func (j *job) updateCountersLocked(ev wireEvent) {
-	j.done, j.total = ev.Done, ev.Total
-	j.hits, j.misses = ev.Hits, ev.Misses
-	j.retries, j.failed = ev.Retries, ev.Failed
+// appendLocked adds ev to the log and wakes every follower. Callers hold
+// j.mu.
+func (j *job) appendLocked(ev wireEvent) {
+	j.events = append(j.events, ev)
 	if ev.Kind == string(harness.EventDeviceQuarantined) {
 		j.quarantined = append(j.quarantined, ev.Device)
 	}
+	close(j.notify)
+	j.notify = make(chan struct{})
 }
 
 func (j *job) append(ev wireEvent) {
 	j.mu.Lock()
-	j.events = append(j.events, ev)
-	j.updateCountersLocked(ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.appendLocked(ev)
 	j.mu.Unlock()
 }
 
@@ -136,10 +129,7 @@ func (j *job) finish(state jobState, errMsg string, ev wireEvent) {
 	j.state = state
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.events = append(j.events, ev)
-	j.updateCountersLocked(ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.appendLocked(ev)
 	j.mu.Unlock()
 }
 
@@ -158,24 +148,28 @@ func (j *job) follow(i int) ([]wireEvent, bool, <-chan struct{}) {
 func (j *job) status() map[string]any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var last wireEvent
+	if n := len(j.events); n > 0 {
+		last = j.events[n-1]
+	}
 	st := map[string]any{
 		"id":           j.id,
 		"state":        j.state,
 		"benchmarks":   j.req.Benchmarks,
 		"sizes":        j.req.Sizes,
 		"devices":      j.req.Devices,
-		"done":         j.done,
-		"total":        j.total,
-		"store_hits":   j.hits,
-		"store_misses": j.misses,
+		"done":         last.Done,
+		"total":        last.Total,
+		"store_hits":   last.Hits,
+		"store_misses": last.Misses,
 		"events":       len(j.events),
 		"started":      j.started.UTC().Format(time.RFC3339Nano),
 	}
-	if j.retries > 0 {
-		st["retries"] = j.retries
+	if last.Retries > 0 {
+		st["retries"] = last.Retries
 	}
-	if j.failed > 0 {
-		st["failed"] = j.failed
+	if last.Failed > 0 {
+		st["failed"] = last.Failed
 	}
 	if len(j.quarantined) > 0 {
 		st["quarantined"] = append([]string(nil), j.quarantined...)
@@ -338,22 +332,13 @@ func (s *server) runJob(j *job, events <-chan harness.Event) {
 		// complete are in the store and should be served. The reload is
 		// also the -compact-over enforcement point — the store only grows
 		// when jobs land cells.
-		if ev.Grid == nil || ev.Grid.Cells() > 0 {
+		if ev.Grid.Cells() > 0 {
 			if err := s.reloadFromStore(); err != nil {
 				state, errMsg = jobFailed, err.Error()
 			}
 			s.maybeCompact()
 		}
 		wev := toWire(ev)
-		if ev.Grid == nil {
-			// A cell failure yields no grid, so the harness event carries
-			// zero counters; keep the job's running ones — they reflect
-			// what actually completed and persisted before the failure.
-			j.mu.Lock()
-			wev.Done, wev.Hits, wev.Misses = j.done, j.hits, j.misses
-			wev.Retries, wev.Failed = j.retries, j.failed
-			j.mu.Unlock()
-		}
 		wev.State = string(state)
 		wev.Error = errMsg
 		j.finish(state, errMsg, wev)

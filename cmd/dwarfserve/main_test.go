@@ -683,6 +683,15 @@ func TestFailedJobCounters(t *testing.T) {
 	}
 }
 
+// TestFailedJobTerminalElapsed: a failed job's terminal frame reports the
+// run's wall-clock time, as a finished or cancelled job's does.
+func TestFailedJobTerminalElapsed(t *testing.T) {
+	_, _, terminal := failedStoreJob(t)
+	if ms, _ := terminal["elapsed_ms"].(float64); ms <= 0 {
+		t.Fatalf("terminal frame elapsed_ms %v, want > 0", terminal["elapsed_ms"])
+	}
+}
+
 // TestJobValidationAndLookups: bad selections fail at submit time with no
 // job registered; unknown job IDs 404.
 func TestJobValidationAndLookups(t *testing.T) {

@@ -155,17 +155,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "Chrome trace (%d spans) written to %s\n", tracer.Spans(), *tracePath)
 	}
 	if runErr != nil {
-		if errors.Is(runErr, context.Canceled) && grid != nil {
-			fmt.Fprintf(os.Stderr, "dwarfsweep: sweep cancelled after %d completed cells", grid.Cells())
-			if st != nil {
-				fmt.Fprintf(os.Stderr, " (all persisted to %s; re-running resumes from them)", *storeDir)
-				report.StoreStats(os.Stdout, grid)
-				st.Close()
-			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(1)
+		// A stopped sweep's grid holds the cells completed before the
+		// stop, each persisted before its progress line was printed.
+		verb := "cancelled"
+		if !errors.Is(runErr, context.Canceled) {
+			fmt.Fprintln(os.Stderr, "dwarfsweep:", runErr)
+			verb = "failed"
 		}
-		fmt.Fprintln(os.Stderr, "dwarfsweep:", runErr)
+		fmt.Fprintf(os.Stderr, "dwarfsweep: sweep %s after %d completed cells", verb, grid.Cells())
+		if st != nil {
+			fmt.Fprintf(os.Stderr, " (all persisted to %s; re-running resumes from them)", *storeDir)
+		}
+		fmt.Fprintln(os.Stderr)
+		if st != nil {
+			report.StoreStats(os.Stdout, grid)
+			st.Close()
+		}
 		os.Exit(1)
 	}
 	fmt.Printf("\n%d grid cells measured in %s\n", grid.Cells(), grid.Elapsed.Round(1e6))

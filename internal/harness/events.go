@@ -86,10 +86,10 @@ type Event struct {
 	// Measurement is set on CellDone and StoreHit.
 	Measurement *Measurement `json:"-"`
 
-	// Grid and Err are set on GridDone only. After cancellation Grid is
-	// the valid partial grid (completed cells, grid order) and Err is the
-	// context's error; after a cell failure Grid is nil and Err the cell's
-	// error.
+	// Grid and Err are set on GridDone only. Grid is set on every stop:
+	// after cancellation or a cell error it is the valid partial grid
+	// (completed cells, grid order, each already persisted) and Err is the
+	// context's or the cell's error.
 	Grid *Grid `json:"-"`
 	Err  error `json:"-"`
 }
@@ -127,8 +127,9 @@ func (ev Event) ProgressLine() string {
 // The channel is unbuffered — delivery paces the run, so the events a
 // consumer observes track execution closely and cancelling after the k-th
 // event stops the grid near cell k — and it is closed after the terminal
-// EventGridDone, which carries the resulting grid (partial under
-// cancellation) and error. Consumers must drain the channel until it
+// EventGridDone, which carries the resulting grid (partial after
+// cancellation or a cell error), its counters and the error; the grid is
+// the one RunGrid would return. Consumers must drain the channel until it
 // closes; cancelling ctx makes that prompt (workers stop claiming cells,
 // in-flight measurements abort at their next context check, and remaining
 // progress events are dropped). A consumer that cancels and abandons the
@@ -152,21 +153,19 @@ func Stream(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (<-chan Ev
 			case <-ctx.Done():
 			}
 		})
-		done := Event{Kind: EventGridDone, Total: len(cells), Grid: g, Err: err}
-		if g != nil {
-			done.Done = g.Cells()
-			done.Hits, done.Misses = g.StoreHits, g.StoreMisses
-			done.Retries, done.Failed = g.Retries, len(g.Failed)
-			done.Elapsed = g.Elapsed
+		done := Event{
+			Kind: EventGridDone, Done: g.Cells(), Total: len(cells), Elapsed: g.Elapsed,
+			Hits: g.StoreHits, Misses: g.StoreMisses, Retries: g.Retries, Failed: len(g.Failed),
+			Grid: g, Err: err,
 		}
 		if ctx.Err() == nil {
 			// Normal completion: the consumer is obliged to drain.
 			ch <- done
 			return
 		}
-		// Cancelled: a draining consumer (RunGrid always drains) receives
-		// this immediately; one that cancelled and walked away never
-		// will — bounded wait instead of a permanent goroutine leak.
+		// Cancelled: a draining consumer receives this immediately; one
+		// that cancelled and walked away never will — bounded wait
+		// instead of a permanent goroutine leak.
 		select {
 		case ch <- done:
 		case <-time.After(10 * time.Second):

@@ -223,24 +223,20 @@ func dispatchOrder(nCells, nDevices, workers int) []int {
 // order regardless of worker count, and a parallel grid is cell-for-cell
 // identical to a sequential one.
 //
-// RunGrid is the synchronous view of the event stream: it drains Stream
-// and returns the grid carried by the terminal EventGridDone. When ctx is
-// cancelled mid-grid it returns a valid partial grid — exactly the cells
-// that completed, in grid order, every one already persisted when a store
-// is attached — together with the context's error; re-running the same
-// spec afterwards store-hits precisely those cells.
+// RunGrid calls the cell runner Stream uses from the caller's goroutine,
+// with no event channel; Stream's grid_done carries the same grid. Once
+// the spec is planned, RunGrid returns a grid on every stop. When ctx is
+// cancelled or a cell fails, the grid is partial: exactly the cells that
+// completed, in grid order, every one already persisted when a store is
+// attached. It comes with the context's or the cell's error, and
+// re-running the same spec afterwards store-hits precisely those cells.
+// An invalid spec yields no grid.
 func RunGrid(ctx context.Context, reg *dwarfs.Registry, spec GridSpec) (*Grid, error) {
-	events, err := Stream(ctx, reg, spec)
+	cells, nDevices, err := planCells(reg, spec)
 	if err != nil {
 		return nil, err
 	}
-	for ev := range events {
-		if ev.Kind == EventGridDone {
-			return ev.Grid, ev.Err
-		}
-	}
-	// Unreachable: Stream always terminates with EventGridDone.
-	return nil, fmt.Errorf("harness: event stream closed without a grid_done event")
+	return runGrid(ctx, spec, cells, nDevices, func(Event) {})
 }
 
 // gridRun is the state of one runGrid call. Its methods are the phases of
@@ -266,10 +262,12 @@ type gridRun struct {
 	quarantined                         map[string]bool
 }
 
-// runGrid is the cell runner shared by Stream (and through it, RunGrid).
-// It emits one CellStart per claimed cell and one CellDone or StoreHit per
-// completed cell via emit — which must be non-nil and is called from
-// worker goroutines, serialised by the run's mutex.
+// runGrid is the cell runner shared by Stream and RunGrid. It emits one
+// CellStart per claimed cell and one CellDone or StoreHit per completed
+// cell via emit — which must be non-nil and is called from worker
+// goroutines, serialised by the run's mutex. It returns the grid of the
+// completed cells on every stop, with the first cell error in grid order
+// or, failing that, the context's error.
 func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int, emit func(Event)) (*Grid, error) {
 	started := now()
 	if len(cells) == 0 {
@@ -327,24 +325,14 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		}
 	})
 
-	// Error selection: the earliest failing cell in grid order among
-	// those attempted. With Workers: 1 this is exactly the sequential
-	// harness's first error; under concurrency which cells were attempted
-	// before the stop flag landed depends on scheduling, so a different
-	// (equally genuine) cell's error may surface across runs.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	g := &Grid{
 		StoreHits:   r.hits,
 		StoreMisses: r.misses,
 		Retries:     r.retries,
 		Elapsed:     since(started),
 	}
-	// Failures and quarantines apply to partial (cancelled) grids too:
-	// a cell that failed before the cancellation genuinely failed.
+	// Failures and quarantines apply to partial grids too: a cell that
+	// failed before the stop genuinely failed.
 	for _, f := range r.failures {
 		if f != nil {
 			g.Failed = append(g.Failed, *f)
@@ -354,14 +342,24 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		g.Quarantined = append(g.Quarantined, dev)
 	}
 	sort.Strings(g.Quarantined)
-	// Exactly the completed cells, grid order — partial under
-	// cancellation, missing only the failed cells otherwise. Every
-	// measurement was persisted before its CellDone event fired, so the
-	// store and the returned grid agree.
+	// Exactly the completed cells, grid order — partial after a stop,
+	// missing only the failed cells otherwise. Every measurement was
+	// persisted before its CellDone event fired, so the store and the
+	// returned grid agree.
 	g.Measurements = make([]*Measurement, 0, r.done)
 	for _, m := range r.results {
 		if m != nil {
 			g.Measurements = append(g.Measurements, m)
+		}
+	}
+	// Error selection: the earliest failing cell in grid order among
+	// those attempted. With Workers: 1 this is exactly the sequential
+	// harness's first error; under concurrency which cells were attempted
+	// before the stop flag landed depends on scheduling, so a different
+	// (equally genuine) cell's error may surface across runs.
+	for _, err := range errs {
+		if err != nil {
+			return g, err
 		}
 	}
 	return g, ctx.Err()
@@ -657,8 +655,12 @@ func (g *Grid) ByBenchmark(bench string) []*Measurement {
 // failure — a cell measured by either grid is not failed in the merge,
 // whichever run failed it first. Merging grids measured under different
 // options is the caller's responsibility — the coordinate cannot
-// distinguish them.
+// distinguish them. Merging nil — the grid of a run whose spec did not
+// plan — changes nothing.
 func (g *Grid) Merge(o *Grid) {
+	if o == nil {
+		return
+	}
 	idx := make(map[string]int, len(g.Measurements))
 	for i, m := range g.Measurements {
 		idx[mergeKey(m)] = i

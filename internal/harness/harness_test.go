@@ -11,6 +11,7 @@ import (
 
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/opencl"
+	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
 
@@ -476,6 +477,83 @@ func TestRunGridConvertsWorkerPanicsToErrors(t *testing.T) {
 			t.Fatalf("workers=%d: want panic converted to error, got %v", workers, err)
 		}
 	}
+}
+
+// TestCellErrorReturnsPartialGrid: a run stopped by a cell error hands
+// back the cells it finished, each already in the store, as a cancelled
+// run does — from RunGrid and on Stream's grid_done alike. At one worker
+// the two crc cells complete before the panicking row is reached.
+func TestCellErrorReturnsPartialGrid(t *testing.T) {
+	crc, err := suite.New().Get("crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := dwarfs.NewRegistry(crc, panicBench{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(t *testing.T) (GridSpec, *store.Store) {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return GridSpec{
+			Sizes:   []string{"tiny"},
+			Devices: []string{"i7-6700k", "gtx1080"},
+			Options: quickOpts(),
+			Workers: 1,
+			Store:   st,
+		}, st
+	}
+	check := func(t *testing.T, g *Grid, err error, st *store.Store) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("run error %v, want the panicked cell's", err)
+		}
+		if g == nil {
+			t.Fatal("a run stopped by a cell error returned no grid")
+		}
+		if g.Cells() != 2 || g.StoreMisses != 2 || g.StoreHits != 0 || g.Elapsed <= 0 {
+			t.Fatalf("grid: %d cells, %d misses, %d hits, elapsed %v; want 2, 2, 0, > 0",
+				g.Cells(), g.StoreMisses, g.StoreHits, g.Elapsed)
+		}
+		for _, m := range g.Measurements {
+			if m.Benchmark != "crc" {
+				t.Fatalf("grid holds %s/%s/%s, want crc cells only", m.Benchmark, m.Size, m.Device.ID)
+			}
+			if _, ok := st.Get(CellKey(m.Benchmark, m.Size, m.Device, quickOpts())); !ok {
+				t.Fatalf("cell %s/%s/%s is in the grid but not in the store", m.Benchmark, m.Size, m.Device.ID)
+			}
+		}
+		if cells, _ := storeRecords(t, st); cells != 2 {
+			t.Fatalf("store holds %d cells, want 2", cells)
+		}
+	}
+
+	t.Run("RunGrid", func(t *testing.T) {
+		s, st := spec(t)
+		g, err := RunGrid(context.Background(), reg, s)
+		check(t, g, err, st)
+	})
+	t.Run("Stream", func(t *testing.T) {
+		s, st := spec(t)
+		events, err := Stream(context.Background(), reg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done Event
+		for ev := range events {
+			if ev.Kind == EventGridDone {
+				done = ev
+			}
+		}
+		if done.Done != 2 || done.Misses != 2 || done.Hits != 0 || done.Elapsed <= 0 {
+			t.Fatalf("grid_done: done %d, misses %d, hits %d, elapsed %v; want 2, 2, 0, > 0",
+				done.Done, done.Misses, done.Hits, done.Elapsed)
+		}
+		check(t, done.Grid, done.Err, st)
+	})
 }
 
 func TestDispatchOrderCoversAllCells(t *testing.T) {

@@ -13,12 +13,14 @@ import (
 	"opendwarfs/internal/sim"
 )
 
-// Streamer starts measurement of one benchmark × size × device selection
-// and returns its typed event channel — the shape of
-// opendwarfs.Session.Stream (and of harness.Stream with a registry bound).
-// A store-backed streamer persists every measured cell and store-hits the
-// already-measured ones, which is what makes the online loop converge.
-type Streamer func(ctx context.Context, benchmarks, sizes, devices []string) (<-chan harness.Event, error)
+// Runner measures one benchmark × size × device selection and returns its
+// grid — the shape of opendwarfs.Session.RunGrid (and of harness.RunGrid
+// with a registry bound). Like those, it returns the grid of the cells
+// that completed on every stop, alongside the error, and no grid for a
+// selection it cannot plan. A store-backed runner persists every measured
+// cell and store-hits the already-measured ones, which is what makes the
+// online loop converge.
+type Runner func(ctx context.Context, benchmarks, sizes, devices []string) (*harness.Grid, error)
 
 // cellGroup is one exact selection a schedule expands to: a single
 // benchmark × size on the devices its tasks were placed on (one bench ×
@@ -58,35 +60,13 @@ func cellGroups(s *Schedule) []cellGroup {
 	return groups
 }
 
-// StreamCells runs one benchmark × size × device selection through the
-// streamer and returns the grid its terminal event carries — the single
-// drain shared by Execute and by CLI bootstrap/oracle sweeps. Under
-// cancellation the grid holds whatever completed, alongside the error.
-func StreamCells(ctx context.Context, run Streamer, benchmarks, sizes, devices []string) (*harness.Grid, error) {
-	out := &harness.Grid{}
-	events, err := run(ctx, benchmarks, sizes, devices)
-	if err != nil {
-		return out, err
-	}
-	for ev := range events {
-		if ev.Kind == harness.EventGridDone {
-			if ev.Grid != nil {
-				out.Merge(ev.Grid)
-			}
-			if ev.Err != nil {
-				return out, ev.Err
-			}
-		}
-	}
-	return out, nil
-}
-
 // Execute measures every distinct cell of the schedule through the
-// streamer and returns the merged grid. With a store-backed streamer the
-// already-measured cells are store hits and the rest persist, so the next
-// scheduling round resolves them as measured. Cancelling ctx stops between
-// cells; the returned grid holds whatever completed, alongside the error.
-func Execute(ctx context.Context, run Streamer, s *Schedule) (*harness.Grid, error) {
+// runner, one selection per (benchmark, size), and returns the merged
+// grid. With a store-backed runner the already-measured cells are store
+// hits and the rest persist, so the next scheduling round resolves them as
+// measured. Cancelling ctx or a failing cell stops the execution; the
+// returned grid holds whatever completed, alongside the error.
+func Execute(ctx context.Context, run Runner, s *Schedule) (*harness.Grid, error) {
 	groups := cellGroups(s)
 	// The span (and, through the derived ctx, the cell spans of each
 	// group's grid run) lands on whatever tracer the caller put in ctx
@@ -95,7 +75,7 @@ func Execute(ctx context.Context, run Streamer, s *Schedule) (*harness.Grid, err
 	defer span.End()
 	out := &harness.Grid{}
 	for _, g := range groups {
-		sub, err := StreamCells(ctx, run, []string{g.bench}, []string{g.size}, g.devices)
+		sub, err := run(ctx, []string{g.bench}, []string{g.size}, g.devices)
 		out.Merge(sub)
 		if err != nil {
 			return out, err
@@ -118,24 +98,22 @@ type ExecOutcome struct {
 	Quarantined   []string
 	Repairs       int
 	MigratedTasks int
-	// Retries is the total retry count across all measurement passes;
-	// Failed the cells that exhausted their attempts on a device that
-	// stayed up (failures on quarantined devices are accounted by the
-	// migration instead).
-	Retries int
-	Failed  []harness.FailedCell
+	// Failed lists the cells that exhausted their attempts on a device
+	// that stayed up (failures on quarantined devices are accounted by the
+	// migration instead). Grid.Retries counts the retries of every pass.
+	Failed []harness.FailedCell
 }
 
 // ExecuteResilient measures the schedule's cells and reacts to device
 // dropouts: when an execution pass quarantines devices, the schedule's
 // stranded slots are migrated onto the survivors via Schedule.Repair
 // (policy and costs as at planning time) and the repaired schedule is
-// re-executed — with a store-backed streamer the surviving cells are store
+// re-executed — with a store-backed runner the surviving cells are store
 // hits, so only the migrated work is re-measured. The loop runs until a
 // pass quarantines nothing new; each pass kills at least one device, so
 // it is bounded by the fleet size. Cancellation and hard measurement
 // errors return the outcome so far alongside the error.
-func ExecuteResilient(ctx context.Context, run Streamer, s *Schedule, pol Policy, costs CostProvider, opt Options) (*ExecOutcome, error) {
+func ExecuteResilient(ctx context.Context, run Runner, s *Schedule, pol Policy, costs CostProvider, opt Options) (*ExecOutcome, error) {
 	out := &ExecOutcome{Grid: &harness.Grid{}, Schedule: s}
 	deadSet := map[string]bool{}
 	cur := s
@@ -144,12 +122,9 @@ func ExecuteResilient(ctx context.Context, run Streamer, s *Schedule, pol Policy
 			return out, fmt.Errorf("sched: repair loop exceeded the fleet size (%d passes)", pass)
 		}
 		g, err := Execute(ctx, run, cur)
-		if g != nil {
-			out.Grid.Merge(g)
-		}
+		out.Grid.Merge(g)
 		out.Schedule = cur
 		if err != nil {
-			out.Retries = out.Grid.Retries
 			return out, err
 		}
 		var fresh []string
@@ -182,7 +157,6 @@ func ExecuteResilient(ctx context.Context, run Streamer, s *Schedule, pol Policy
 		out.Repairs++
 		cur = repaired
 	}
-	out.Retries = out.Grid.Retries
 	for _, f := range out.Grid.Failed {
 		if !deadSet[f.Device] {
 			out.Failed = append(out.Failed, f)
@@ -236,7 +210,7 @@ type LoopResult struct {
 
 // LoopParams configures OnlineLoop.
 type LoopParams struct {
-	Stream   Streamer
+	Run      Runner
 	Workload *Workload
 	Fleet    []*sim.DeviceSpec
 	Policy   Policy
@@ -268,7 +242,7 @@ type LoopParams struct {
 	// sched_slots_measured_total (cost sources of each round's plan),
 	// sched_repairs_total / sched_migrated_tasks_total, and — with an
 	// oracle — the sched_regret_pct / sched_best_regret_pct gauges.
-	// Harness-level metrics flow through the Streamer's own registry
+	// Harness-level metrics flow through the Runner's own registry
 	// (e.g. the session's WithMetrics), not through this field.
 	Metrics *obs.Registry
 }
@@ -287,7 +261,7 @@ const (
 )
 
 // OnlineLoop alternates schedule → execute → re-train for the configured
-// number of rounds. Execution flows through the streamer, so with a store
+// number of rounds. Execution flows through the runner, so with a store
 // attached each round's measured cells persist and the next round's cost
 // provider resolves them as measured — predictions drain out of the plan
 // and, with an oracle configured, the incumbent regret is non-increasing.
@@ -341,11 +315,9 @@ func OnlineLoop(ctx context.Context, p LoopParams) (*LoopResult, error) {
 			rspan.End()
 			return res, fmt.Errorf("sched: round %d: %w", r, err)
 		}
-		outc, err := ExecuteResilient(rctx, p.Stream, s, p.Policy, costs, p.Sched)
+		outc, err := ExecuteResilient(rctx, p.Run, s, p.Policy, costs, p.Sched)
 		rspan.End()
-		if outc != nil && outc.Grid != nil {
-			known.Merge(outc.Grid)
-		}
+		known.Merge(outc.Grid)
 		if err != nil {
 			return res, fmt.Errorf("sched: round %d execution: %w", r, err)
 		}
@@ -367,7 +339,7 @@ func OnlineLoop(ctx context.Context, p LoopParams) (*LoopResult, error) {
 			Predicted: s.Predicted, Measured: s.Measured,
 			StoreHits: outc.Grid.StoreHits, StoreMisses: outc.Grid.StoreMisses,
 			Quarantined: outc.Quarantined, Repairs: outc.Repairs,
-			MigratedTasks: outc.MigratedTasks, Retries: outc.Retries,
+			MigratedTasks: outc.MigratedTasks, Retries: outc.Grid.Retries,
 			FailedCells: len(outc.Failed),
 		}
 		if p.Oracle != nil {

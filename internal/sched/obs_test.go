@@ -37,7 +37,7 @@ func TestOnlineLoopMetricsAndSpans(t *testing.T) {
 	ctx := obs.ContextWithTracer(context.Background(), tr)
 	plan := &faults.Plan{Seed: 4, Drop: []string{"k20m"}}
 	res, err := OnlineLoop(ctx, LoopParams{
-		Stream:   chaosStreamer(st, plan),
+		Run:      chaosRunner(st, plan),
 		Workload: w,
 		Fleet:    fleetOf(t, devices...),
 		Policy:   pol,
@@ -116,7 +116,7 @@ func TestOnlineLoopRegretGauges(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	res, err := OnlineLoop(context.Background(), LoopParams{
-		Stream:   chaosStreamer(st, nil),
+		Run:      chaosRunner(st, nil),
 		Workload: w,
 		Fleet:    fleetOf(t, devices...),
 		Policy:   pol,

@@ -11,11 +11,11 @@ import (
 	"opendwarfs/internal/suite"
 )
 
-// chaosStreamer is storeStreamer with a fault plan and retry policy bound —
+// chaosRunner is storeRunner with a fault plan and retry policy bound —
 // the test stand-in for a Session configured via WithFaults/WithRetry.
-func chaosStreamer(st *store.Store, plan *faults.Plan) Streamer {
-	return func(ctx context.Context, benches, sizes, devices []string) (<-chan harness.Event, error) {
-		return harness.Stream(ctx, suite.New(), harness.GridSpec{
+func chaosRunner(st *store.Store, plan *faults.Plan) Runner {
+	return func(ctx context.Context, benches, sizes, devices []string) (*harness.Grid, error) {
+		return harness.RunGrid(ctx, suite.New(), harness.GridSpec{
 			Benchmarks: benches,
 			Sizes:      sizes,
 			Devices:    devices,
@@ -132,7 +132,7 @@ func TestExecuteResilientMigratesAroundDropout(t *testing.T) {
 	}
 	defer st2.Close()
 	plan := &faults.Plan{Seed: 9, Drop: []string{"k20m"}}
-	outc, err := ExecuteResilient(context.Background(), chaosStreamer(st2, plan), s, pol, costs, Options{})
+	outc, err := ExecuteResilient(context.Background(), chaosRunner(st2, plan), s, pol, costs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestExecutionCancellationKeepsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, err := ExecuteResilient(ctx, chaosStreamer(st2, nil), s, pol, costs, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := ExecuteResilient(ctx, chaosRunner(st2, nil), s, pol, costs, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ExecuteResilient err = %v, want context.Canceled in the chain", err)
 	}
 	if _, err := OnlineLoop(ctx, LoopParams{
-		Stream:   chaosStreamer(st2, nil),
+		Run:      chaosRunner(st2, nil),
 		Workload: w,
 		Fleet:    fleetOf(t, devices...),
 		Policy:   pol,
@@ -242,7 +242,7 @@ func TestOnlineLoopShrinksFleetOnQuarantine(t *testing.T) {
 
 	plan := &faults.Plan{Seed: 4, Drop: []string{"k20m"}}
 	res, err := OnlineLoop(context.Background(), LoopParams{
-		Stream:   chaosStreamer(st, plan),
+		Run:      chaosRunner(st, plan),
 		Workload: w,
 		Fleet:    fleetOf(t, devices...),
 		Policy:   pol,

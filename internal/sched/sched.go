@@ -23,8 +23,8 @@
 //     placement into a Schedule: per-device timelines, makespan, energy
 //     (active and idle), deadline misses — and, re-timed under measured
 //     costs, the regret against a measured-cost oracle.
-//   - Execute (execute.go) runs a schedule's cells through the typed event
-//     stream (opendwarfs.Session.Stream or harness.Stream); with a store
+//   - Execute (execute.go) runs a schedule's cells through a Runner
+//     (opendwarfs.Session.RunGrid or harness.RunGrid); with a store
 //     attached every measured cell persists, so the next scheduling round
 //     resolves it as measured instead of predicted. OnlineLoop iterates
 //     schedule → execute → re-train, shrinking oracle regret as

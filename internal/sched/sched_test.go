@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -603,10 +604,10 @@ func TestScheduleDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// storeStreamer adapts harness.Stream over a store-backed spec — the test
-// stand-in for opendwarfs.Session.Stream.
-func storeStreamer(st *store.Store) Streamer {
-	return func(ctx context.Context, benches, sizes, devices []string) (<-chan harness.Event, error) {
+// storeRunner adapts harness.RunGrid over a store-backed spec — the test
+// stand-in for opendwarfs.Session.RunGrid.
+func storeRunner(st *store.Store) Runner {
+	return func(ctx context.Context, benches, sizes, devices []string) (*harness.Grid, error) {
 		spec := harness.GridSpec{
 			Benchmarks: benches,
 			Sizes:      sizes,
@@ -617,7 +618,7 @@ func storeStreamer(st *store.Store) Streamer {
 		if st != nil {
 			spec.Store = st
 		}
-		return harness.Stream(ctx, suite.New(), spec)
+		return harness.RunGrid(ctx, suite.New(), spec)
 	}
 }
 
@@ -645,7 +646,7 @@ func TestExecuteMeasuresExactlyScheduleCells(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	executed, err := Execute(context.Background(), storeStreamer(st), s)
+	executed, err := Execute(context.Background(), storeRunner(st), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,6 +665,29 @@ func TestExecuteMeasuresExactlyScheduleCells(t *testing.T) {
 	// crc and fft cells were swept into the store above: store hits.
 	if executed.StoreHits == 0 {
 		t.Fatal("expected store hits for pre-measured cells")
+	}
+}
+
+// TestExecuteKeepsCellsOfFailedRun: a run that fails after completing
+// some cells hands them back beside its error, and Execute's grid keeps
+// them — they are in the store, so the next round resolves them as
+// measured.
+func TestExecuteKeepsCellsOfFailedRun(t *testing.T) {
+	done := measure(t, []string{"crc"}, []string{"tiny"}, []string{"i7-6700k"}, nil)
+	boom := errors.New("boom")
+	run := func(context.Context, []string, []string, []string) (*harness.Grid, error) {
+		return done, boom
+	}
+	s := &Schedule{Slots: []Slot{
+		{Benchmark: "crc", Size: "tiny", Device: "i7-6700k"},
+		{Benchmark: "crc", Size: "tiny", Device: "gtx1080"},
+	}}
+	g, err := Execute(context.Background(), run, s)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Execute returned %v, want the run's error", err)
+	}
+	if g.Cells() != 1 || g.Find("crc", "tiny", "i7-6700k") == nil {
+		t.Fatalf("Execute's grid holds %d cells, want the failed run's completed crc/tiny/i7-6700k", g.Cells())
 	}
 }
 
@@ -703,7 +727,7 @@ func TestOnlineLoopRegretNonIncreasing(t *testing.T) {
 	}
 
 	res, err := OnlineLoop(context.Background(), LoopParams{
-		Stream:   storeStreamer(st),
+		Run:      storeRunner(st),
 		Workload: w,
 		Fleet:    fleet,
 		Policy:   pol,
@@ -778,7 +802,7 @@ func TestOnlineLoopCarriesCharacterisations(t *testing.T) {
 	pol, _ := LookupPolicy("heft")
 
 	params := LoopParams{
-		Stream: storeStreamer(st), Workload: w, Fleet: fleet,
+		Run: storeRunner(st), Workload: w, Fleet: fleet,
 		Policy: pol, Forest: testForest(), Known: known, Rounds: 2,
 	}
 	if _, err := OnlineLoop(context.Background(), params); err == nil {

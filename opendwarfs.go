@@ -12,10 +12,10 @@
 //	fmt.Println(res.Kernel.Median)
 //
 // Sessions are context-aware: cancelling the context aborts cleanly, and a
-// cancelled grid run returns a valid partial Grid whose completed cells are
-// already persisted when a store is attached (NewSession(WithStore(dir))).
-// Session.Stream exposes the typed per-cell event stream that grid
-// execution is built on.
+// grid run stopped by cancellation or a cell error returns a valid partial
+// Grid whose completed cells are already persisted when a store is
+// attached (NewSession(WithStore(dir))). Session.Stream runs the same grid
+// and reports it as a typed per-cell event stream.
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package opendwarfs

@@ -27,7 +27,7 @@ type Event = harness.Event
 // EventKind re-exports the event discriminator.
 type EventKind = harness.EventKind
 
-// Event kinds emitted by Session.Stream (and Session.RunGrid internally).
+// Event kinds emitted by Session.Stream.
 const (
 	EventCellStart         = harness.EventCellStart
 	EventCellDone          = harness.EventCellDone
@@ -312,10 +312,12 @@ func (s *Session) Run(ctx context.Context, bench, size, deviceID string) (*Resul
 }
 
 // RunGrid measures the selected benchmark × size × device slice and blocks
-// until it completes. When ctx is cancelled mid-grid it returns a valid
-// partial Grid — exactly the completed cells, in grid order, all persisted
-// when a store is attached — together with ctx's error; re-running the
-// same selection afterwards store-hits precisely those cells.
+// until it completes. When ctx is cancelled or a cell fails mid-grid it
+// returns a valid partial Grid — exactly the completed cells, in grid
+// order, all persisted when a store is attached — together with ctx's or
+// the cell's error; re-running the same selection afterwards store-hits
+// precisely those cells. A selection naming an unknown benchmark, size or
+// device yields no grid.
 func (s *Session) RunGrid(ctx context.Context, sel Selection) (*Grid, error) {
 	return harness.RunGrid(ctx, suite.New(), s.spec(sel))
 }
@@ -323,8 +325,9 @@ func (s *Session) RunGrid(ctx context.Context, sel Selection) (*Grid, error) {
 // Stream starts the selected grid and returns its typed event channel:
 // EventCellStart when a cell is claimed, EventCellDone / EventStoreHit as
 // cells complete (with the measurement, timing and running hit/miss
-// counts), and a terminal EventGridDone carrying the resulting Grid —
-// partial under cancellation — and error, after which the channel closes.
+// counts), and a terminal EventGridDone carrying the Grid RunGrid would
+// return — partial after cancellation or a cell error — its counters and
+// the error, after which the channel closes.
 // Delivery is unbuffered, so observed events pace the run and cancelling
 // after the k-th event stops the grid near cell k. Drain the channel
 // until it closes (cancelling ctx makes that prompt) to observe the
