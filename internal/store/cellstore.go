@@ -21,15 +21,11 @@ type CellStore interface {
 	// non-nil error when the payload does not decode. The value may be
 	// shared with every other reader of the key (see Store.GetDecoded).
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
-	// Lookup returns the full record for key, or nil.
-	Lookup(key string) *Record
 	// Put persists the record and publishes it (last write wins).
 	Put(rec Record) error
 	// Records returns a stable listing of every live record, sorted by
-	// (benchmark, size, device, key) — see SortRecords.
+	// (benchmark, size, device, key).
 	Records() []*Record
-	// Len returns the number of live records.
-	Len() int
 	// Close releases the store's file handles. The store must not be used
 	// afterwards.
 	Close() error

@@ -254,14 +254,6 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return rec.Value, true
 }
 
-// Lookup returns the full record for key, or nil.
-func (s *Store) Lookup(key string) *Record {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.recs[key]
-}
-
 // Put appends the record to the current segment and publishes it in the
 // index. Re-putting an existing key overwrites it (last write wins).
 func (s *Store) Put(rec Record) error {
@@ -345,12 +337,12 @@ func (s *Store) Len() int {
 	return n
 }
 
-// SortRecords sorts recs into the canonical listing order every CellStore
-// implementation must produce from Records: (benchmark, size, device)
-// with the fingerprint key as the final tiebreak. The key makes the order
-// a total one — two records can never compare equal — so the listing is
-// deterministic regardless of map iteration order or segment replay order.
-func SortRecords(recs []*Record) {
+// sortRecords sorts recs into the canonical listing order of Records:
+// (benchmark, size, device) with the fingerprint key as the final
+// tiebreak. The key makes the order a total one — two records can never
+// compare equal — so the listing is deterministic regardless of map
+// iteration order or segment replay order.
+func sortRecords(recs []*Record) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.Benchmark != b.Benchmark {
@@ -367,7 +359,7 @@ func SortRecords(recs []*Record) {
 }
 
 // Records returns a stable listing of every live record in the canonical
-// SortRecords order — the order the serving layer and exports present
+// sortRecords order — the order the serving layer and exports present
 // cells in.
 func (s *Store) Records() []*Record {
 	var out []*Record
@@ -379,7 +371,7 @@ func (s *Store) Records() []*Record {
 		}
 		sh.mu.RUnlock()
 	}
-	SortRecords(out)
+	sortRecords(out)
 	return out
 }
 
