@@ -15,7 +15,7 @@
 // -bootstrap devices (store hits when a -store already holds them) plus
 // whatever the store already knows; unmeasured (task, device) cells are
 // predicted by the §5 forests, and every placement is flagged with its
-// cost source. Execution flows through Session.RunGrid, so with -store each
+// cost source. Execution flows through Session.Stream, so with -store each
 // round's measured cells persist and later rounds prefer measurement over
 // prediction. Everything is deterministic in (-seed, workload, fleet).
 //
@@ -457,26 +457,24 @@ func storedGrid(dir string) (*harness.Grid, error) {
 	return harness.GridFromStore(st)
 }
 
-// runner adapts Session.RunGrid to the scheduler's Runner shape. With
-// -progress it drains Session.Stream instead, printing each completed
-// cell's progress line to stderr.
+// runner adapts Session.Stream to the scheduler's Runner shape: it drains
+// the stream into its grid, printing each completed cell's progress line
+// to stderr when progress is set.
 func runner(sess *opendwarfs.Session, progress bool) sched.Runner {
 	return func(ctx context.Context, benches, sizes, devs []string) (*harness.Grid, error) {
-		sel := opendwarfs.Selection{Benchmarks: benches, Sizes: sizes, Devices: devs}
-		if !progress {
-			return sess.RunGrid(ctx, sel)
-		}
-		events, err := sess.Stream(ctx, sel)
+		events, err := sess.Stream(ctx, opendwarfs.Selection{Benchmarks: benches, Sizes: sizes, Devices: devs})
 		if err != nil {
 			return nil, err
 		}
 		var g *harness.Grid
 		for ev := range events {
-			if line := ev.ProgressLine(); line != "" {
-				fmt.Fprintln(os.Stderr, line)
-			}
-			if ev.Kind == harness.EventGridDone {
+			switch {
+			case ev.Kind == harness.EventGridDone:
 				g, err = ev.Grid, ev.Err
+			case progress:
+				if line := ev.ProgressLine(); line != "" {
+					fmt.Fprintln(os.Stderr, line)
+				}
 			}
 		}
 		return g, err
