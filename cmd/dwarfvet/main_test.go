@@ -16,7 +16,7 @@ import (
 // -flags, per-unit cfg, facts output, diagnostic exit) end to end.
 func TestVettoolProtocol(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go tool not found: %v", err)
+		t.Fatalf("go tool not found: %v", err)
 	}
 	tmp := t.TempDir()
 
@@ -131,7 +131,7 @@ func Configure(oracle bool) params {
 // TestAnalyzerToggle checks the vet-style -NAME=false analyzer toggles.
 func TestAnalyzerToggle(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go tool not found: %v", err)
+		t.Fatalf("go tool not found: %v", err)
 	}
 	tmp := t.TempDir()
 	tool := filepath.Join(tmp, "dwarfvet")

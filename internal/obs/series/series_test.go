@@ -2,6 +2,9 @@ package series
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -248,6 +251,60 @@ func TestWindowedQueries(t *testing.T) {
 	}
 	if len(sum.Histograms) != 1 || sum.Histograms[0].Count != 3 {
 		t.Fatalf("History histograms = %+v", sum.Histograms)
+	}
+}
+
+// TestHistoryGolden pins the /v1/metrics/history body: the SHA-256 of
+// History's JSON over a 3 s and a 1 h window of a fake-clock sequence
+// with a late-registered counter, a moving gauge, a gauge that stays 0
+// (elided), a histogram observed only before the short window (elided
+// from it) and a histogram that moves every tick. A mismatch means a
+// windowed sum, a quantile or the elision rules changed.
+func TestHistoryGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	work := reg.Counter("work_total")
+	depth := reg.Gauge("depth")
+	reg.Gauge("idle") // never set: stays 0
+	early := reg.Histogram("early_ns", []float64{10, 100})
+	lat := reg.Histogram("lat_ns", []float64{1, 2, 5, 10, 20})
+	rec, _ := testRecorder(reg, 32)
+
+	var late *obs.Counter
+	for i := 0; i < 8; i++ {
+		work.Add(int64(3 * i))
+		depth.Set(float64(7 - 2*i))
+		if i < 2 {
+			early.Observe(float64(40 * (i + 1)))
+		}
+		lat.Observe(float64(i*i) / 2)
+		if i == 3 {
+			late = reg.Counter("late_total")
+		}
+		if late != nil {
+			late.Add(int64(i))
+		}
+		rec.Sample()
+	}
+
+	for _, tc := range []struct {
+		window time.Duration
+		want   string
+	}{
+		{3 * time.Second, "4da80a16a69f66b4f989b6ba4737aaa6709446b08a872770a4051d13577b63ce"},
+		{time.Hour, "1a4bc0b4a26680fc9d2082f23945e20a83546bdc061ac4b3f313903c1f75d6b8"},
+	} {
+		sum, ok := rec.History(tc.window)
+		if !ok {
+			t.Fatalf("History(%v) not ok", tc.window)
+		}
+		body, err := json.Marshal(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := sha256.Sum256(body)
+		if got := hex.EncodeToString(digest[:]); got != tc.want {
+			t.Errorf("History(%v) digest %s, want %s\n%s", tc.window, got, tc.want, body)
+		}
 	}
 }
 
