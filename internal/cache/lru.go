@@ -144,55 +144,3 @@ func (t *TraceHierarchy) Reset() {
 		c.Reset()
 	}
 }
-
-// TLB is a fully-associative LRU translation look-aside buffer model used to
-// derive the paper's data-TLB miss-rate counter.
-type TLB struct {
-	pageBits uint
-	entries  int
-	pages    []uint64
-	valid    []bool
-	accesses uint64
-	misses   uint64
-}
-
-// NewTLB builds a TLB with the given entry count and page size.
-func NewTLB(entries, pageBytes int) *TLB {
-	if entries <= 0 || pageBytes <= 0 {
-		panic("cache: non-positive TLB geometry")
-	}
-	bits := uint(0)
-	for 1<<bits < pageBytes {
-		bits++
-	}
-	return &TLB{pageBits: bits, entries: entries, pages: make([]uint64, entries), valid: make([]bool, entries)}
-}
-
-// Access touches an address, returning whether the translation hit.
-func (t *TLB) Access(addr uint64) bool {
-	page := addr >> t.pageBits
-	t.accesses++
-	for i := 0; i < t.entries; i++ {
-		if t.valid[i] && t.pages[i] == page {
-			copy(t.pages[1:i+1], t.pages[:i])
-			copy(t.valid[1:i+1], t.valid[:i])
-			t.pages[0] = page
-			t.valid[0] = true
-			return true
-		}
-	}
-	t.misses++
-	copy(t.pages[1:], t.pages[:t.entries-1])
-	copy(t.valid[1:], t.valid[:t.entries-1])
-	t.pages[0] = page
-	t.valid[0] = true
-	return false
-}
-
-// MissRate returns misses/accesses.
-func (t *TLB) MissRate() float64 {
-	if t.accesses == 0 {
-		return 0
-	}
-	return float64(t.misses) / float64(t.accesses)
-}

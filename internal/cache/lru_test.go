@@ -169,32 +169,3 @@ func TestLRUInclusionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTLB(t *testing.T) {
-	tlb := NewTLB(4, 4096)
-	if tlb.Access(0) {
-		t.Fatal("cold TLB access hit")
-	}
-	if !tlb.Access(100) {
-		t.Fatal("same-page access missed")
-	}
-	// Touch 4 more distinct pages: page 0 must be evicted.
-	for p := uint64(1); p <= 4; p++ {
-		tlb.Access(p * 4096)
-	}
-	if tlb.Access(0) {
-		t.Fatal("evicted page still mapped")
-	}
-	if tlb.MissRate() <= 0 || tlb.MissRate() > 1 {
-		t.Fatalf("miss rate %f out of range", tlb.MissRate())
-	}
-}
-
-func TestTLBPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad TLB geometry accepted")
-		}
-	}()
-	NewTLB(0, 4096)
-}

@@ -2,14 +2,13 @@
 // external data (PDB molecules via pdb2pqr/msms, a gum-leaf photograph
 // resized by ImageMagick, files produced by the createcsr tool), this package
 // produces synthetic equivalents with the same sizes and statistical
-// structure, as documented in DESIGN.md.
+// structure, as documented in DESIGN.md. Every generator is a pure
+// function of its arguments, including the seed its caller passes (a
+// benchmark instance's, from the harness's Options.Seed), so a dataset
+// is reproduced exactly by the same call.
 package data
 
 import "math/rand"
-
-// DefaultSeed is the deterministic seed used across the suite so runs are
-// reproducible; benchmarks offset it per size to decorrelate datasets.
-const DefaultSeed = 0x0d3a7f5
 
 // RandomFeatures generates the kmeans feature space: the paper extended the
 // benchmark "to support generation of a random distribution of points ...

@@ -26,7 +26,6 @@
 package series
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +46,8 @@ type Options struct {
 	// Capacity is the number of retained samples (default 600 — ten
 	// minutes at the default interval).
 	Capacity int
-	// Interval is the sampling period used by Run (default 1s).
+	// Interval is the sampling period the recorder's owner ticks Sample
+	// on, reported by Recorder.Interval (default 1s).
 	Interval time.Duration
 	// Clock supplies sample timestamps (default: the wall clock).
 	Clock func() time.Time
@@ -137,22 +137,6 @@ func New(reg *obs.Registry, opt Options) *Recorder {
 
 // Interval returns the configured sampling period.
 func (r *Recorder) Interval() time.Duration { return r.opt.Interval }
-
-// Run samples on the configured interval until ctx is cancelled. Call
-// it from one goroutine; Sample may additionally be called directly
-// (tests, forced flushes).
-func (r *Recorder) Run(ctx context.Context) {
-	t := time.NewTicker(r.opt.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			r.Sample()
-		}
-	}
-}
 
 // syncColumnsLocked folds newly registered metrics into the column set.
 // Cheap when nothing changed: three map-length reads on the registry.
@@ -313,32 +297,67 @@ func (r *Recorder) anchorLocked(window time.Duration) (anchor, first, last int, 
 	return anchor, anchor + 1, last, true
 }
 
-// counterAt reads sample s's delta for counter column c (0 when the
-// column postdates the sample).
-func counterAt(s *sample, c int) int64 {
-	if c < len(s.counters) {
-		return s.counters[c]
-	}
-	return 0
-}
-
-// CounterDelta returns how much the named counter grew over the
-// trailing window — the sum of per-sample deltas after the window's
-// anchor sample. ok is false when the counter is untracked or fewer
-// than two samples exist.
-func (r *Recorder) CounterDelta(name string, window time.Duration) (int64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, tracked := r.counterIdx[name]
-	_, first, last, ok := r.anchorLocked(window)
-	if !tracked || !ok {
-		return 0, false
-	}
+// counterDeltaLocked sums counter column c's deltas over the
+// chronological samples first..last; a sample older than the column
+// reads 0.
+func (r *Recorder) counterDeltaLocked(c, first, last int) int64 {
 	var sum int64
 	for i := first; i <= last; i++ {
-		sum += counterAt(r.at(i), c)
+		if s := r.at(i); c < len(s.counters) {
+			sum += s.counters[c]
+		}
 	}
-	return sum, true
+	return sum
+}
+
+// gaugeWindowLocked returns gauge column g's min, max and latest value
+// over the samples anchor..last — the anchor's value is the gauge's
+// state at the window's left edge. seen is false when the column
+// postdates all of them.
+func (r *Recorder) gaugeWindowLocked(g, anchor, last int) (gw GaugeWindowSummary, seen bool) {
+	for i := anchor; i <= last; i++ {
+		s := r.at(i)
+		if g >= len(s.gauges) {
+			continue // column postdates the sample
+		}
+		v := s.gauges[g]
+		if !seen {
+			gw.Min, gw.Max, seen = v, v, true
+		} else {
+			if v < gw.Min {
+				gw.Min = v
+			}
+			if v > gw.Max {
+				gw.Max = v
+			}
+		}
+		gw.Last = v
+	}
+	return gw, seen
+}
+
+// histWindowLocked reconstitutes histogram column h's movement over the
+// samples first..last as a snapshot: observation count, sum and bucket
+// counts, whose quantiles come from HistogramSnapshot.Quantile — one
+// bucket-interpolation implementation for live scrapes and windows alike.
+func (r *Recorder) histWindowLocked(h, first, last int) obs.HistogramSnapshot {
+	col := r.histCols[h]
+	hs := obs.HistogramSnapshot{Bounds: col.bounds, Counts: make([]int64, len(col.prev))}
+	for i := first; i <= last; i++ {
+		s := r.at(i)
+		if h >= len(s.hists) {
+			continue
+		}
+		hd := &s.hists[h]
+		hs.Count += hd.count
+		hs.Sum += hd.sum
+		for j, d := range hd.buckets {
+			if j < len(hs.Counts) {
+				hs.Counts[j] += d
+			}
+		}
+	}
+	return hs
 }
 
 // CounterRate returns the named counter's average per-second rate over
@@ -356,83 +375,7 @@ func (r *Recorder) CounterRate(name string, window time.Duration) (float64, bool
 	if span <= 0 {
 		return 0, false
 	}
-	var sum int64
-	for i := first; i <= last; i++ {
-		sum += counterAt(r.at(i), c)
-	}
-	return float64(sum) / (float64(span) / 1e9), true
-}
-
-// GaugeWindow returns the named gauge's min, max and latest sampled
-// value over the trailing window (anchor sample included — its value is
-// the gauge's state at the window's left edge).
-func (r *Recorder) GaugeWindow(name string, window time.Duration) (min, max, last float64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, tracked := r.gaugeIdx[name]
-	anchor, _, lastIdx, aok := r.anchorLocked(window)
-	if !tracked || !aok {
-		return 0, 0, 0, false
-	}
-	seen := false
-	for i := anchor; i <= lastIdx; i++ {
-		s := r.at(i)
-		if g >= len(s.gauges) {
-			continue // column postdates the sample
-		}
-		v := s.gauges[g]
-		if !seen {
-			min, max, seen = v, v, true
-		} else {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		last = v
-	}
-	return min, max, last, seen
-}
-
-// HistWindow reconstitutes the named histogram's movement over the
-// trailing window as a snapshot: windowed observation count, sum and
-// bucket counts. Quantiles come from HistogramSnapshot.Quantile — one
-// bucket-interpolation implementation for live scrapes and windows
-// alike. ok is false when nothing was observed in the window.
-func (r *Recorder) HistWindow(name string, window time.Duration) (obs.HistogramSnapshot, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, tracked := r.histIdx[name]
-	_, first, last, aok := r.anchorLocked(window)
-	if !tracked || !aok {
-		return obs.HistogramSnapshot{}, false
-	}
-	col := r.histCols[h]
-	out := obs.HistogramSnapshot{
-		Name:   name,
-		Bounds: append([]float64(nil), col.bounds...),
-		Counts: make([]int64, len(col.prev)),
-	}
-	for i := first; i <= last; i++ {
-		s := r.at(i)
-		if h >= len(s.hists) {
-			continue
-		}
-		hd := &s.hists[h]
-		out.Count += hd.count
-		out.Sum += hd.sum
-		for j, d := range hd.buckets {
-			if j < len(out.Counts) {
-				out.Counts[j] += d
-			}
-		}
-	}
-	if out.Count <= 0 {
-		return obs.HistogramSnapshot{}, false
-	}
-	return out, true
+	return float64(r.counterDeltaLocked(c, first, last)) / (float64(span) / 1e9), true
 }
 
 // LastValue returns the latest sampled value of any metric: a counter's
@@ -510,10 +453,7 @@ func (r *Recorder) History(window time.Duration) (Summary, bool) {
 	span := float64(sum.ToUnixNs-sum.FromUnixNs) / 1e9
 
 	for c, name := range r.counterNames {
-		var d int64
-		for i := first; i <= last; i++ {
-			d += counterAt(r.at(i), c)
-		}
+		d := r.counterDeltaLocked(c, first, last)
 		if d == 0 {
 			continue
 		}
@@ -524,48 +464,15 @@ func (r *Recorder) History(window time.Duration) (Summary, bool) {
 		sum.Counters = append(sum.Counters, cw)
 	}
 	for g, name := range r.gaugeNames {
-		gw := GaugeWindowSummary{Name: name}
-		seen := false
-		for i := anchor; i <= last; i++ {
-			s := r.at(i)
-			if g >= len(s.gauges) {
-				continue
-			}
-			v := s.gauges[g]
-			if !seen {
-				gw.Min, gw.Max, seen = v, v, true
-			} else {
-				if v < gw.Min {
-					gw.Min = v
-				}
-				if v > gw.Max {
-					gw.Max = v
-				}
-			}
-			gw.Last = v
-		}
+		gw, seen := r.gaugeWindowLocked(g, anchor, last)
 		if !seen || (gw.Min == 0 && gw.Max == 0) {
 			continue
 		}
+		gw.Name = name
 		sum.Gauges = append(sum.Gauges, gw)
 	}
 	for h, name := range r.histNames {
-		col := r.histCols[h]
-		hs := obs.HistogramSnapshot{Bounds: col.bounds, Counts: make([]int64, len(col.prev))}
-		for i := first; i <= last; i++ {
-			s := r.at(i)
-			if h >= len(s.hists) {
-				continue
-			}
-			hd := &s.hists[h]
-			hs.Count += hd.count
-			hs.Sum += hd.sum
-			for j, d := range hd.buckets {
-				if j < len(hs.Counts) {
-					hs.Counts[j] += d
-				}
-			}
-		}
+		hs := r.histWindowLocked(h, first, last)
 		if hs.Count <= 0 {
 			continue
 		}

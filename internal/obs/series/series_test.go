@@ -1,7 +1,6 @@
 package series
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -206,29 +205,10 @@ func TestWindowedQueries(t *testing.T) {
 		rec.Sample()
 	}
 
-	if d, ok := rec.CounterDelta("req_total", 3*time.Second); !ok || d != 15 {
-		t.Fatalf("CounterDelta(3s) = %d,%v want 15", d, ok)
-	}
 	if rate, ok := rec.CounterRate("req_total", 3*time.Second); !ok || rate != 5 {
 		t.Fatalf("CounterRate(3s) = %v,%v want 5", rate, ok)
 	}
-	// Window larger than history: everything after the first sample.
-	if d, ok := rec.CounterDelta("req_total", time.Hour); !ok || d != 30 {
-		t.Fatalf("CounterDelta(1h) = %d,%v want 30", d, ok)
-	}
-	min, max, last, ok := rec.GaugeWindow("inflight", 3*time.Second)
-	if !ok || min != 2 || max != 5 || last != 5 {
-		t.Fatalf("GaugeWindow = %v/%v/%v/%v, want 2/5/5", min, max, last, ok)
-	}
-	hs, ok := rec.HistWindow("lat_ns", 3*time.Second)
-	if !ok || hs.Count != 3 {
-		t.Fatalf("HistWindow count = %d,%v want 3", hs.Count, ok)
-	}
-	if p50 := hs.Quantile(0.5); p50 < 2 || p50 > 5 {
-		t.Fatalf("windowed p50 = %v outside (2,5]", p50)
-	}
-
-	if _, ok := rec.CounterDelta("missing_total", time.Second); ok {
+	if _, ok := rec.CounterRate("missing_total", time.Second); ok {
 		t.Fatal("untracked counter reported ok")
 	}
 	if v, ok := rec.LastValue("req_total"); !ok || v != 30 {
@@ -249,8 +229,18 @@ func TestWindowedQueries(t *testing.T) {
 		sum.Counters[0].Delta != 15 || sum.Counters[0].Value != 30 {
 		t.Fatalf("History counters = %+v", sum.Counters)
 	}
+	if len(sum.Gauges) != 1 || sum.Gauges[0].Min != 2 || sum.Gauges[0].Max != 5 || sum.Gauges[0].Last != 5 {
+		t.Fatalf("History gauges = %+v, want inflight 2/5/5", sum.Gauges)
+	}
 	if len(sum.Histograms) != 1 || sum.Histograms[0].Count != 3 {
 		t.Fatalf("History histograms = %+v", sum.Histograms)
+	}
+	if p50 := sum.Histograms[0].P50; p50 < 2 || p50 > 5 {
+		t.Fatalf("windowed p50 = %v outside (2,5]", p50)
+	}
+	// Window larger than history: everything after the first sample.
+	if sum, _ := rec.History(time.Hour); len(sum.Counters) != 1 || sum.Counters[0].Delta != 30 {
+		t.Fatalf("History(1h) counters = %+v, want req_total delta 30", sum.Counters)
 	}
 }
 
@@ -320,8 +310,9 @@ func TestLateRegisteredMetric(t *testing.T) {
 	b := reg.Counter("b_total") // appears mid-stream
 	b.Add(9)
 	rec.Sample()
-	if d, ok := rec.CounterDelta("b_total", time.Hour); !ok || d != 9 {
-		t.Fatalf("late counter delta = %d,%v want 9", d, ok)
+	// a_total moved only before the anchor sample, so History elides it.
+	if sum, _ := rec.History(time.Hour); len(sum.Counters) != 1 || sum.Counters[0].Name != "b_total" || sum.Counters[0].Delta != 9 {
+		t.Fatalf("History(1h) counters = %+v, want b_total delta 9", sum.Counters)
 	}
 	snap := rec.SnapshotPoint()
 	if snap.Counters["a_total"] != 2 || snap.Counters["b_total"] != 9 {
@@ -346,7 +337,7 @@ func TestEmptyAndNil(t *testing.T) {
 	nilRec, _ := testRecorder(nil, 8)
 	nilRec.Sample()
 	nilRec.Sample()
-	if _, ok := nilRec.CounterDelta("x", time.Minute); ok {
+	if _, ok := nilRec.CounterRate("x", time.Minute); ok {
 		t.Fatal("nil-registry recorder reported a counter")
 	}
 }
@@ -412,27 +403,4 @@ func TestConcurrentAccess(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-}
-
-// TestRunLoop: the ticker loop samples until cancelled.
-func TestRunLoop(t *testing.T) {
-	reg := obs.NewRegistry()
-	rec := New(reg, Options{Capacity: 8, Interval: time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { rec.Run(ctx); close(done) }()
-	//lint:allow detrand test-only watchdog deadline, not recorder data
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if s, _, _ := rec.Stats(); s >= 3 {
-			break
-		}
-		//lint:allow detrand test-only watchdog deadline, not recorder data
-		if time.Now().After(deadline) {
-			t.Fatal("Run took no samples within 2s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	<-done
 }

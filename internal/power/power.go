@@ -3,11 +3,7 @@
 // both exposed through PAPI components in the original study.
 package power
 
-import (
-	"fmt"
-
-	"opendwarfs/internal/sim"
-)
+import "opendwarfs/internal/sim"
 
 // Scope identifies what a meter measures.
 type Scope int
@@ -89,9 +85,4 @@ func (m Meter) Energy(durationNs, utilization float64) float64 {
 // modelled kernel breakdown.
 func (m Meter) KernelEnergy(model *sim.Model, b sim.Breakdown) float64 {
 	return m.Energy(b.TotalNs, model.Utilization(b))
-}
-
-// Describe returns a human-readable meter description for logs.
-func (m Meter) Describe() string {
-	return fmt.Sprintf("%s via %s (TDP %.0f W, idle %.0f W)", m.Spec.Name, m.Scope, m.Spec.TDPWatts, m.Spec.IdleWatts)
 }

@@ -1,7 +1,6 @@
 package scibench
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -103,33 +102,4 @@ func TestWelchTTestDegenerate(t *testing.T) {
 	if p != 0 {
 		t.Fatalf("distinct constant groups p=%f, want 0", p)
 	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := NewTimer()
-	if tm.OverheadNs() < 0 {
-		t.Fatal("negative calibrated overhead")
-	}
-	d := tm.Time(func() {
-		s := 0.0
-		for i := 0; i < 100000; i++ {
-			s += math.Sqrt(float64(i))
-		}
-		if s < 0 {
-			t.Fatal("unreachable")
-		}
-	})
-	if d <= 0 {
-		t.Fatalf("measured duration %f", d)
-	}
-	tm.Start()
-	if tm.StopNs() < 0 {
-		t.Fatal("negative region time")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StopNs without Start accepted")
-		}
-	}()
-	tm.StopNs()
 }

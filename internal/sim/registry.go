@@ -215,14 +215,3 @@ func LookupAll(ids []string) ([]*DeviceSpec, error) {
 	}
 	return out, nil
 }
-
-// ByClass returns all devices of a class, preserving catalogue order.
-func ByClass(c Class) []*DeviceSpec {
-	var out []*DeviceSpec
-	for _, d := range registry {
-		if d.Class == c {
-			out = append(out, d)
-		}
-	}
-	return out
-}

@@ -25,11 +25,6 @@ const (
 	ConsumerGPU
 	HPCGPU
 	MIC
-	// The remaining classes are the §7 future architectures (see
-	// future.go); they do not appear in the Table 1 catalogue.
-	FPGA
-	DSP
-	APU
 )
 
 // String returns the figure-legend name of the class.
@@ -43,12 +38,6 @@ func (c Class) String() string {
 		return "HPC GPU"
 	case MIC:
 		return "MIC"
-	case FPGA:
-		return "FPGA"
-	case DSP:
-		return "DSP"
-	case APU:
-		return "APU"
 	default:
 		return "unknown"
 	}
