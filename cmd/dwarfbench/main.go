@@ -17,11 +17,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/opencl"
@@ -185,15 +187,11 @@ func runSizes(ctx context.Context, reg *dwarfs.Registry, b dwarfs.Benchmark, dev
 	if err != nil {
 		fatal(err)
 	}
-	var g *harness.Grid
-	for ev := range events {
+	g, err := harness.Drain(events, func(ev harness.Event) {
 		if line := ev.ProgressLine(); line != "" {
 			fmt.Println(line)
 		}
-		if ev.Kind == harness.EventGridDone {
-			g, err = ev.Grid, ev.Err
-		}
-	}
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -222,30 +220,21 @@ func writeSamples(csvPath, jsonlPath string, records func() []scibench.Record) {
 	}
 	recs := records()
 	if csvPath != "" {
-		if err := writeFile(csvPath, func(f *os.File) error {
-			return scibench.WriteCSV(f, recs)
+		if err := cli.WriteFile(csvPath, func(w io.Writer) error {
+			return scibench.WriteCSV(w, recs)
 		}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("Samples   : CSV written to %s\n", csvPath)
 	}
 	if jsonlPath != "" {
-		if err := writeFile(jsonlPath, func(f *os.File) error {
-			return scibench.WriteJSONL(f, recs)
+		if err := cli.WriteFile(jsonlPath, func(w io.Writer) error {
+			return scibench.WriteJSONL(w, recs)
 		}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("Samples   : JSONL written to %s\n", jsonlPath)
 	}
-}
-
-func writeFile(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return fn(f)
 }
 
 func fatal(err error) {

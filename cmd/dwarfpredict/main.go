@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -27,6 +28,7 @@ import (
 	"strings"
 	"syscall"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/predict"
 	"opendwarfs/internal/report"
@@ -71,9 +73,9 @@ func main() {
 	opt.Samples = *samples
 	opt.Seed = *seed
 	spec := harness.GridSpec{
-		Benchmarks: split(*benchmarks),
-		Sizes:      split(*sizes),
-		Devices:    split(*devices),
+		Benchmarks: cli.Split(*benchmarks),
+		Sizes:      cli.Split(*sizes),
+		Devices:    cli.Split(*devices),
 		Options:    opt,
 		Workers:    *parallel,
 	}
@@ -94,17 +96,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var grid *harness.Grid
-	for ev := range events {
-		if *progress {
-			if line := ev.ProgressLine(); line != "" {
-				fmt.Fprintln(os.Stderr, line)
-			}
+	grid, err := harness.Drain(events, func(ev harness.Event) {
+		if line := ev.ProgressLine(); *progress && line != "" {
+			fmt.Fprintln(os.Stderr, line)
 		}
-		if ev.Kind == harness.EventGridDone {
-			grid, err = ev.Grid, ev.Err
-		}
-	}
+	})
 	if err != nil {
 		if grid.Cells() > 0 && *storeDir != "" {
 			fatal(fmt.Errorf("%w (%d completed cells persisted)", err, grid.Cells()))
@@ -125,7 +121,9 @@ func main() {
 	}
 
 	if *dataPath != "" {
-		writeFile(*dataPath, func(f *os.File) error { return predict.WriteDatasetCSV(f, ds) })
+		if err := cli.WriteFile(*dataPath, func(w io.Writer) error { return predict.WriteDatasetCSV(w, ds) }); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("Training matrix written to %s\n", *dataPath)
 	}
 
@@ -217,38 +215,17 @@ func predictHoldout(ds *predict.Dataset, cfg predict.Config, device string) []pr
 // CSV/JSONL paths, if any.
 func writeExports(csvPath, jsonlPath string, preds []predict.Prediction) {
 	if csvPath != "" {
-		writeFile(csvPath, func(f *os.File) error { return predict.WritePredictionsCSV(f, preds) })
+		if err := cli.WriteFile(csvPath, func(w io.Writer) error { return predict.WritePredictionsCSV(w, preds) }); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("\nPredictions written to %s\n", csvPath)
 	}
 	if jsonlPath != "" {
-		writeFile(jsonlPath, func(f *os.File) error { return predict.WritePredictionsJSONL(f, preds) })
+		if err := cli.WriteFile(jsonlPath, func(w io.Writer) error { return predict.WritePredictionsJSONL(w, preds) }); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("Predictions written to %s\n", jsonlPath)
 	}
-}
-
-func writeFile(path string, fn func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		fatal(err)
-	}
-}
-
-func split(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

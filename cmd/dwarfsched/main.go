@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -36,6 +37,7 @@ import (
 	"syscall"
 
 	"opendwarfs"
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
@@ -97,7 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fleet, err := sched.Fleet(split(*devices))
+	fleet, err := sched.Fleet(cli.Split(*devices))
 	if err != nil {
 		fatal(err)
 	}
@@ -137,7 +139,7 @@ func main() {
 		sessOpts = append(sessOpts, opendwarfs.WithFaults(&opendwarfs.FaultPlan{
 			Seed:            *chaosSeed,
 			TransientRate:   *chaosTransient,
-			Drop:            split(*chaosDrop),
+			Drop:            cli.Split(*chaosDrop),
 			StragglerRate:   *chaosStraggler,
 			StragglerFactor: *chaosFactor,
 		}))
@@ -169,7 +171,7 @@ func main() {
 
 	// Bootstrap: the workload's rows on the bootstrap devices seed the
 	// forests (store hits when already measured).
-	if boot := split(*bootstrap); len(boot) > 0 {
+	if boot := cli.Split(*bootstrap); len(boot) > 0 {
 		if _, err := sim.LookupAll(boot); err != nil {
 			fatal(err)
 		}
@@ -208,11 +210,15 @@ func main() {
 	report.ScheduleTimeline(os.Stdout, primarySchedule)
 
 	if *csvPath != "" {
-		writeFile(*csvPath, func(f *os.File) error { return sched.WriteTimelineCSV(f, primarySchedule) })
+		if err := cli.WriteFile(*csvPath, func(w io.Writer) error { return sched.WriteTimelineCSV(w, primarySchedule) }); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("\nTimeline written to %s\n", *csvPath)
 	}
 	if *jsonlPath != "" {
-		writeFile(*jsonlPath, func(f *os.File) error { return sched.WriteTimelineJSONL(f, primarySchedule) })
+		if err := cli.WriteFile(*jsonlPath, func(w io.Writer) error { return sched.WriteTimelineJSONL(w, primarySchedule) }); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("Timeline written to %s\n", *jsonlPath)
 	}
 
@@ -383,7 +389,7 @@ func buildWorkload(reg *dwarfs.Registry, path, tasks, size string, count int) (*
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	case tasks != "":
-		for _, part := range split(tasks) {
+		for _, part := range cli.Split(tasks) {
 			ts, err := parseTask(part)
 			if err != nil {
 				return nil, err
@@ -428,7 +434,7 @@ func parseTask(s string) (sched.TaskSpec, error) {
 func comparisonPolicies(list, primary string) ([]sched.Policy, error) {
 	names := sched.Policies()
 	if list != "all" {
-		names = split(list)
+		names = cli.Split(list)
 	}
 	seen := map[string]bool{}
 	var out []sched.Policy
@@ -466,18 +472,11 @@ func runner(sess *opendwarfs.Session, progress bool) sched.Runner {
 		if err != nil {
 			return nil, err
 		}
-		var g *harness.Grid
-		for ev := range events {
-			switch {
-			case ev.Kind == harness.EventGridDone:
-				g, err = ev.Grid, ev.Err
-			case progress:
-				if line := ev.ProgressLine(); line != "" {
-					fmt.Fprintln(os.Stderr, line)
-				}
+		return harness.Drain(events, func(ev harness.Event) {
+			if line := ev.ProgressLine(); progress && line != "" {
+				fmt.Fprintln(os.Stderr, line)
 			}
-		}
-		return g, err
+		})
 	}
 }
 
@@ -496,31 +495,6 @@ func measureRows(ctx context.Context, run sched.Runner, w *sched.Workload, devic
 	return out, nil
 }
 
-func writeFile(path string, fn func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		fatal(err)
-	}
-}
-
-func split(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // traceTracer/traceFile hold the -trace state so fatal() can flush the
 // spans collected so far before exiting.
 var (
@@ -533,11 +507,13 @@ var (
 // or cancellation cut the run short.
 func flushTrace() {
 	tr := traceTracer
-	traceTracer = nil // clear first: writeFile fatals on error, which re-enters here
+	traceTracer = nil // clear first: a failed write fatals, which re-enters here
 	if tr == nil {
 		return
 	}
-	writeFile(traceFile, func(f *os.File) error { return tr.WriteChromeTrace(f) })
+	if err := cli.WriteFile(traceFile, tr.WriteChromeTrace); err != nil {
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "Chrome trace (%d spans) written to %s\n", tr.Spans(), traceFile)
 }
 

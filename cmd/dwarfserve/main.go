@@ -71,6 +71,7 @@ import (
 	"syscall"
 	"time"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
 	"opendwarfs/internal/obs/series"
@@ -99,8 +100,7 @@ func main() {
 	)
 	flag.Parse()
 	if *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "dwarfserve: missing -store")
-		os.Exit(1)
+		fatal(errors.New("missing -store"))
 	}
 
 	// One store handle serves everything: the initial snapshot load, every
@@ -109,8 +109,7 @@ func main() {
 	start := time.Now()
 	st, err := store.Open(*storeDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	openDur := time.Since(start)
 	cfg := def
@@ -119,8 +118,7 @@ func main() {
 	start = time.Now()
 	srv, err := newServer(st, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	snapDur := time.Since(start)
 	srv.compactOver = *compactOver
@@ -131,19 +129,16 @@ func main() {
 	if *alertsPath != "" {
 		f, err := os.Open(*alertsPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		rules, err = slo.LoadRules(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	if err := srv.initTelemetry(series.Options{Capacity: *seriesCap, Interval: *sampleEvery}, rules); err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *tracePath != "" {
 		srv.tracer = obs.NewTracer()
@@ -153,8 +148,7 @@ func main() {
 	// address actually bound (the real port of -addr host:0).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -169,8 +163,7 @@ func main() {
 
 	select {
 	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	case <-ctx.Done():
 	}
 
@@ -188,30 +181,23 @@ func main() {
 	}
 	samplerStop()
 	if err := st.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	// The trace is exported last, after every job span (including
 	// cancelled ones) has ended — shutdownJobs waited for their terminal
 	// events — so the file is always well-formed.
 	if srv.tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-			os.Exit(1)
-		}
-		if err := srv.tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfserve:", err)
-			os.Exit(1)
+		if err := cli.WriteFile(*tracePath, srv.tracer.WriteChromeTrace); err != nil {
+			fatal(err)
 		}
 		log.Printf("dwarfserve: Chrome trace (%d spans) written to %s", srv.tracer.Spans(), *tracePath)
 	}
 	log.Printf("dwarfserve: store closed, bye")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "dwarfserve:", err)
+	os.Exit(1)
 }
 
 // Connection and body bounds: what one client can make the daemon hold.

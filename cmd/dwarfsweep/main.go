@@ -33,17 +33,20 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/faults"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/obs"
 	"opendwarfs/internal/report"
 	"opendwarfs/internal/scibench"
+	"opendwarfs/internal/sim"
 	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
@@ -74,8 +77,16 @@ func main() {
 	)
 	flag.Parse()
 	if *storeDir == "" && (*assertHits >= 0 || *compact) {
-		fmt.Fprintln(os.Stderr, "dwarfsweep: -assert-store-hits and -compact require -store")
-		os.Exit(1)
+		fatal(errors.New("-assert-store-hits and -compact require -store"))
+	}
+	pair := cli.Split(*compare)
+	if *compare != "" {
+		if len(pair) != 2 {
+			fatal(errors.New("-compare wants exactly two device IDs"))
+		}
+		if _, err := sim.LookupAll(pair); err != nil {
+			fatal(err)
+		}
 	}
 
 	opt := harness.DefaultOptions()
@@ -85,18 +96,17 @@ func main() {
 		opt.Verify = false
 	}
 	spec := harness.GridSpec{
-		Benchmarks: split(*benchmarks),
-		Sizes:      split(*sizes),
-		Devices:    split(*devices),
+		Benchmarks: cli.Split(*benchmarks),
+		Sizes:      cli.Split(*sizes),
+		Devices:    cli.Split(*devices),
 		Options:    opt,
 		Workers:    *parallel,
 		Retry:      harness.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *backoff},
 	}
 	if *chaos {
-		plan := &faults.Plan{Seed: *chaosSeed, TransientRate: *chaosRate, Drop: split(*chaosDrop)}
+		plan := &faults.Plan{Seed: *chaosSeed, TransientRate: *chaosRate, Drop: cli.Split(*chaosDrop)}
 		if err := plan.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		spec.Faults = plan
 	}
@@ -109,8 +119,7 @@ func main() {
 	if *storeDir != "" {
 		opened, err := store.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		st = opened
 		spec.Store = opened
@@ -126,12 +135,9 @@ func main() {
 	// per completed cell, then the terminal grid_done carries the grid.
 	events, err := harness.Stream(ctx, suite.New(), spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	var grid *harness.Grid
-	var runErr error
-	for ev := range events {
+	grid, runErr := harness.Drain(events, func(ev harness.Event) {
 		switch ev.Kind {
 		case harness.EventCellDone, harness.EventStoreHit:
 			fmt.Println(ev.ProgressLine())
@@ -144,14 +150,14 @@ func main() {
 		case harness.EventDeviceQuarantined:
 			fmt.Fprintf(os.Stderr, "QUARANTINED %s: %s; remaining cells on it will fail fast\n",
 				ev.Device, ev.Reason)
-		case harness.EventGridDone:
-			grid, runErr = ev.Grid, ev.Err
 		}
-	}
+	})
 	// The stream has settled, so every span — even those of a cancelled
 	// sweep — is closed; the trace is always well-formed.
 	if tracer != nil {
-		writeExport(*tracePath, func(f *os.File) error { return tracer.WriteChromeTrace(f) })
+		if err := cli.WriteFile(*tracePath, tracer.WriteChromeTrace); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "Chrome trace (%d spans) written to %s\n", tracer.Spans(), *tracePath)
 	}
 	if runErr != nil {
@@ -191,17 +197,14 @@ func main() {
 		report.StoreStats(os.Stdout, grid)
 		if *compact {
 			if err := st.Compact(); err != nil {
-				fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 		if err := st.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if *assertHits >= 0 && grid.HitRate() < *assertHits {
-			fmt.Fprintf(os.Stderr, "dwarfsweep: store hit rate %.1f%% below required %.1f%%\n", grid.HitRate(), *assertHits)
-			os.Exit(1)
+			fatal(fmt.Errorf("store hit rate %.1f%% below required %.1f%%", grid.HitRate(), *assertHits))
 		}
 	}
 
@@ -217,32 +220,33 @@ func main() {
 		}
 	}
 
-	if *compare != "" {
-		pair := split(*compare)
-		if len(pair) != 2 {
-			fmt.Fprintln(os.Stderr, "dwarfsweep: -compare wants exactly two device IDs")
-			os.Exit(1)
-		}
+	if len(pair) == 2 {
 		compareDevices(grid, pair[0], pair[1])
 	}
 
 	if *csvPath != "" || *jsonlPath != "" {
 		recs := gridRecords(grid)
 		if *csvPath != "" {
-			writeExport(*csvPath, func(f *os.File) error { return scibench.WriteCSV(f, recs) })
+			if err := cli.WriteFile(*csvPath, func(w io.Writer) error { return scibench.WriteCSV(w, recs) }); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("Samples CSV written to %s\n", *csvPath)
 		}
 		if *jsonlPath != "" {
-			writeExport(*jsonlPath, func(f *os.File) error { return scibench.WriteJSONL(f, recs) })
+			if err := cli.WriteFile(*jsonlPath, func(w io.Writer) error { return scibench.WriteJSONL(w, recs) }); err != nil {
+				fatal(err)
+			}
 			fmt.Printf("Samples JSONL written to %s\n", *jsonlPath)
 		}
 	}
 
 	if *figCSVPath != "" {
-		writeExport(*figCSVPath, func(f *os.File) error {
-			writeFigureCSV(f, grid)
+		if err := cli.WriteFile(*figCSVPath, func(w io.Writer) error {
+			writeFigureCSV(w, grid)
 			return nil
-		})
+		}); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("Figure series CSV written to %s\n", *figCSVPath)
 	}
 }
@@ -260,7 +264,7 @@ func gridRecords(grid *harness.Grid) []scibench.Record {
 
 // writeFigureCSV emits the per-cell figure series of every benchmark with a
 // single shared header.
-func writeFigureCSV(f *os.File, grid *harness.Grid) {
+func writeFigureCSV(w io.Writer, grid *harness.Grid) {
 	seen := map[string]bool{}
 	first := true
 	for _, m := range grid.Measurements {
@@ -274,25 +278,12 @@ func writeFigureCSV(f *os.File, grid *harness.Grid) {
 			report.FigureCSV(&sb, grid, m.Benchmark)
 			body := strings.SplitN(sb.String(), "\n", 2)
 			if len(body) == 2 {
-				fmt.Fprint(f, body[1])
+				fmt.Fprint(w, body[1])
 			}
 			continue
 		}
-		report.FigureCSV(f, grid, m.Benchmark)
+		report.FigureCSV(w, grid, m.Benchmark)
 		first = false
-	}
-}
-
-func writeExport(path string, fn func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := fn(f); err != nil {
-		fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
-		os.Exit(1)
 	}
 }
 
@@ -328,16 +319,7 @@ func compareDevices(grid *harness.Grid, a, b string) {
 	}
 }
 
-func split(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "dwarfsweep:", err)
+	os.Exit(1)
 }

@@ -19,11 +19,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/dwarfs"
 	"opendwarfs/internal/harness"
 	"opendwarfs/internal/report"
@@ -128,21 +130,15 @@ func main() {
 			Options:    opt,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		var g *harness.Grid
-		for ev := range events {
+		g, err := harness.Drain(events, func(ev harness.Event) {
 			if line := ev.ProgressLine(); line != "" {
 				fmt.Fprintln(os.Stderr, line)
 			}
-			if ev.Kind == harness.EventGridDone {
-				g, err = ev.Grid, ev.Err
-			}
-		}
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		grid.Merge(g)
 	}
@@ -160,8 +156,7 @@ func main() {
 		}
 		if *outdir != "" {
 			if err := writeCSV(*outdir, f.id, grid, f.bench); err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 	}
@@ -175,11 +170,13 @@ func writeCSV(dir, id string, grid *harness.Grid, bench string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, id+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	report.FigureCSV(f, grid, bench)
-	return nil
+	return cli.WriteFile(filepath.Join(dir, id+".csv"), func(w io.Writer) error {
+		report.FigureCSV(w, grid, bench)
+		return nil
+	})
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(1)
 }

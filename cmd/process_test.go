@@ -215,6 +215,23 @@ func TestFlagErrorsExitBeforeMeasuring(t *testing.T) {
 	}
 }
 
+// TestSweepChecksCompareFirst: a -compare that does not name two
+// catalogue devices exits 1 before dwarfsweep measures a cell.
+func TestSweepChecksCompareFirst(t *testing.T) {
+	for _, tc := range []struct{ pair, msg string }{
+		{"a", "dwarfsweep: -compare wants exactly two device IDs"},
+		{"i7-6700k,nosuch", `dwarfsweep: sim: unknown device "nosuch"`},
+	} {
+		t.Run(tc.pair, func(t *testing.T) {
+			r := run(t, t.TempDir(), "dwarfsweep", "-benchmarks", "crc", "-sizes", "tiny", "-compare", tc.pair)
+			if r.code != 1 || !strings.Contains(r.stderr, tc.msg) || strings.Contains(r.stdout, "cell ") {
+				t.Fatalf("exit %d, want 1 with %q and no cell line\nstdout:\n%s\nstderr:\n%s",
+					r.code, tc.msg, r.stdout, r.stderr)
+			}
+		})
+	}
+}
+
 // TestStoreSmoke is CI's store round trip: a cold sweep into a fresh
 // store, a warm re-sweep that must be a 100% hit with a byte-identical
 // CSV, a compacting sweep that leaves one snapshot and no segment, and a

@@ -39,8 +39,7 @@ func main() {
 	if *benchName != "" {
 		b, err := reg.Get(*benchName)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sizer:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		benches = benches[:0]
 		benches = append(benches, b)
@@ -48,8 +47,7 @@ func main() {
 
 	dev, err := opencl.LookupDevice("i7-6700k")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sizer:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	fmt.Println("Problem-size methodology (§4.4): footprints vs the Skylake hierarchy")
@@ -61,8 +59,7 @@ func main() {
 		for _, size := range b.Sizes() {
 			inst, err := b.New(size, 1)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sizer:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			// Allocate for real so the context accounting (the paper's
 			// "sum of the size of all memory allocated on the device")
@@ -70,12 +67,10 @@ func main() {
 			ctx, _ := opencl.NewContext(dev)
 			q, _ := opencl.NewQueue(ctx, dev)
 			if err := inst.Setup(ctx, q); err != nil {
-				fmt.Fprintln(os.Stderr, "sizer:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			if err := dwarfs.CheckFootprint(inst, ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "sizer:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			kib := float64(inst.FootprintBytes()) / 1024
 			rows = append(rows, []string{
@@ -175,4 +170,9 @@ func traceWalkthrough() {
 		})
 	}
 	report.Table(os.Stdout, headers, rows)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sizer:", err)
+	os.Exit(1)
 }

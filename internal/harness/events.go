@@ -119,6 +119,22 @@ func (ev Event) ProgressLine() string {
 		m.Kernel.Median/1e6, m.Kernel.CV, m.Energy.Median, tag, src)
 }
 
+// Drain reads a Stream channel until it closes, handing every event
+// before the terminal EventGridDone to each, and returns that event's
+// grid and error.
+func Drain(events <-chan Event, each func(Event)) (*Grid, error) {
+	var g *Grid
+	var err error
+	for ev := range events {
+		if ev.Kind == EventGridDone {
+			g, err = ev.Grid, ev.Err
+		} else {
+			each(ev)
+		}
+	}
+	return g, err
+}
+
 // Stream runs the grid asynchronously and delivers typed events on the
 // returned channel. The spec is validated synchronously — unknown
 // benchmarks, sizes or devices fail before any goroutine starts — and the

@@ -27,6 +27,7 @@ import (
 	"go/ast"
 	"go/types"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/lint/analysis"
 	"opendwarfs/internal/lint/lintutil"
 )
@@ -65,7 +66,7 @@ var seededConstructors = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	scope := lintutil.SplitList(pass.Analyzer.Flags.Lookup("pkgs").Value.String())
+	scope := cli.Split(pass.Analyzer.Flags.Lookup("pkgs").Value.String())
 	if !lintutil.InScope(pass.Pkg.Path(), scope) {
 		return nil, nil
 	}

@@ -11,18 +11,6 @@ import (
 	"strings"
 )
 
-// SplitList parses a comma-separated flag value into its non-empty
-// elements.
-func SplitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // InScope reports whether a package path falls under any scope entry.
 // An entry matches the whole path, a path element, or a subtree root:
 // "obs" matches "opendwarfs/internal/obs" and

@@ -31,6 +31,7 @@ import (
 	"go/ast"
 	"go/types"
 
+	"opendwarfs/internal/cli"
 	"opendwarfs/internal/lint/analysis"
 	"opendwarfs/internal/lint/lintutil"
 )
@@ -54,7 +55,7 @@ func init() {
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	scope := lintutil.SplitList(pass.Analyzer.Flags.Lookup("pkgs").Value.String())
+	scope := cli.Split(pass.Analyzer.Flags.Lookup("pkgs").Value.String())
 	if !lintutil.InScope(pass.Pkg.Path(), scope) {
 		return nil, nil
 	}
