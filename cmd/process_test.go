@@ -1,29 +1,34 @@
-// Process-level gates for the measuring commands. TestMain builds
-// dwarfsweep, dwarfbench, dwarfpredict, figures, sizer and dwarfsched
+// Process-level gates for the commands. TestMain builds dwarfsweep,
+// dwarfbench, dwarfpredict, figures, sizer, dwarfsched and dwarfserve
 // once; every test runs them as a user or CI would, in a temporary
-// directory and under a deadline, and checks exit codes, what they print
-// and the files they export.
+// directory and under a deadline, and checks exit codes, what they print,
+// the files they export and, for dwarfserve, what it answers over HTTP.
 package cmd_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
 
 // commands are the binaries TestMain builds into binDir.
-var commands = []string{"dwarfsweep", "dwarfbench", "dwarfpredict", "figures", "sizer", "dwarfsched"}
+var commands = []string{"dwarfsweep", "dwarfbench", "dwarfpredict", "figures", "sizer", "dwarfsched", "dwarfserve"}
 
 var binDir string // removed by TestMain after the run
 
@@ -357,5 +362,193 @@ func TestChaosSmokeRetries(t *testing.T) {
 	}
 	if !strings.Contains(out, "\ncompleteness: ") {
 		t.Fatalf("no completeness line in:\n%s", out)
+	}
+}
+
+// daemon is one dwarfserve process started by serve.
+type daemon struct {
+	cmd    *exec.Cmd
+	base   string      // http://host:port, from the "listening on" log line
+	stderr chan string // everything the process wrote to stderr, once it closes
+	waited bool
+}
+
+// serve starts dwarfserve in dir with args and -addr 127.0.0.1:0, and
+// returns once the process has logged the address it bound. The process
+// runs under a deadline; cleanup kills it if the test has not stopped it.
+func serve(t *testing.T, dir string, args ...string) *daemon {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	cmd := exec.CommandContext(ctx, filepath.Join(binDir, "dwarfserve"), append(args, "-addr", "127.0.0.1:0")...)
+	cmd.Dir = dir
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		cancel()
+		t.Fatalf("dwarfserve %s: %v", strings.Join(args, " "), err)
+	}
+	d := &daemon{cmd: cmd, stderr: make(chan string, 1)}
+	t.Cleanup(func() {
+		cancel()
+		if !d.waited {
+			<-d.stderr
+			cmd.Wait()
+		}
+	})
+	addr := make(chan string, 1)
+	go func() {
+		var all strings.Builder
+		sc := bufio.NewScanner(pipe)
+		for sc.Scan() {
+			all.WriteString(sc.Text() + "\n")
+			if _, a, found := strings.Cut(sc.Text(), "listening on "); found && len(addr) == 0 {
+				addr <- a
+			}
+		}
+		io.Copy(io.Discard, pipe) // a line past the scanner's limit
+		d.stderr <- all.String()
+	}()
+	select {
+	case a := <-addr:
+		d.base = "http://" + a
+	case out := <-d.stderr:
+		d.stderr <- out
+		t.Fatalf("dwarfserve %s exited before listening:\n%s", strings.Join(args, " "), out)
+	case <-ctx.Done():
+		t.Fatalf("dwarfserve %s: no \"listening on\" line before the deadline", strings.Join(args, " "))
+	}
+	return d
+}
+
+// stop sends SIGTERM and returns the exit code and the whole stderr.
+func (d *daemon) stop(t *testing.T) (int, string) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	out := <-d.stderr
+	err := d.cmd.Wait()
+	d.waited = true
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("dwarfserve: %v", err)
+	}
+	return d.cmd.ProcessState.ExitCode(), out
+}
+
+var httpClient = &http.Client{Timeout: time.Minute}
+
+// call sends one request to the daemon, requires the status code and
+// returns the body.
+func (d *daemon) call(t *testing.T, method, path, body string, code int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, d.base+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := httpClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	if resp.StatusCode != code {
+		t.Fatalf("%s %s: status %d, want %d: %s", method, path, resp.StatusCode, code, b)
+	}
+	return b
+}
+
+// json sends one request like call and decodes the JSON object answered.
+func (d *daemon) json(t *testing.T, method, path, body string, code int) map[string]any {
+	t.Helper()
+	var v map[string]any
+	if err := json.Unmarshal(d.call(t, method, path, body, code), &v); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	return v
+}
+
+// want fails the test unless the field of a decoded answer is want.
+func want(t *testing.T, what string, v map[string]any, field string, want any) {
+	t.Helper()
+	if got := v[field]; got != want {
+		t.Fatalf("%s: %s = %v (%T), want %v", what, field, got, got, want)
+	}
+}
+
+// TestServeSmoke is CI's serving leg: dwarfserve answers every read route
+// from a compacted six-cell store, runs a job that widens the store by
+// titanx (six store hits, two measured cells, no Prepare), then serves a
+// /v1/grid byte-identical to a server's over a synchronously swept store
+// of the widened selection, and exits 0 on SIGTERM.
+func TestServeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	sel := []string{"-benchmarks", "crc,fft", "-sizes", "tiny"}
+	ok(t, dir, "dwarfsweep", append(sel, "-devices", "i7-6700k,gtx1080,k20m,titanx", "-store", "ref")...)
+	ref := serve(t, dir, "-store", "ref")
+	syncGrid := ref.call(t, "GET", "/v1/grid", "", http.StatusOK)
+	if code, out := ref.stop(t); code != 0 {
+		t.Fatalf("reference dwarfserve: exit %d on SIGTERM:\n%s", code, out)
+	}
+
+	ok(t, dir, "dwarfsweep", append(sel, "-devices", "i7-6700k,gtx1080,k20m", "-store", "store", "-compact")...)
+	d := serve(t, dir, "-store", "store")
+	want(t, "/healthz", d.json(t, "GET", "/healthz", "", http.StatusOK), "status", "ok")
+	want(t, "/v1/status", d.json(t, "GET", "/v1/status", "", http.StatusOK), "cells", 6.0)
+	want(t, "fft on gtx1080", d.json(t, "GET", "/v1/cells?bench=fft&device=gtx1080", "", http.StatusOK), "total", 1.0)
+	// Two pages of three tile the six-cell listing.
+	page := d.json(t, "GET", "/v1/cells?limit=3", "", http.StatusOK)
+	if cur, _ := page["next_cursor"].(string); cur == "" {
+		t.Fatalf("/v1/cells?limit=3: no next_cursor in %v", page)
+	}
+	want(t, "/v1/grid", d.json(t, "GET", "/v1/grid", "", http.StatusOK), "count", 6.0)
+	if p := d.json(t, "GET", "/v1/predict?bench=fft&size=tiny&device=titanx", "", http.StatusOK); p["predicted_ns"] == nil {
+		t.Fatalf("/v1/predict for unmeasured titanx: no predicted_ns in %v", p)
+	}
+	// titanx has no stored cell yet, so every slot of a titanx-only fleet
+	// is predicted; after the job measures it, none is.
+	const titanx = `{"tasks":[{"benchmark":"fft","size":"tiny","count":2},{"benchmark":"crc","size":"tiny"}],"devices":["titanx"],"policy":"heft"}`
+	want(t, "titanx schedule before the job", d.json(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 3.0)
+	bad := d.json(t, "POST", "/v1/schedule", `{"tasks":[{"benchmark":"crc","size":"tiny"}],"policy":"nope"}`, http.StatusBadRequest)
+	if msg, _ := bad["error"].(string); !strings.Contains(msg, "energy fastest-device greedy heft roundrobin") {
+		t.Fatalf("unknown policy: error %q, want the sorted valid list", msg)
+	}
+
+	job := d.json(t, "POST", "/v1/jobs", `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m","titanx"]}`, http.StatusAccepted)
+	id, _ := job["id"].(string)
+	if id == "" {
+		t.Fatalf("POST /v1/jobs: no id in %v", job)
+	}
+	// The event stream follows the job live and ends by itself at grid_done.
+	sse := string(d.call(t, "GET", "/v1/jobs/"+id+"/events", "", http.StatusOK))
+	for _, ev := range []string{"cell_done", "store_hit", "grid_done"} {
+		if !strings.Contains(sse, "event: "+ev+"\n") {
+			t.Fatalf("job %s's event stream has no %s:\n%s", id, ev, sse)
+		}
+	}
+	want(t, "job "+id, d.json(t, "GET", "/v1/jobs/"+id, "", http.StatusOK), "state", "done")
+	want(t, "/v1/status after the job", d.json(t, "GET", "/v1/status", "", http.StatusOK), "cells", 8.0)
+	// Widening by a device prepared nothing: both rows' preparations were
+	// stored by the cold sweep, kept by -compact and decoded by the job.
+	metrics := string(d.call(t, "GET", "/metrics", "", http.StatusOK))
+	for _, line := range []string{"harness_prepares_total 0", "harness_prep_store_hits_total 2"} {
+		if !regexp.MustCompile(`(?m)^` + line + `$`).MatchString(metrics) {
+			t.Fatalf("/metrics has no line %q:\n%s", line, metrics)
+		}
+	}
+	if asyncGrid := d.call(t, "GET", "/v1/grid", "", http.StatusOK); !bytes.Equal(asyncGrid, syncGrid) {
+		t.Fatalf("/v1/grid after the job differs from the synchronous sweep's:\n%s\nwant:\n%s", asyncGrid, syncGrid)
+	}
+	want(t, "titanx schedule after the job", d.json(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 0.0)
+
+	code, out := d.stop(t)
+	if code != 0 || !strings.Contains(out, "store closed, bye") {
+		t.Fatalf("dwarfserve: exit %d on SIGTERM, want 0 with \"store closed, bye\":\n%s", code, out)
 	}
 }

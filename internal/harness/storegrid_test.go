@@ -591,6 +591,12 @@ func TestFullGridGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			h.Write(raw)
+			// A cell decodes from its stored bytes to a value deep-equal to
+			// the measured one, so the measured cell can stand in for its
+			// decode.
+			if back, err := DecodeMeasurement(raw); err != nil || !reflect.DeepEqual(back, m) {
+				t.Fatalf("%s/%s/%s does not round-trip through its stored bytes (decode error %v)", m.Benchmark, m.Size, m.Device.ID, err)
+			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != want {
 			t.Fatalf("full grid digest %s, want %s (store attached: %v)", got, want, spec.Store != nil)

@@ -3,8 +3,10 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -386,6 +388,94 @@ func TestRecordsOrder(t *testing.T) {
 	want := "crc/gtx1080 crc/i7-6700k fft/gtx1080 "
 	if got != want {
 		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// TestRecordsStayInOrder drives random runs of Puts — new keys, plain
+// overwrites and overwrites that move a key to another benchmark, size or
+// device — across reopens over several segments and compactions, and
+// after every step requires Records to equal sortRecords over the live
+// records and Len to count them.
+func TestRecordsStayInOrder(t *testing.T) {
+	pick := func(rng *rand.Rand, from ...string) string { return from[rng.Intn(len(from))] }
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[string]Record{}
+		check := func(step string) {
+			t.Helper()
+			want := make([]*Record, 0, len(live))
+			for _, rec := range live {
+				want = append(want, &rec)
+			}
+			sortRecords(want)
+			got := s.Records()
+			if len(got) != len(want) || s.Len() != len(want) {
+				t.Fatalf("seed %d, %s: Records lists %d, Len %d, want %d", seed, step, len(got), s.Len(), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if g.Key != w.Key || g.Benchmark != w.Benchmark || g.Size != w.Size || g.Device != w.Device || string(g.Value) != string(w.Value) {
+					t.Fatalf("seed %d, %s: Records[%d] = %+v, want %+v", seed, step, i, *g, *w)
+				}
+			}
+		}
+		moved := false
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 40; i++ {
+				rec := Record{
+					Key:       fmt.Sprintf("k%03d", rng.Intn(1000)),
+					Benchmark: pick(rng, "crc", "fft", "nw"),
+					Size:      pick(rng, "tiny", "small"),
+					Device:    pick(rng, "gtx1080", "i7-6700k", "k20m"),
+					Schema:    1,
+				}
+				if len(live) > 0 && rng.Intn(2) == 0 {
+					// Overwrite a live key: keep its coordinate, or move it.
+					keys := make([]string, 0, len(live))
+					for k := range live {
+						keys = append(keys, k)
+					}
+					sort.Strings(keys)
+					old := live[keys[rng.Intn(len(keys))]]
+					rec.Key = old.Key
+					if rng.Intn(2) == 0 {
+						rec.Benchmark, rec.Size, rec.Device = old.Benchmark, old.Size, old.Device
+					}
+					moved = moved || rec.Benchmark != old.Benchmark || rec.Size != old.Size || rec.Device != old.Device
+				}
+				rec.Value = json.RawMessage(fmt.Sprintf("%d", rng.Intn(1e6)))
+				if err := s.Put(rec); err != nil {
+					t.Fatal(err)
+				}
+				live[rec.Key] = rec
+				check(fmt.Sprintf("round %d put %d", round, i))
+			}
+			if round == 2 {
+				if segs, _ := filepath.Glob(filepath.Join(dir, segmentGlob)); len(segs) != 3 {
+					t.Fatalf("seed %d: %d segments before compaction, want one per handle", seed, len(segs))
+				}
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("round %d compact", round))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("round %d reopen", round))
+		}
+		if !moved {
+			t.Fatalf("seed %d: no overwrite moved a key to another coordinate", seed)
+		}
+		s.Close()
 	}
 }
 
