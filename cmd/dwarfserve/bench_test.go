@@ -87,10 +87,11 @@ func BenchmarkRoute(b *testing.B) {
 		b.Fatal(err)
 	}
 	predictURL := "/v1/predict?bench=" + mid.Benchmark + "&size=" + mid.Size + "&device="
+	_, _, measured := gridAxes(srv.snap.Load().grid)
 	reloadBody, err := json.Marshal(map[string]any{
 		"tasks":   []sched.TaskSpec{rows[0], mid, rows[len(rows)-1]},
 		"policy":  "heft",
-		"devices": srv.snap.Load().devices,
+		"devices": measured,
 	})
 	if err != nil {
 		b.Fatal(err)

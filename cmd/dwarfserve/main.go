@@ -331,15 +331,13 @@ func newServer(st *store.Store, cfg predict.Config) (*server, error) {
 // cells reports the current snapshot's cell count.
 func (s *server) cells() int { return s.snap.Load().grid.Cells() }
 
-// snapshot is one store generation as the read routes see it: the grid,
-// the axes (distinct values in store listing order) and two values derived
-// from them, each built at most once, by the first request that needs it.
-// Nothing in a snapshot changes after setGrid publishes it; a request that
-// loaded an older one finishes on it, and whatever it builds there is
-// dropped with it.
+// snapshot is one store generation as the read routes see it: the grid
+// and two values derived from it, each built at most once, by the first
+// request that needs it. Nothing in a snapshot changes after setGrid
+// publishes it; a request that loaded an older one finishes on it, and
+// whatever it builds there is dropped with it.
 type snapshot struct {
-	grid                       *harness.Grid
-	benchmarks, sizes, devices []string
+	grid *harness.Grid
 
 	gridBody func() ([]byte, error)       // the /v1/grid response body
 	costs    func() (*sched.Costs, error) // the /v1/predict and /v1/schedule cost provider
@@ -350,39 +348,47 @@ type snapshot struct {
 // grid_done, so nothing is indexed, encoded or trained here.
 func (s *server) setGrid(grid *harness.Grid) {
 	sn := &snapshot{grid: grid}
-	seenB, seenS, seenD := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for _, m := range grid.Measurements {
-		if !seenB[m.Benchmark] {
-			seenB[m.Benchmark] = true
-			sn.benchmarks = append(sn.benchmarks, m.Benchmark)
-		}
-		if !seenS[m.Size] {
-			seenS[m.Size] = true
-			sn.sizes = append(sn.sizes, m.Size)
-		}
-		if !seenD[m.Device.ID] {
-			seenD[m.Device.ID] = true
-			sn.devices = append(sn.devices, m.Device.ID)
-		}
-	}
 	cfg := s.cfg
 	sn.gridBody = sync.OnceValues(sn.encodeGrid)
 	sn.costs = sync.OnceValues(func() (*sched.Costs, error) { return sched.NewCosts(grid, cfg) })
 	s.snap.Store(sn)
 }
 
+// gridAxes returns the distinct benchmarks, sizes and devices of grid's
+// cells, each in order of first appearance: store listing order, for a
+// grid from the store.
+func gridAxes(grid *harness.Grid) (benchmarks, sizes, devices []string) {
+	seenB, seenS, seenD := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, m := range grid.Measurements {
+		if !seenB[m.Benchmark] {
+			seenB[m.Benchmark] = true
+			benchmarks = append(benchmarks, m.Benchmark)
+		}
+		if !seenS[m.Size] {
+			seenS[m.Size] = true
+			sizes = append(sizes, m.Size)
+		}
+		if !seenD[m.Device.ID] {
+			seenD[m.Device.ID] = true
+			devices = append(devices, m.Device.ID)
+		}
+	}
+	return benchmarks, sizes, devices
+}
+
 // encodeGrid renders the /v1/grid body: every cell's summary and the axes,
 // the bytes writeJSON would write for them.
 func (sn *snapshot) encodeGrid() ([]byte, error) {
+	benchmarks, sizes, devices := gridAxes(sn.grid)
 	cells := make([]cellSummary, 0, sn.grid.Cells())
 	for _, m := range sn.grid.Measurements {
 		cells = append(cells, summarize(m))
 	}
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(map[string]any{
-		"benchmarks": sn.benchmarks,
-		"sizes":      sn.sizes,
-		"devices":    sn.devices,
+		"benchmarks": benchmarks,
+		"sizes":      sizes,
+		"devices":    devices,
 		"count":      len(cells),
 		"cells":      cells,
 	})

@@ -24,11 +24,16 @@ import (
 )
 
 // newTestServer sweeps a tiny grid into a fresh store and serves it — the
-// same pipeline as `dwarfsweep -store` followed by `dwarfserve -store`: one
-// store handle, from which the server loads its own snapshot.
+// same pipeline as `dwarfsweep -store` followed by `dwarfserve -store`: the
+// sweep's handle is closed, and the server loads its own snapshot through
+// a fresh handle over the directory, as main does.
 func newTestServer(t testing.TB) (*server, *harness.Grid) {
 	t.Helper()
-	st := openStore(t)
+	dir := t.TempDir()
+	sweep, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := harness.DefaultOptions()
 	opt.Samples = 6
 	g, err := harness.RunGrid(context.Background(), suite.New(), harness.GridSpec{
@@ -37,11 +42,19 @@ func newTestServer(t testing.TB) (*server, *harness.Grid) {
 		Devices:    []string{"i7-6700k", "gtx1080"},
 		Options:    opt,
 		Workers:    2,
-		Store:      st,
+		Store:      sweep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sweep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	cfg := predict.DefaultConfig()
 	cfg.Trees = 20 // keep the /v1/predict test fast
 	srv, err := newServer(st, cfg)
@@ -1006,5 +1019,28 @@ func TestMetricsSlotcacheAgreesWithEvents(t *testing.T) {
 	}
 	if m["slotcache_evictions_total"] != 0 {
 		t.Fatalf("slotcache_evictions_total %d with nothing overwritten", m["slotcache_evictions_total"])
+	}
+}
+
+// TestJobReloadReadsWarmSlots: a job's Puts fill the slots of the cells it
+// measures, so the reload on its way to grid_done decodes nothing —
+// slotcache_misses_total holds across the job, and every cell of the new
+// snapshot is a slot hit.
+func TestJobReloadReadsWarmSlots(t *testing.T) {
+	srv, g := newTestServer(t) // crc,fft × tiny × i7-6700k,gtx1080 = 4 cells
+	misses := srv.metrics.CounterValue("slotcache_misses_total")
+	id := postJob(t, srv,
+		`{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m"],"samples":6}`,
+		http.StatusAccepted)
+	status := waitJob(t, srv, id)
+	if status["state"] != string(jobDone) || status["store_hits"] != float64(g.Cells()) || status["store_misses"] != float64(2) {
+		t.Fatalf("job %v, want done with %d store hits and 2 measured cells", status, g.Cells())
+	}
+	if got := srv.metrics.CounterValue("slotcache_misses_total"); got != misses {
+		t.Fatalf("slotcache_misses_total %d after the job, want %d: the reload decoded the job's own cells", got, misses)
+	}
+	if got, want := srv.metrics.CounterValue("slotcache_hits_total"), int64(g.Cells()+srv.cells()); srv.cells() != 6 || got != want {
+		t.Fatalf("%d cells served, slotcache_hits_total %d; want 6 cells and %d hits (job %d + reload %d)",
+			srv.cells(), got, want, g.Cells(), srv.cells())
 	}
 }

@@ -508,7 +508,9 @@ func (r *gridRun) attempt(ctx context.Context, c gridCell, p *Preparation, n int
 }
 
 // persist appends a measured cell to the store, when one is attached;
-// its cell_done fires only after.
+// its cell_done fires only after. The cell itself fills the key's decoded
+// slot: it is deep-equal to its decode, so a later GridFromStore over the
+// same handle reads it without parsing the bytes just encoded.
 func (r *gridRun) persist(c gridCell, key string, m *Measurement) error {
 	if r.spec.Store == nil {
 		return nil
@@ -519,7 +521,7 @@ func (r *gridRun) persist(c gridCell, key string, m *Measurement) error {
 	}
 	if err := r.spec.Store.Put(store.Record{
 		Key: key, Benchmark: m.Benchmark, Size: m.Size, Device: m.Device.ID,
-		Schema: StoreSchemaVersion, Value: raw,
+		Schema: StoreSchemaVersion, Value: raw, Decoded: m,
 	}); err != nil {
 		return fmt.Errorf("harness: grid cell %s: %w", c, err)
 	}

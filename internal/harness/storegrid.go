@@ -74,8 +74,10 @@ func DecodeMeasurement(raw json.RawMessage) (*Measurement, error) {
 
 // decodeMeasurementSlot adapts DecodeMeasurement to the store's DecodeFunc
 // shape — the decoder a store runs at most once per cell, after which every
-// reader shares the one decoded *Measurement. Shared cells are immutable by
-// convention: nothing downstream of a store hit writes to a Measurement.
+// reader shares the one decoded *Measurement; a cell the handle's own grid
+// run measured is shared as measured, with no decode at all. Shared cells
+// are immutable by convention: nothing downstream of a store hit or a
+// cell_done writes to a Measurement.
 func decodeMeasurementSlot(raw json.RawMessage) (any, error) {
 	m, err := DecodeMeasurement(raw)
 	if err != nil {

@@ -612,6 +612,13 @@ func TestFullGridGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	// The store keeps its listing in order: listing it is one copy.
+	if n := reopened.Len(); n != fullGridRecords {
+		t.Fatalf("reopened store holds %d records, want %d", n, fullGridRecords)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { reopened.Records() }); allocs != 1 {
+		t.Fatalf("Records on the %d-record store: %v allocations, want 1", fullGridRecords, allocs)
+	}
 	served, err := GridFromStore(reopened)
 	if err != nil {
 		t.Fatal(err)

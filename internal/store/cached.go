@@ -1,9 +1,10 @@
 package store
 
 // The decoded-slot memo: a store hit served through GetDecoded returns the
-// value decoded the first time the key was read through this handle instead
-// of re-parsing its JSONL payload. Slots belong to one *Store; two handles
-// over one directory decode separately, so each reads its own writes.
+// value decoded the first time the key was read through this handle, or the
+// Record.Decoded the handle's Put of the key was given, instead of
+// re-parsing its JSONL payload. Slots belong to one *Store; two handles over
+// one directory decode separately, so each reads its own writes.
 
 // CacheStats is a point-in-time snapshot of a store's decoded-slot traffic.
 type CacheStats struct {
@@ -18,8 +19,9 @@ const (
 )
 
 // Stats returns the decoded-slot hit/miss/eviction counts so far. A miss is
-// a decode of a present key; an eviction is a slot dropped by Put or by a
-// compaction.
+// a decode of a present key; an eviction is a slot dropped or replaced by
+// Put, or dropped by a compaction. A slot Put fills counts as neither a hit
+// nor a miss.
 func (s *Store) Stats() CacheStats {
 	return CacheStats{
 		Hits:      s.hits.Load(),

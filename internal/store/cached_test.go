@@ -29,6 +29,59 @@ func putCached(t *testing.T, c *Store, key, bench string, v any) {
 	}
 }
 
+// TestPutDecodedFillsSlot: a Put carrying Decoded moves no counter, and
+// GetDecoded serves that very value as a hit without running its decoder.
+// Decoded is never written: the published record drops it, and a fresh
+// handle over the directory decodes the stored bytes.
+func TestPutDecodedFillsSlot(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := map[string]float64{"ns": 1}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(Record{Key: "k1", Benchmark: "crc", Size: "tiny", Device: "d", Schema: 1, Value: raw, Decoded: v}); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s != (CacheStats{}) {
+		t.Fatalf("stats %+v after a Put with Decoded, want none", s)
+	}
+	noDecode := func(json.RawMessage) (any, error) {
+		t.Fatal("GetDecoded decoded a slot Put filled")
+		return nil, nil
+	}
+	got, ok, err := c.GetDecoded("k1", noDecode)
+	if err != nil || !ok || fmt.Sprintf("%p", got) != fmt.Sprintf("%p", v) {
+		t.Fatalf("GetDecoded = %p, %v, %v; want the Put's value %p", got, ok, err, v)
+	}
+	if s := c.Stats(); s != (CacheStats{Hits: 1}) {
+		t.Fatalf("stats %+v, want one hit", s)
+	}
+	if rec := c.Records()[0]; rec.Decoded != nil {
+		t.Fatalf("the published record kept Decoded %v", rec.Decoded)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	got, ok, err = fresh.GetDecoded("k1", decodeMap)
+	if err != nil || !ok || got.(map[string]float64)["ns"] != 1 {
+		t.Fatalf("fresh handle: GetDecoded = %v, %v, %v; want the stored value", got, ok, err)
+	}
+	if s := fresh.Stats(); s != (CacheStats{Misses: 1}) {
+		t.Fatalf("fresh handle stats %+v, want one miss", s)
+	}
+}
+
 // TestCachedHitMissEviction: the first decoded read is a miss, repeats are
 // hits returning the identical shared value, and Put evicts exactly the
 // written key's slot.

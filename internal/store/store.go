@@ -7,10 +7,12 @@
 //
 // The in-memory index is sharded: readers and writers of different keys
 // proceed concurrently on separate shard locks, and the segment append path
-// holds its own mutex only for the file write. Compact rewrites the live
-// record set into a fresh snapshot and deletes the replayed segments. Each
-// shard also memoises the decoded form of its records (see GetDecoded), so
-// a store hit is served without re-parsing its payload.
+// holds its own mutex only for the file write. Beside the index, the store
+// keeps every live record in listing order, so listing the store copies a
+// slice instead of sorting it. Compact rewrites the live record set into a
+// fresh snapshot and deletes the replayed segments. Each shard also
+// memoises the decoded form of its records (see GetDecoded), so a store hit
+// is served without re-parsing its payload.
 package store
 
 import (
@@ -21,7 +23,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +47,12 @@ type Record struct {
 	Device    string          `json:"device,omitempty"`
 	Schema    int             `json:"schema,omitempty"`
 	Value     json.RawMessage `json:"value"`
+
+	// Decoded, when a writer sets it, is the value its readers' DecodeFunc
+	// returns for Value: Put publishes it as the key's decoded slot, so the
+	// writer's own reads skip the decode. It is never written to disk, and
+	// the record Put publishes does not keep it.
+	Decoded any `json:"-"`
 }
 
 const nShards = 16
@@ -50,9 +60,10 @@ const nShards = 16
 type shard struct {
 	mu   sync.RWMutex
 	recs map[string]*Record
-	// slots holds the value GetDecoded decoded from recs[key]. Put drops
-	// the written key's slot under the same lock that publishes the record,
-	// so a slot never outlives the payload it was decoded from.
+	// slots holds the value GetDecoded decoded from recs[key], or the
+	// Decoded a Put of the key was given. Put replaces the written key's
+	// slot under the same lock that publishes the record, so a slot never
+	// outlives the payload it stands for.
 	slots map[string]any
 }
 
@@ -61,6 +72,11 @@ type shard struct {
 type Store struct {
 	dir    string
 	shards [nShards]shard
+
+	// listing holds every live record in sortRecords order. Put edits it
+	// under wmu and lmu; readers hold lmu only.
+	lmu     sync.RWMutex
+	listing []*Record
 
 	// wmu serialises segment appends and compaction.
 	wmu      sync.Mutex
@@ -129,6 +145,12 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	s.replayed = files
+	for i := range s.shards {
+		for _, rec := range s.shards[i].recs {
+			s.listing = append(s.listing, rec)
+		}
+	}
+	sortRecords(s.listing)
 	return s, nil
 }
 
@@ -255,7 +277,9 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 }
 
 // Put appends the record to the current segment and publishes it in the
-// index. Re-putting an existing key overwrites it (last write wins).
+// index and the listing. Re-putting an existing key overwrites it (last
+// write wins). A set rec.Decoded becomes the key's decoded slot, counted
+// as neither a hit nor a miss; otherwise the key's slot is dropped.
 func (s *Store) Put(rec Record) error {
 	if rec.Key == "" {
 		return fmt.Errorf("store: put with empty key")
@@ -265,6 +289,8 @@ func (s *Store) Put(rec Record) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	line = append(line, '\n')
+	decoded := rec.Decoded
+	rec.Decoded = nil
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -281,20 +307,44 @@ func (s *Store) Put(rec Record) error {
 	// with the segment append, or a concurrent Compact could snapshot
 	// without this record yet delete the segment that carries it, and two
 	// racing Puts of one key could leave the index disagreeing with the
-	// on-disk last-write-wins replay. wmu → shard lock is the only nesting
-	// order in the package (Compact's Records() nests the same way), so
-	// this cannot deadlock.
+	// on-disk last-write-wins replay. wmu → shard lock and wmu → lmu are
+	// the only nesting orders in the package (Compact's Records() nests
+	// the same way), so this cannot deadlock.
 	sh := s.shard(rec.Key)
 	sh.mu.Lock()
+	old := sh.recs[rec.Key]
 	sh.recs[rec.Key] = &rec
 	_, evicted := sh.slots[rec.Key]
-	delete(sh.slots, rec.Key)
+	if decoded != nil {
+		sh.slots[rec.Key] = decoded
+	} else {
+		delete(sh.slots, rec.Key)
+	}
 	sh.mu.Unlock()
 	if evicted {
 		s.evictions.Add(1)
 		s.mEvictions.Inc()
 	}
+	s.lmu.Lock()
+	s.listing = relist(s.listing, old, &rec)
+	s.lmu.Unlock()
 	return nil
+}
+
+// relist returns listing, in sortRecords order, with rec in place of old
+// (nil for a new key): in place when rec keeps old's position, else by one
+// removal and one insertion, each found by binary search.
+func relist(listing []*Record, old, rec *Record) []*Record {
+	if old != nil {
+		i, _ := slices.BinarySearchFunc(listing, old, compareRecords)
+		if compareRecords(rec, old) == 0 {
+			listing[i] = rec
+			return listing
+		}
+		listing = slices.Delete(listing, i, i+1)
+	}
+	i, _ := slices.BinarySearchFunc(listing, rec, compareRecords)
+	return slices.Insert(listing, i, rec)
 }
 
 // openSegmentLocked creates this writer's private append segment. O_EXCL
@@ -327,52 +377,41 @@ func (s *Store) openSegmentLocked() error {
 
 // Len returns the number of live records.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.recs)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.lmu.RLock()
+	defer s.lmu.RUnlock()
+	return len(s.listing)
 }
 
 // sortRecords sorts recs into the canonical listing order of Records:
 // (benchmark, size, device) with the fingerprint key as the final
-// tiebreak. The key makes the order a total one — two records can never
-// compare equal — so the listing is deterministic regardless of map
+// tiebreak. The key makes the order a total one — two live records can
+// never compare equal — so the listing is deterministic regardless of map
 // iteration order or segment replay order.
 func sortRecords(recs []*Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Benchmark != b.Benchmark {
-			return a.Benchmark < b.Benchmark
-		}
-		if a.Size != b.Size {
-			return a.Size < b.Size
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Key < b.Key
-	})
+	slices.SortFunc(recs, compareRecords)
+}
+
+// compareRecords orders two records by (benchmark, size, device, key).
+func compareRecords(a, b *Record) int {
+	if c := strings.Compare(a.Benchmark, b.Benchmark); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Size, b.Size); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Device, b.Device); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // Records returns a stable listing of every live record in the canonical
 // sortRecords order — the order the serving layer and exports present
-// cells in.
+// cells in. The slice is the caller's; the records must not be modified.
 func (s *Store) Records() []*Record {
-	var out []*Record
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.recs {
-			out = append(out, rec)
-		}
-		sh.mu.RUnlock()
-	}
-	sortRecords(out)
-	return out
+	s.lmu.RLock()
+	defer s.lmu.RUnlock()
+	return slices.Clone(s.listing)
 }
 
 // Compact rewrites the live record set into a fresh snapshot (atomically,
