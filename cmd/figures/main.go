@@ -122,10 +122,16 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Suite order, not map order: one benchmark's progress block after
+	// another, and one merge order, on every run.
 	grid := &harness.Grid{}
-	for bench, sizes := range needed {
+	for _, b := range reg.All() {
+		sizes, ok := needed[b.Name()]
+		if !ok {
+			continue
+		}
 		events, err := harness.Stream(ctx, reg, harness.GridSpec{
-			Benchmarks: []string{bench},
+			Benchmarks: []string{b.Name()},
 			Sizes:      sizes,
 			Options:    opt,
 		})

@@ -20,11 +20,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"opendwarfs/internal/suite"
 )
 
 // commands are the binaries TestMain builds into binDir.
@@ -123,6 +126,8 @@ func withoutTiming(out string) string {
 // measurement, a report or an export format changed; refresh only with a
 // documented model or output change.
 func TestOutputsGolden(t *testing.T) {
+	// What a digest cannot pin, by run.
+	checks := map[string]func(*testing.T, result){"figures/all": suiteOrderBlocks}
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -195,7 +200,34 @@ func TestOutputsGolden(t *testing.T) {
 					t.Errorf("%s digest %s, want %s", name, got, want)
 				}
 			}
+			if check := checks[tc.name]; check != nil {
+				check(t, r)
+			}
 		})
+	}
+}
+
+// suiteOrderBlocks requires the progress lines on stderr to form one block
+// per benchmark, the blocks in suite order. Lines inside a block may
+// interleave, as each benchmark is swept at GOMAXPROCS workers.
+func suiteOrderBlocks(t *testing.T, r result) {
+	t.Helper()
+	var blocks []string
+	for _, line := range strings.Split(r.stderr, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "cell" {
+			continue
+		}
+		if len(blocks) == 0 || blocks[len(blocks)-1] != f[2] {
+			blocks = append(blocks, f[2])
+		}
+	}
+	var want []string
+	for _, b := range suite.New().All() {
+		want = append(want, b.Name())
+	}
+	if !slices.Equal(blocks, want) {
+		t.Errorf("progress blocks %v, want one per benchmark in suite order %v", blocks, want)
 	}
 }
 
