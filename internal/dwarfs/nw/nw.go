@@ -142,10 +142,11 @@ func (in *Instance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error {
 }
 
 // initMatrix resets the DP matrix borders: row 0 and column 0 carry the
-// accumulating gap penalties.
+// accumulating gap penalties. The interior needs no reset: the kernel
+// writes every interior cell before any cell reads it.
 func (in *Instance) initMatrix() {
 	dim := in.n + 1
-	clear(in.m)
+	in.m[0] = 0
 	for i := 1; i < dim; i++ {
 		in.m[i*dim] = int32(-i * Penalty)
 		in.m[i] = int32(-i * Penalty)
