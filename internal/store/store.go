@@ -145,6 +145,11 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	s.replayed = files
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].recs)
+	}
+	s.listing = make([]*Record, 0, n)
 	for i := range s.shards {
 		for _, rec := range s.shards[i].recs {
 			s.listing = append(s.listing, rec)
