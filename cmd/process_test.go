@@ -433,11 +433,13 @@ func serve(t *testing.T, dir string, args ...string) *daemon {
 	addr := make(chan string, 1)
 	go func() {
 		var all strings.Builder
+		sent := false
 		sc := bufio.NewScanner(pipe)
 		for sc.Scan() {
 			all.WriteString(sc.Text() + "\n")
-			if _, a, found := strings.Cut(sc.Text(), "listening on "); found && len(addr) == 0 {
+			if _, a, found := strings.Cut(sc.Text(), "listening on "); found && !sent {
 				addr <- a
+				sent = true
 			}
 		}
 		io.Copy(io.Discard, pipe) // a line past the scanner's limit
@@ -496,8 +498,9 @@ func (d *daemon) call(t *testing.T, method, path, body string, code int) []byte 
 	return b
 }
 
-// json sends one request like call and decodes the JSON object answered.
-func (d *daemon) json(t *testing.T, method, path, body string, code int) map[string]any {
+// callJSON sends one request like call and decodes the JSON object
+// answered.
+func (d *daemon) callJSON(t *testing.T, method, path, body string, code int) map[string]any {
 	t.Helper()
 	var v map[string]any
 	if err := json.Unmarshal(d.call(t, method, path, body, code), &v); err != nil {
@@ -506,11 +509,11 @@ func (d *daemon) json(t *testing.T, method, path, body string, code int) map[str
 	return v
 }
 
-// want fails the test unless the field of a decoded answer is want.
-func want(t *testing.T, what string, v map[string]any, field string, want any) {
+// wantField fails the test unless the field of a decoded answer is value.
+func wantField(t *testing.T, what string, v map[string]any, field string, value any) {
 	t.Helper()
-	if got := v[field]; got != want {
-		t.Fatalf("%s: %s = %v (%T), want %v", what, field, got, got, want)
+	if got := v[field]; got != value {
+		t.Fatalf("%s: %s = %v (%T), want %v", what, field, got, got, value)
 	}
 }
 
@@ -531,28 +534,28 @@ func TestServeSmoke(t *testing.T) {
 
 	ok(t, dir, "dwarfsweep", append(sel, "-devices", "i7-6700k,gtx1080,k20m", "-store", "store", "-compact")...)
 	d := serve(t, dir, "-store", "store")
-	want(t, "/healthz", d.json(t, "GET", "/healthz", "", http.StatusOK), "status", "ok")
-	want(t, "/v1/status", d.json(t, "GET", "/v1/status", "", http.StatusOK), "cells", 6.0)
-	want(t, "fft on gtx1080", d.json(t, "GET", "/v1/cells?bench=fft&device=gtx1080", "", http.StatusOK), "total", 1.0)
+	wantField(t, "/healthz", d.callJSON(t, "GET", "/healthz", "", http.StatusOK), "status", "ok")
+	wantField(t, "/v1/status", d.callJSON(t, "GET", "/v1/status", "", http.StatusOK), "cells", 6.0)
+	wantField(t, "fft on gtx1080", d.callJSON(t, "GET", "/v1/cells?bench=fft&device=gtx1080", "", http.StatusOK), "total", 1.0)
 	// Two pages of three tile the six-cell listing.
-	page := d.json(t, "GET", "/v1/cells?limit=3", "", http.StatusOK)
+	page := d.callJSON(t, "GET", "/v1/cells?limit=3", "", http.StatusOK)
 	if cur, _ := page["next_cursor"].(string); cur == "" {
 		t.Fatalf("/v1/cells?limit=3: no next_cursor in %v", page)
 	}
-	want(t, "/v1/grid", d.json(t, "GET", "/v1/grid", "", http.StatusOK), "count", 6.0)
-	if p := d.json(t, "GET", "/v1/predict?bench=fft&size=tiny&device=titanx", "", http.StatusOK); p["predicted_ns"] == nil {
+	wantField(t, "/v1/grid", d.callJSON(t, "GET", "/v1/grid", "", http.StatusOK), "count", 6.0)
+	if p := d.callJSON(t, "GET", "/v1/predict?bench=fft&size=tiny&device=titanx", "", http.StatusOK); p["predicted_ns"] == nil {
 		t.Fatalf("/v1/predict for unmeasured titanx: no predicted_ns in %v", p)
 	}
 	// titanx has no stored cell yet, so every slot of a titanx-only fleet
 	// is predicted; after the job measures it, none is.
 	const titanx = `{"tasks":[{"benchmark":"fft","size":"tiny","count":2},{"benchmark":"crc","size":"tiny"}],"devices":["titanx"],"policy":"heft"}`
-	want(t, "titanx schedule before the job", d.json(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 3.0)
-	bad := d.json(t, "POST", "/v1/schedule", `{"tasks":[{"benchmark":"crc","size":"tiny"}],"policy":"nope"}`, http.StatusBadRequest)
+	wantField(t, "titanx schedule before the job", d.callJSON(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 3.0)
+	bad := d.callJSON(t, "POST", "/v1/schedule", `{"tasks":[{"benchmark":"crc","size":"tiny"}],"policy":"nope"}`, http.StatusBadRequest)
 	if msg, _ := bad["error"].(string); !strings.Contains(msg, "energy fastest-device greedy heft roundrobin") {
 		t.Fatalf("unknown policy: error %q, want the sorted valid list", msg)
 	}
 
-	job := d.json(t, "POST", "/v1/jobs", `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m","titanx"]}`, http.StatusAccepted)
+	job := d.callJSON(t, "POST", "/v1/jobs", `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m","titanx"]}`, http.StatusAccepted)
 	id, _ := job["id"].(string)
 	if id == "" {
 		t.Fatalf("POST /v1/jobs: no id in %v", job)
@@ -564,8 +567,8 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatalf("job %s's event stream has no %s:\n%s", id, ev, sse)
 		}
 	}
-	want(t, "job "+id, d.json(t, "GET", "/v1/jobs/"+id, "", http.StatusOK), "state", "done")
-	want(t, "/v1/status after the job", d.json(t, "GET", "/v1/status", "", http.StatusOK), "cells", 8.0)
+	wantField(t, "job "+id, d.callJSON(t, "GET", "/v1/jobs/"+id, "", http.StatusOK), "state", "done")
+	wantField(t, "/v1/status after the job", d.callJSON(t, "GET", "/v1/status", "", http.StatusOK), "cells", 8.0)
 	// Widening by a device prepared nothing: both rows' preparations were
 	// stored by the cold sweep, kept by -compact and decoded by the job.
 	metrics := string(d.call(t, "GET", "/metrics", "", http.StatusOK))
@@ -577,7 +580,7 @@ func TestServeSmoke(t *testing.T) {
 	if asyncGrid := d.call(t, "GET", "/v1/grid", "", http.StatusOK); !bytes.Equal(asyncGrid, syncGrid) {
 		t.Fatalf("/v1/grid after the job differs from the synchronous sweep's:\n%s\nwant:\n%s", asyncGrid, syncGrid)
 	}
-	want(t, "titanx schedule after the job", d.json(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 0.0)
+	wantField(t, "titanx schedule after the job", d.callJSON(t, "POST", "/v1/schedule", titanx, http.StatusOK), "predicted", 0.0)
 
 	code, out := d.stop(t)
 	if code != 0 || !strings.Contains(out, "store closed, bye") {

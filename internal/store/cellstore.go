@@ -21,7 +21,8 @@ type CellStore interface {
 	// non-nil error when the payload does not decode. The value may be
 	// shared with every other reader of the key (see Store.GetDecoded).
 	GetDecoded(key string, decode DecodeFunc) (any, bool, error)
-	// Put persists the record and publishes it (last write wins).
+	// Put persists the record and publishes it (last write wins), with
+	// rec.Decoded, when set, as the key's decoded value.
 	Put(rec Record) error
 	// Records returns a stable listing of every live record, sorted by
 	// (benchmark, size, device, key).
