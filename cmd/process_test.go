@@ -301,6 +301,39 @@ func TestStoreSmoke(t *testing.T) {
 	ok(t, dir, "dwarfsweep", append(sweep, "-assert-store-hits", "100")...)
 }
 
+// TestStoreBytesGolden pins the bytes a sequential sweep writes to a
+// fresh store: its one segment, then the snapshot a compacting re-sweep
+// leaves. A mismatch means the store's line framing or a record's encoding
+// changed; refresh only with a deliberate StoreSchemaVersion bump.
+func TestStoreBytesGolden(t *testing.T) {
+	const (
+		wantSegment  = "e4238547f436904e71249f8712df7ef8f8db7c846f93f5ed4798cdfd4bdb1fd2"
+		wantSnapshot = "1453c9f0a0cd70b2decb7e2892df266df046c6189b8f6a23187d04a04933bfdf"
+	)
+	dir := t.TempDir()
+	sweep := []string{"-parallel", "1", "-benchmarks", "crc,fft", "-sizes", "tiny",
+		"-devices", "i7-6700k,gtx1080,k20m", "-store", "store"}
+	ok(t, dir, "dwarfsweep", sweep...)
+	segs, _ := filepath.Glob(filepath.Join(dir, "store", "seg-*.jsonl"))
+	if len(segs) != 1 {
+		t.Fatalf("segments after one sweep: %v, want one", segs)
+	}
+	fileDigest := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(b)
+	}
+	if got := fileDigest(segs[0]); got != wantSegment {
+		t.Errorf("segment digest %s, want %s", got, wantSegment)
+	}
+	ok(t, dir, "dwarfsweep", append(sweep, "-compact")...)
+	if got := fileDigest(filepath.Join(dir, "store", "snapshot.jsonl")); got != wantSnapshot {
+		t.Errorf("snapshot digest %s, want %s", got, wantSnapshot)
+	}
+}
+
 // TestPredictSmoke is CI's prediction gate: leave-one-device-out over the
 // tiny grid keeps the median per-device LogMAPE under the 50% ceiling.
 func TestPredictSmoke(t *testing.T) {
