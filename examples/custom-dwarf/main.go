@@ -3,8 +3,8 @@
 // benchmark suites and adding custom kernels"; this example adds a Graph
 // Traversal benchmark — a dwarf the published suite does not yet cover — as
 // an out-of-tree type implementing dwarfs.Benchmark, and runs it through the
-// exact harness the built-ins use (≥2 s loops, 50 samples, verification
-// against a serial BFS).
+// exact harness the built-ins use (≥2 s loops, sample statistics,
+// verification against a serial BFS).
 //
 //	go run ./examples/custom-dwarf
 package main
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"sync/atomic"
 
 	"opendwarfs/internal/cache"
 	"opendwarfs/internal/dwarfs"
@@ -107,15 +108,16 @@ func (in *bfsInstance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error 
 			if in.frontier[v] == 0 {
 				return
 			}
-			d := in.dist[v]
+			// Work-groups run concurrently, so a vertex is claimed with a
+			// compare-and-swap (OpenCL BFS's atomic_cmpxchg) and only the
+			// winner marks it for the next level. v's own distance is read
+			// atomically too: a losing swap on it counts as a write.
+			d := atomic.LoadInt32(&in.dist[v])
 			for e := in.rowPtr[v]; e < in.rowPtr[v+1]; e++ {
 				u := in.edges[e]
-				if in.dist[u] == -1 {
-					// Benign race as in the original kernels: all writers
-					// store the same level value.
-					in.dist[u] = d + 1
+				if atomic.CompareAndSwapInt32(&in.dist[u], -1, d+1) {
 					in.next[u] = 1
-					in.changed = 1
+					atomic.StoreInt32(&in.changed, 1)
 				}
 			}
 		},
@@ -235,7 +237,7 @@ func main() {
 			deviceID, m.Kernel.Median/1e6, m.Energy.Median, tag)
 	}
 	fmt.Println()
-	fmt.Println("Everything — the 2 s loop, 50-sample statistics, energy metering,")
+	fmt.Println("Everything — the 2 s loop, 20-sample statistics, energy metering,")
 	fmt.Println("counters and verification — came from the suite harness; the new")
 	fmt.Println("benchmark only provided kernels, a profile and a serial reference.")
 }
