@@ -19,6 +19,13 @@ import (
 	"opendwarfs"
 )
 
+// selection is the grid to stream: 4 benchmarks × 2 sizes × 4 devices.
+var selection = opendwarfs.Selection{
+	Benchmarks: []string{"kmeans", "srad", "fft", "crc"},
+	Sizes:      []string{"tiny", "large"},
+	Devices:    []string{"i7-6700k", "gtx1080", "k20m", "r9-290x"},
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -32,11 +39,7 @@ func main() {
 	}
 	defer sess.Close()
 
-	events, err := sess.Stream(ctx, opendwarfs.Selection{
-		Benchmarks: []string{"kmeans", "srad", "fft", "crc"},
-		Sizes:      []string{"tiny", "large"},
-		Devices:    []string{"i7-6700k", "gtx1080", "k20m", "r9-290x"},
-	})
+	events, err := sess.Stream(ctx, selection)
 	if err != nil {
 		log.Fatal(err)
 	}
