@@ -1,10 +1,8 @@
 // Package aiwc implements Architecture-Independent Workload
 // Characterisation, the analysis the paper's future work (§7) applies to
 // every OpenCL kernel to explain why runtime characteristics vary between
-// devices. Two layers are provided: static characterisation derived from a
-// kernel's workload profile (opcode mix, arithmetic intensity, parallelism),
-// and trace-based metrics (memory entropy, unique addresses, branch
-// entropy) computed from instrumented access/branch streams.
+// devices. Characterisation is static: it is derived from a kernel's
+// workload profile (opcode mix, arithmetic intensity, parallelism).
 package aiwc
 
 import (
@@ -192,77 +190,6 @@ func Aggregate(profiles []*sim.KernelProfile) Metrics {
 	agg.PatternCode /= totalW
 	agg.Parallelism = int64(par / totalW)
 	return agg
-}
-
-// MemoryEntropy is AIWC's measure of access-pattern randomness: the Shannon
-// entropy (bits) of the cache-line-granular address distribution. Streaming
-// kernels score near log2(distinct lines) with a uniform single-visit
-// distribution; pointer-chasing kernels score lower per unique line visited.
-func MemoryEntropy(addrs []uint64) float64 {
-	if len(addrs) == 0 {
-		return 0
-	}
-	counts := map[uint64]int{}
-	for _, a := range addrs {
-		counts[a>>6]++ // 64-byte line granularity
-	}
-	h := 0.0
-	n := float64(len(addrs))
-	for _, c := range counts {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// UniqueLines counts distinct 64-byte lines in a trace.
-func UniqueLines(addrs []uint64) int {
-	lines := map[uint64]bool{}
-	for _, a := range addrs {
-		lines[a>>6] = true
-	}
-	return len(lines)
-}
-
-// LocalitySlope characterises spatial locality: the fraction of consecutive
-// accesses that stay within a cache line or step to the adjacent line.
-// Sequential scans approach 1; random traffic approaches 0.
-func LocalitySlope(addrs []uint64) float64 {
-	if len(addrs) < 2 {
-		return 1
-	}
-	near := 0
-	for i := 1; i < len(addrs); i++ {
-		prev, cur := addrs[i-1]>>6, addrs[i]>>6
-		d := int64(cur) - int64(prev)
-		if d < 0 {
-			d = -d
-		}
-		if d <= 1 {
-			near++
-		}
-	}
-	return float64(near) / float64(len(addrs)-1)
-}
-
-// BranchEntropy is the Shannon entropy of the taken/not-taken stream —
-// AIWC's control-flow predictability measure. A constant branch scores 0; a
-// fair coin scores 1.
-func BranchEntropy(taken []bool) float64 {
-	if len(taken) == 0 {
-		return 0
-	}
-	t := 0
-	for _, b := range taken {
-		if b {
-			t++
-		}
-	}
-	p := float64(t) / float64(len(taken))
-	if p == 0 || p == 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
 // Distance computes the Euclidean distance between two feature vectors over

@@ -2,7 +2,6 @@ package aiwc
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -34,73 +33,6 @@ func TestCharacterizeMixSumsToOne(t *testing.T) {
 	}
 	if !strings.Contains(m.String(), "ai=") {
 		t.Fatal("String() malformed")
-	}
-}
-
-func TestMemoryEntropy(t *testing.T) {
-	// Constant line: zero entropy.
-	same := make([]uint64, 100)
-	if h := MemoryEntropy(same); h != 0 {
-		t.Fatalf("constant trace entropy %f", h)
-	}
-	// 256 distinct lines visited uniformly: log2(256) = 8 bits.
-	var uniform []uint64
-	for i := 0; i < 256; i++ {
-		for r := 0; r < 4; r++ {
-			uniform = append(uniform, uint64(i*64))
-		}
-	}
-	if h := MemoryEntropy(uniform); math.Abs(h-8) > 1e-9 {
-		t.Fatalf("uniform 256-line entropy %f, want 8", h)
-	}
-	// Skewed distribution scores below uniform.
-	skew := append(append([]uint64{}, uniform...), make([]uint64, 1000)...)
-	if MemoryEntropy(skew) >= 8 {
-		t.Fatal("skewed trace should have lower entropy")
-	}
-	if MemoryEntropy(nil) != 0 {
-		t.Fatal("empty trace entropy")
-	}
-}
-
-func TestUniqueLinesAndLocality(t *testing.T) {
-	seq := make([]uint64, 1024)
-	for i := range seq {
-		seq[i] = uint64(i * 4) // sequential floats
-	}
-	if got := UniqueLines(seq); got != 64 {
-		t.Fatalf("unique lines %d, want 64", got)
-	}
-	if l := LocalitySlope(seq); l != 1 {
-		t.Fatalf("sequential locality %f, want 1", l)
-	}
-	rng := rand.New(rand.NewSource(1))
-	rnd := make([]uint64, 1024)
-	for i := range rnd {
-		rnd[i] = uint64(rng.Intn(1 << 26))
-	}
-	if l := LocalitySlope(rnd); l > 0.1 {
-		t.Fatalf("random locality %f, want ~0", l)
-	}
-	if LocalitySlope(nil) != 1 || LocalitySlope([]uint64{5}) != 1 {
-		t.Fatal("degenerate locality")
-	}
-}
-
-func TestBranchEntropy(t *testing.T) {
-	always := make([]bool, 100)
-	if h := BranchEntropy(always); h != 0 {
-		t.Fatalf("constant branch entropy %f", h)
-	}
-	coin := make([]bool, 1000)
-	for i := range coin {
-		coin[i] = i%2 == 0
-	}
-	if h := BranchEntropy(coin); math.Abs(h-1) > 1e-9 {
-		t.Fatalf("fair branch entropy %f, want 1", h)
-	}
-	if BranchEntropy(nil) != 0 {
-		t.Fatal("empty branch entropy")
 	}
 }
 

@@ -2,7 +2,6 @@ package report
 
 import (
 	"context"
-
 	"strings"
 	"testing"
 
@@ -26,20 +25,6 @@ func profiledGrid(t *testing.T) *harness.Grid {
 		t.Fatal(err)
 	}
 	return g
-}
-
-func TestRooflineTable(t *testing.T) {
-	g := profiledGrid(t)
-	var sb strings.Builder
-	if err := RooflineTable(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"performance portability", "srad/srad1", "crc/crc32_pages", "nqueens/nqueens_count", "Best device"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("roofline table missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestAIWCTable(t *testing.T) {
