@@ -12,6 +12,7 @@ package crc
 import (
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"opendwarfs/internal/cache"
 	"opendwarfs/internal/data"
@@ -151,19 +152,31 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 	if q.SimulateOnly() {
 		return nil
 	}
-	// Combine per-page CRCs left to right.
+	// Combine per-page CRCs left to right: a full page through the shared
+	// page operator, a short tail page through Combine.
+	op := pageOp()
 	crc := in.pages[0]
 	for p := 1; p < np; p++ {
-		lo := p * PageBytes
-		hi := lo + PageBytes
-		if hi > in.n {
-			hi = in.n
+		if lo := p * PageBytes; lo+PageBytes > in.n {
+			crc = Combine(crc, in.pages[p], int64(in.n-lo))
+		} else {
+			crc = op.times(crc) ^ in.pages[p]
 		}
-		crc = Combine(crc, in.pages[p], int64(hi-lo))
 	}
 	in.result = crc
 	return nil
 }
+
+// pageOp is the operator that advances a CRC through PageBytes zero bytes,
+// built once per process. Combine is linear in crcA, so column i of the
+// operator is Combine(1<<i, 0, PageBytes).
+var pageOp = sync.OnceValue(func() *gf2Matrix {
+	var m gf2Matrix
+	for i := range m {
+		m[i] = Combine(1<<i, 0, PageBytes)
+	}
+	return &m
+})
 
 // Result returns the combined CRC of the whole message.
 func (in *Instance) Result() uint32 { return in.result }
