@@ -58,7 +58,7 @@ type bfsInstance struct {
 	dist     []int32
 	frontier []int32 // 1 if vertex is in the current frontier
 	next     []int32
-	changed  int32 // host-observed; device writes any nonzero
+	changed  atomic.Int32 // host-observed; device writes any nonzero
 
 	bufs   []*opencl.Buffer
 	kernel *opencl.Kernel
@@ -117,7 +117,7 @@ func (in *bfsInstance) Setup(ctx *opencl.Context, q *opencl.CommandQueue) error 
 				u := in.edges[e]
 				if atomic.CompareAndSwapInt32(&in.dist[u], -1, d+1) {
 					in.next[u] = 1
-					atomic.StoreInt32(&in.changed, 1)
+					in.changed.Store(1)
 				}
 			}
 		},
@@ -164,7 +164,7 @@ func (in *bfsInstance) Iterate(q *opencl.CommandQueue) error {
 	}
 	for level := 0; level < levels; level++ {
 		if !q.SimulateOnly() {
-			in.changed = 0
+			in.changed.Store(0)
 		}
 		if _, err := q.EnqueueNDRange(in.kernel, opencl.NDR1(in.n, local)); err != nil {
 			return err
@@ -174,7 +174,7 @@ func (in *bfsInstance) Iterate(q *opencl.CommandQueue) error {
 			for i := range in.next {
 				in.next[i] = 0
 			}
-			if in.changed == 0 {
+			if in.changed.Load() == 0 {
 				break
 			}
 		}

@@ -10,12 +10,12 @@ import (
 )
 
 // cellLine matches one progress line: the bar, done/total, the cell's
-// coordinates, its median and where it came from.
-var cellLine = regexp.MustCompile(`^\[[█·]{24}\] +(\d+)/32  (\S+) +(\S+) +(\S+) +\d+\.\d{3} ms  \((measured|store), [^)]+\)$`)
+// coordinates, its median and its wall time.
+var cellLine = regexp.MustCompile(`^\[[█·]{24}\] +(\d+)/32  (\S+) +(\S+) +(\S+) +\d+\.\d{3} ms  \(measured, [^)]+\)$`)
 
-// TestMainOutput runs the example and checks its output's structure: cells
-// arrive in completion order with wall times, so the bytes vary from run
-// to run but the lines do not.
+// TestMainOutput runs the example and checks its output's structure:
+// cells arrive in completion order with wall times, so the bytes vary
+// from run to run.
 func TestMainOutput(t *testing.T) {
 	out := captureStdout(t, main)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -33,9 +33,6 @@ func TestMainOutput(t *testing.T) {
 				want[b+"/"+s+"/"+d] = true
 			}
 		}
-	}
-	if len(want) != cells {
-		t.Fatalf("selection holds %d cells, want %d", len(want), cells)
 	}
 	for i, line := range lines[1 : cells+1] {
 		m := cellLine.FindStringSubmatch(line)
