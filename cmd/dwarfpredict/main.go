@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -33,6 +34,7 @@ import (
 	"opendwarfs/internal/predict"
 	"opendwarfs/internal/report"
 	"opendwarfs/internal/scibench"
+	"opendwarfs/internal/sim"
 	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
@@ -65,8 +67,22 @@ func main() {
 	if *mode != "lodo" && *mode != "lobo" && *mode != "both" {
 		fatal(fmt.Errorf("unknown -mode %q (want lodo, lobo or both)", *mode))
 	}
-	if *holdout != "" && *assertMAPE > 0 {
-		fatal(fmt.Errorf("-assert-mape gates cross-validation and cannot be combined with -holdout"))
+	if *holdout != "" {
+		if *assertMAPE > 0 {
+			fatal(fmt.Errorf("-assert-mape gates cross-validation and cannot be combined with -holdout"))
+		}
+		spec, err := sim.Lookup(*holdout)
+		if err != nil {
+			fatal(err)
+		}
+		*holdout = spec.ID
+		inGrid := func(id string) bool {
+			d, err := sim.Lookup(id)
+			return err == nil && d.ID == spec.ID
+		}
+		if ids := cli.Split(*devices); len(ids) > 0 && !slices.ContainsFunc(ids, inGrid) {
+			fatal(fmt.Errorf("-holdout %s is not among -devices %s", spec.ID, *devices))
+		}
 	}
 
 	opt := harness.DefaultOptions()

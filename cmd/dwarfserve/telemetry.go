@@ -74,9 +74,14 @@ func (s *server) sampleTick() {
 	s.alerts.Eval(ns)
 }
 
-// runSampler drives sampleTick on the recorder's interval until ctx is
-// cancelled (shutdown).
+// runSampler takes one sample at once, then drives sampleTick on the
+// recorder's interval until ctx is cancelled (shutdown). The first sample
+// is the baseline a rate is measured from: without it, counts that moved
+// before the first tick land in the ring's oldest sample, whose delta no
+// window counts, so a burst of failures in the first interval would never
+// fire a burn-rate alert.
 func (s *server) runSampler(ctx context.Context) {
+	s.sampleTick()
 	t := time.NewTicker(s.series.Interval())
 	defer t.Stop()
 	for {

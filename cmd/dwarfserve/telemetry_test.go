@@ -348,6 +348,52 @@ func TestSamplerFakeClockDeterminism(t *testing.T) {
 	}
 }
 
+// TestSamplerSamplesOnStart: runSampler takes its first sample as it
+// starts, not one interval later. Failures counted before the first tick
+// are then a delta inside the burn window, not part of the ring's oldest
+// sample, whose delta no window counts — so a chaos job that ends inside
+// the server's first interval still fires the burn-rate alert.
+func TestSamplerSamplesOnStart(t *testing.T) {
+	srv, _ := newTestServer(t)
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	if err := srv.initTelemetry(series.Options{
+		Capacity: 64, Interval: time.Hour, Clock: clk.Now,
+	}, defaultAlertRules()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		srv.runSampler(ctx)
+		close(stopped)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if samples, _, _ := srv.series.Stats(); samples >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("runSampler took no sample within 5s of starting under a one-hour interval")
+		}
+	}
+
+	srv.metrics.Counter("harness_failed_cells_total").Add(2)
+	srv.sampleTick()
+	alerts := get(t, srv, "/v1/alerts", http.StatusOK)
+	var burn map[string]any
+	for _, raw := range alerts["alerts"].([]any) {
+		if a := raw.(map[string]any); a["rule"].(map[string]any)["name"] == ruleFailedCellsBurn {
+			burn = a
+		}
+	}
+	if burn["state"] != string(slo.StateFiring) || burn["fired_total"] != 1.0 {
+		t.Fatalf("%s: state %v, fired_total %v; want firing, 1", ruleFailedCellsBurn, burn["state"], burn["fired_total"])
+	}
+}
+
 // TestHistoryEndpoint: windowed summaries over a few fake-clock samples.
 func TestHistoryEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)

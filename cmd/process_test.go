@@ -241,6 +241,8 @@ func TestFlagErrorsExitBeforeMeasuring(t *testing.T) {
 		{[]string{"dwarfsweep", "-compact"}, "dwarfsweep: -assert-store-hits and -compact require -store"},
 		{[]string{"dwarfbench", "-b", "fft", "-size", "huge"}, `dwarfbench: fft does not support size "huge"`},
 		{[]string{"dwarfpredict", "-mode", "x"}, `dwarfpredict: unknown -mode "x"`},
+		{[]string{"dwarfpredict", "-holdout", "nosuch"}, `dwarfpredict: sim: unknown device "nosuch" (known: [`},
+		{[]string{"dwarfpredict", "-devices", "i7-6700k,k20m", "-holdout", "gtx1080"}, "dwarfpredict: -holdout gtx1080 is not among -devices i7-6700k,k20m"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			r := run(t, t.TempDir(), tc.args[0], tc.args[1:]...)
@@ -618,5 +620,76 @@ func TestServeSmoke(t *testing.T) {
 	code, out := d.stop(t)
 	if code != 0 || !strings.Contains(out, "store closed, bye") {
 		t.Fatalf("dwarfserve: exit %d on SIGTERM, want 0 with \"store closed, bye\":\n%s", code, out)
+	}
+}
+
+// eventually polls cond every 50 ms until it holds, and fails the test if
+// it still does not after within.
+func eventually(t *testing.T, what string, within time.Duration, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(within); !cond(); time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within %v", what, within)
+		}
+	}
+}
+
+// TestObsAlertSmoke is obs-smoke's alert leg: dwarfserve samples every
+// 200 ms under a one-rule -alerts file, and a chaos job posted as soon as
+// it listens — two store hits, two failed cells on a dropped k20m — fires
+// the failed-cells burn-rate rule once. The rule resolves when the burst
+// leaves its 2 s window, after which /v1/status reads healthy and the
+// history window still lists the job's cell counter.
+func TestObsAlertSmoke(t *testing.T) {
+	dir := t.TempDir()
+	ok(t, dir, "dwarfsweep", "-benchmarks", "crc,fft", "-sizes", "tiny", "-devices", "i7-6700k", "-store", "store")
+	const rules = `{"rules":[
+  {"name":"failed_cells_burn","kind":"burn_rate","metric":"harness_failed_cells_total","value":0.05,"window_sec":2,"severity":"page"}
+]}`
+	if err := os.WriteFile(filepath.Join(dir, "alerts.json"), []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := serve(t, dir, "-store", "store", "-sample-interval", "200ms", "-series-capacity", "64", "-alerts", "alerts.json")
+	job := d.callJSON(t, "POST", "/v1/jobs",
+		`{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","k20m"],"retries":3,"chaos":{"seed":7,"drop":["k20m"]}}`,
+		http.StatusAccepted)
+	id, _ := job["id"].(string)
+	if id == "" {
+		t.Fatalf("POST /v1/jobs: no id in %v", job)
+	}
+	var st map[string]any
+	eventually(t, "job "+id+" done", 30*time.Second, func() bool {
+		st = d.callJSON(t, "GET", "/v1/jobs/"+id, "", http.StatusOK)
+		return st["state"] == "done"
+	})
+	wantField(t, "job "+id, st, "store_hits", 2.0)
+	wantField(t, "job "+id, st, "failed", 2.0)
+
+	burn := func() map[string]any {
+		for _, raw := range d.callJSON(t, "GET", "/v1/alerts", "", http.StatusOK)["alerts"].([]any) {
+			if a := raw.(map[string]any); a["rule"].(map[string]any)["name"] == "failed_cells_burn" {
+				return a
+			}
+		}
+		t.Fatal("/v1/alerts lists no failed_cells_burn rule")
+		return nil
+	}
+	var a map[string]any
+	eventually(t, "failed_cells_burn fired", 10*time.Second, func() bool {
+		a = burn()
+		return a["fired_total"] != 0.0
+	})
+	wantField(t, "failed_cells_burn", a, "fired_total", 1.0)
+	eventually(t, "failed_cells_burn resolved", 15*time.Second, func() bool {
+		a = burn()
+		return a["state"] == "resolved"
+	})
+	wantField(t, "resolved failed_cells_burn", a, "fired_total", 1.0)
+	wantField(t, "/v1/status", d.callJSON(t, "GET", "/v1/status", "", http.StatusOK), "health", "ok")
+	if hist := d.call(t, "GET", "/v1/metrics/history?window=30s", "", http.StatusOK); !bytes.Contains(hist, []byte(`"harness_cells_total"`)) {
+		t.Fatalf("/v1/metrics/history?window=30s lists no harness_cells_total:\n%s", hist)
+	}
+	if code, out := d.stop(t); code != 0 {
+		t.Fatalf("dwarfserve: exit %d on SIGTERM:\n%s", code, out)
 	}
 }
