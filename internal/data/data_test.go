@@ -186,85 +186,6 @@ func TestGenerateLeafStructure(t *testing.T) {
 	}
 }
 
-func TestResize(t *testing.T) {
-	// §4.4.3: the 3648×2736 original is down-sampled to 80×60.
-	im := GenerateLeaf(364, 273, 5)
-	small := im.Resize(80, 60)
-	if small.W != 80 || small.H != 60 {
-		t.Fatal("bad resize")
-	}
-	// Mean intensity is approximately preserved by a box filter.
-	mean := func(im *Image) float64 {
-		s := 0.0
-		for _, p := range im.Pix {
-			s += float64(p)
-		}
-		return s / float64(len(im.Pix))
-	}
-	if a, b := mean(im), mean(small); math.Abs(a-b) > 5 {
-		t.Fatalf("box filter shifted mean %f -> %f", a, b)
-	}
-}
-
-func TestPNMRoundTrip(t *testing.T) {
-	im := GenerateLeaf(72, 54, 1)
-	var pgm, ppm bytes.Buffer
-	if err := im.WritePGM(&pgm); err != nil {
-		t.Fatal(err)
-	}
-	if err := im.WritePPM(&ppm); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPNM(&pgm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.W != im.W || back.H != im.H {
-		t.Fatal("PGM round-trip size mismatch")
-	}
-	for i := range back.Pix {
-		if math.Abs(float64(back.Pix[i]-im.Pix[i])) > 1 { // byte quantisation
-			t.Fatalf("pixel %d: %f vs %f", i, back.Pix[i], im.Pix[i])
-		}
-	}
-	backP, err := ReadPNM(&ppm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gray PPM converts back to the same gray values (within rounding).
-	for i := range backP.Pix {
-		if math.Abs(float64(backP.Pix[i]-im.Pix[i])) > 1.5 {
-			t.Fatalf("PPM pixel %d: %f vs %f", i, backP.Pix[i], im.Pix[i])
-		}
-	}
-}
-
-func TestReadPNMErrors(t *testing.T) {
-	cases := []string{
-		"P3\n2 2\n255\n",       // unsupported magic
-		"P5\n0 2\n255\n",       // bad geometry
-		"P5\n2 2\n70000\n",     // bad maxval
-		"P5\n2 2\n255\nX",      // short payload
-		"P5\n# comment only\n", // truncated header
-	}
-	for i, c := range cases {
-		if _, err := ReadPNM(bytes.NewReader([]byte(c))); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestPNMCommentHandling(t *testing.T) {
-	raw := "P5\n# a comment\n2 1\n# another\n255\nAB"
-	im, err := ReadPNM(bytes.NewReader([]byte(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.W != 2 || im.H != 1 || im.Pix[0] != float32('A') {
-		t.Fatalf("comment parsing broke payload: %+v", im)
-	}
-}
-
 func TestMoleculePresetsMatchPaperFootprints(t *testing.T) {
 	// §4.4.4 reports the gem dataset footprints precisely; our synthetic
 	// molecules must land on them.

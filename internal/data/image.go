@@ -1,9 +1,7 @@
 package data
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -66,155 +64,4 @@ func GenerateLeaf(w, h int, seed int64) *Image {
 		}
 	}
 	return im
-}
-
-// Resize box-filters the image to the target size — the role ImageMagick's
-// resize plays in the paper's dataset preparation ("down-sampled to 80×60").
-func (im *Image) Resize(w, h int) *Image {
-	out := NewImage(w, h)
-	sx := float64(im.W) / float64(w)
-	sy := float64(im.H) / float64(h)
-	for y := 0; y < h; y++ {
-		y0 := int(float64(y) * sy)
-		y1 := int(float64(y+1) * sy)
-		if y1 <= y0 {
-			y1 = y0 + 1
-		}
-		if y1 > im.H {
-			y1 = im.H
-		}
-		for x := 0; x < w; x++ {
-			x0 := int(float64(x) * sx)
-			x1 := int(float64(x+1) * sx)
-			if x1 <= x0 {
-				x1 = x0 + 1
-			}
-			if x1 > im.W {
-				x1 = im.W
-			}
-			sum := float32(0)
-			for yy := y0; yy < y1; yy++ {
-				for xx := x0; xx < x1; xx++ {
-					sum += im.At(xx, yy)
-				}
-			}
-			out.Set(x, y, sum/float32((x1-x0)*(y1-y0)))
-		}
-	}
-	return out
-}
-
-// WritePGM encodes the image as a binary PGM (P5), the output format the
-// extended dwt benchmark stores its coefficients in (§4.4.3).
-func (im *Image) WritePGM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	for _, p := range im.Pix {
-		v := p
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		if err := bw.WriteByte(byte(v)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WritePPM encodes the image as a binary PPM (P6) with equal RGB channels,
-// the input format the extended dwt benchmark loads (§4.4.3).
-func (im *Image) WritePPM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	for _, p := range im.Pix {
-		v := p
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		b := byte(v)
-		if _, err := bw.Write([]byte{b, b, b}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadPNM decodes a binary PGM (P5) or PPM (P6); PPM is converted to
-// grayscale with the Rec.601 luma weights.
-func ReadPNM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	magic, err := pnmToken(br)
-	if err != nil {
-		return nil, err
-	}
-	if magic != "P5" && magic != "P6" {
-		return nil, fmt.Errorf("data: unsupported PNM magic %q", magic)
-	}
-	var w, h, maxv int
-	for _, dst := range []*int{&w, &h, &maxv} {
-		tok, err := pnmToken(br)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscanf(tok, "%d", dst); err != nil {
-			return nil, fmt.Errorf("data: bad PNM header token %q", tok)
-		}
-	}
-	if w <= 0 || h <= 0 || maxv <= 0 || maxv > 255 {
-		return nil, fmt.Errorf("data: bad PNM geometry %dx%d max %d", w, h, maxv)
-	}
-	im := NewImage(w, h)
-	if magic == "P5" {
-		buf := make([]byte, w*h)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("data: short PGM payload: %w", err)
-		}
-		for i, b := range buf {
-			im.Pix[i] = float32(b)
-		}
-		return im, nil
-	}
-	buf := make([]byte, w*h*3)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("data: short PPM payload: %w", err)
-	}
-	for i := 0; i < w*h; i++ {
-		r8, g8, b8 := float32(buf[3*i]), float32(buf[3*i+1]), float32(buf[3*i+2])
-		im.Pix[i] = 0.299*r8 + 0.587*g8 + 0.114*b8
-	}
-	return im, nil
-}
-
-// pnmToken reads the next whitespace-delimited header token, skipping
-// '#' comments.
-func pnmToken(br *bufio.Reader) (string, error) {
-	tok := make([]byte, 0, 8)
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return "", err
-		}
-		switch {
-		case b == '#':
-			if _, err := br.ReadString('\n'); err != nil {
-				return "", err
-			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			if len(tok) > 0 {
-				return string(tok), nil
-			}
-		default:
-			tok = append(tok, b)
-		}
-	}
 }

@@ -1,14 +1,13 @@
 // Package dwt implements the second Spectral Methods benchmark the paper
 // added to the suite (§2, §4.4.3): a 2-D discrete wavelet transform (CDF 9/7
-// lifting, the Rodinia dwt2d filter) over the gum-leaf test image, with PPM
-// input and tiled PGM coefficient output support. Each level runs a
-// row-lifting kernel (one work-item per row) followed by a column-lifting
-// kernel (one work-item per column) over the shrinking LL quadrant.
+// lifting, the Rodinia dwt2d filter) over the gum-leaf test image. Each
+// level runs a row-lifting kernel (one work-item per row) followed by a
+// column-lifting kernel (one work-item per column) over the shrinking LL
+// quadrant.
 package dwt
 
 import (
 	"fmt"
-	"io"
 
 	"opendwarfs/internal/cache"
 	"opendwarfs/internal/data"
@@ -77,16 +76,6 @@ func (*Benchmark) New(size string, seed int64) (dwarfs.Instance, error) {
 	return &Instance{w: d.W, h: d.H, levels: Levels, seed: seed}, nil
 }
 
-// NewFromPPM builds an instance from a PPM/PGM stream, the input path of the
-// extended benchmark.
-func NewFromPPM(r io.Reader, levels int) (*Instance, error) {
-	im, err := data.ReadPNM(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewInstance(im, levels)
-}
-
 // Instance is one configured transform.
 type Instance struct {
 	w, h, levels int
@@ -99,7 +88,6 @@ type Instance struct {
 	// Current LL-quadrant geometry, read by the kernel closures.
 	curW, curH   int
 	kRows, kCols *opencl.Kernel
-	ran          bool
 }
 
 // NewInstance builds an instance over an image.
@@ -303,7 +291,6 @@ func (in *Instance) Iterate(q *opencl.CommandQueue) error {
 		in.curW = (in.curW + 1) / 2
 		in.curH = (in.curH + 1) / 2
 	}
-	in.ran = true
 	return nil
 }
 
@@ -319,25 +306,6 @@ func gcdLocal(n int) int {
 
 // Coefficients returns the transformed plane of the last Iterate.
 func (in *Instance) Coefficients() []float32 { return in.img }
-
-// WriteTiledPGM stores the coefficient plane "in a visual tiled fashion"
-// (§4.4.3): absolute coefficient magnitudes, log-compressed per quadrant so
-// every subband is visible.
-func (in *Instance) WriteTiledPGM(w io.Writer) error {
-	if !in.ran {
-		return fmt.Errorf("dwt: WriteTiledPGM before Iterate")
-	}
-	out := data.NewImage(in.w, in.h)
-	for i, v := range in.img {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		// Compress dynamic range: 255·a/(a+64).
-		out.Pix[i] = 255 * a / (a + 64)
-	}
-	return out.WritePGM(w)
-}
 
 // SerialForward runs the reference transform on a copy of the input and
 // returns the coefficient plane.

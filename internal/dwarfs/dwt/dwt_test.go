@@ -1,7 +1,6 @@
 package dwt
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,49 +143,6 @@ func TestLaunchCount(t *testing.T) {
 	}
 }
 
-func TestTiledPGMOutput(t *testing.T) {
-	ctx, q := newEnv(t)
-	inst, _ := NewInstance(data.GenerateLeaf(72, 54, 2), 3)
-	if err := inst.Setup(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Iterate(q); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := inst.WriteTiledPGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	im, err := data.ReadPNM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.W != 72 || im.H != 54 {
-		t.Fatal("tiled output geometry")
-	}
-}
-
-func TestNewFromPPM(t *testing.T) {
-	var buf bytes.Buffer
-	if err := data.GenerateLeaf(80, 60, 1).WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := NewFromPPM(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, q := newEnv(t)
-	if err := inst.Setup(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Iterate(q); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFootprintsMatchPaperSizing(t *testing.T) {
 	limits := map[string]float64{"tiny": 32, "small": 256, "medium": 8192}
 	for size, lim := range limits {
@@ -215,9 +171,6 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 	if err := inst.Verify(); err == nil {
 		t.Fatal("Verify before Iterate accepted")
-	}
-	if err := inst.WriteTiledPGM(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteTiledPGM before Iterate accepted")
 	}
 }
 

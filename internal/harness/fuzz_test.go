@@ -33,9 +33,10 @@ func fuzzPreparations(f *testing.F) []*Preparation {
 
 // FuzzDecodePreparation feeds arbitrary bytes to the stored-preparation
 // decoder. It must never panic; a success must be a preparation Measure
-// can replay — every kernel command with a valid profile, every other
-// command without one, at least one kernel, profiles rebuilt by Prepare's
-// first-launch rule — and encoding must be a fixed point of decoding.
+// can replay — kernel and write commands only, every kernel command with a
+// valid profile, every write without one, at least one kernel, profiles
+// rebuilt by Prepare's first-launch rule — and encoding must be a fixed
+// point of decoding.
 func FuzzDecodePreparation(f *testing.F) {
 	for _, p := range fuzzPreparations(f) {
 		raw, err := encodePreparation(p)
@@ -54,6 +55,8 @@ func FuzzDecodePreparation(f *testing.F) {
 	f.Add([]byte(`{"names":["k"],` + prof + `,"pnames":[0],"trace":[[9,0,0,0]]}`))         // unknown kind
 	f.Add([]byte(`{"names":["k"],` + prof + `,"pnames":[0],"trace":[[1,0,64,0]]}`))        // transfer with a profile
 	f.Add([]byte(`{"names":["k"],"profiles":[{"w":0}],"pnames":[0],"trace":[[0,0,0,0]]}`)) // profile without work items
+	// A read (kind 2): no benchmark enqueues one, so the decoder refuses it.
+	f.Add([]byte(`{"names":["k"],` + prof + `,"pnames":[0],"trace":[[0,0,0,0],[2,0,64,-1]]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := decodePreparation(raw)
 		if err != nil {
@@ -83,8 +86,8 @@ func checkReplayable(t *testing.T, p *Preparation) {
 	seen := map[string]bool{}
 	var firsts int
 	for i, c := range p.trace {
-		if c.kind < opencl.CommandKernel || c.kind > opencl.CommandFill {
-			t.Fatalf("command %d: unknown kind %d", i, c.kind)
+		if c.kind != opencl.CommandKernel && c.kind != opencl.CommandWrite {
+			t.Fatalf("command %d: kind %d is neither a kernel nor a write", i, c.kind)
 		}
 		if c.kind != opencl.CommandKernel {
 			if c.profile != nil {

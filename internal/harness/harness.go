@@ -306,7 +306,7 @@ func (p *Preparation) Measure(ctx context.Context, dev *opencl.Device, opt Optio
 			kernelNs += bd.TotalNs
 			energyJ += meter.KernelEnergy(model, bd)
 			m.Counters.Add(papi.Derive(dev.Spec, c.profile, bd.Traffic, bd.TotalNs))
-		case opencl.CommandWrite, opencl.CommandRead:
+		case opencl.CommandWrite:
 			transferNs += model.TransferTime(c.bytes)
 		}
 	}

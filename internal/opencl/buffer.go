@@ -3,6 +3,7 @@ package opencl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Context owns device memory objects, as in OpenCL. Its accounting of total
@@ -10,10 +11,8 @@ import (
 // "the memory footprint was verified for each benchmark by printing the sum
 // of the size of all memory allocated on the device" (§4.4).
 type Context struct {
-	mu      sync.Mutex
 	devices []*Device
-	buffers map[*Buffer]struct{}
-	bytes   int64
+	bytes   atomic.Int64
 }
 
 // NewContext creates a context spanning the given devices (at least one).
@@ -21,34 +20,24 @@ func NewContext(devices ...*Device) (*Context, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("opencl: context requires at least one device")
 	}
-	return &Context{devices: devices, buffers: make(map[*Buffer]struct{})}, nil
+	return &Context{devices: devices}, nil
 }
 
-// Devices returns the devices in the context.
-func (c *Context) Devices() []*Device { return c.devices }
-
-// DeviceFootprintBytes is the sum of all live buffer sizes — Eq. (1) of the
+// DeviceFootprintBytes is the sum of all buffer sizes — Eq. (1) of the
 // paper generalised to any benchmark.
-func (c *Context) DeviceFootprintBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *Context) DeviceFootprintBytes() int64 { return c.bytes.Load() }
 
 // Buffer is a device memory object. NewBuffer declares it: its name, size
 // and footprint accounting are final at once, but the host slice backing it
-// is allocated by the first Data call, or by a copy or fill on an executing
-// queue. A buffer no executing queue or host code ever touches — the
-// simulate-only configurations of DESIGN.md §2 — costs no host memory.
-// Release drops the context accounting.
+// is allocated by the first Data call. A buffer no executing queue or host
+// code ever touches — the simulate-only configurations of DESIGN.md §2 —
+// costs no host memory.
 type Buffer struct {
-	ctx   *Context
 	name  string
 	bytes int64
-	freed bool
 
 	once  sync.Once
-	alloc func() any // makes the backing slice; run once, by backing
+	alloc func() any // makes the backing slice; run once, by Data
 	data  any
 }
 
@@ -61,15 +50,11 @@ func NewBuffer[T any](ctx *Context, name string, n int) *Buffer {
 	}
 	var elem T
 	b := &Buffer{
-		ctx:   ctx,
 		name:  name,
 		bytes: int64(n) * int64(sizeOf(elem)),
 		alloc: func() any { return make([]T, n) },
 	}
-	ctx.mu.Lock()
-	ctx.buffers[b] = struct{}{}
-	ctx.bytes += b.bytes
-	ctx.mu.Unlock()
+	ctx.bytes.Add(b.bytes)
 	return b
 }
 
@@ -105,88 +90,10 @@ func (b *Buffer) Bytes() int64 { return b.bytes }
 // confusion a real OpenCL program would hit with mismatched kernel
 // arguments.
 func Data[T any](b *Buffer) []T {
-	s, ok := b.backing().([]T)
+	b.once.Do(func() { b.data = b.alloc() })
+	s, ok := b.data.([]T)
 	if !ok {
 		panic(fmt.Sprintf("opencl: buffer %q holds %T, requested %T", b.name, b.data, s))
 	}
 	return s
-}
-
-// backing returns the backing slice, allocating it on first use.
-func (b *Buffer) backing() any {
-	b.once.Do(func() { b.data = b.alloc() })
-	return b.data
-}
-
-// copyBufferData copies the backing slice of src into dst, allocating
-// either backing if it was never touched; the element types must match
-// (CL_INVALID_VALUE otherwise).
-func copyBufferData(dst, src *Buffer) error {
-	switch s := src.backing().(type) {
-	case []float32:
-		return copyInto(dst, src, s)
-	case []float64:
-		return copyInto(dst, src, s)
-	case []int32:
-		return copyInto(dst, src, s)
-	case []uint32:
-		return copyInto(dst, src, s)
-	case []uint64:
-		return copyInto(dst, src, s)
-	case []uint8:
-		return copyInto(dst, src, s)
-	case []complex64:
-		return copyInto(dst, src, s)
-	default:
-		return fmt.Errorf("opencl: copy unsupported for buffer type %T", src.data)
-	}
-}
-
-// copyInto copies s, the backing of src, into dst's backing.
-func copyInto[T any](dst, src *Buffer, s []T) error {
-	d, ok := dst.backing().([]T)
-	if !ok {
-		return typeMismatch(dst, src)
-	}
-	copy(d, s)
-	return nil
-}
-
-func typeMismatch(dst, src *Buffer) error {
-	return fmt.Errorf("opencl: copy between %T (%q) and %T (%q)", src.data, src.name, dst.data, dst.name)
-}
-
-// zeroBufferData clears the backing slice of a buffer, allocating it if it
-// was never touched.
-func zeroBufferData(b *Buffer) {
-	switch s := b.backing().(type) {
-	case []float32:
-		clear(s)
-	case []float64:
-		clear(s)
-	case []int32:
-		clear(s)
-	case []uint32:
-		clear(s)
-	case []uint64:
-		clear(s)
-	case []uint8:
-		clear(s)
-	case []complex64:
-		clear(s)
-	}
-}
-
-// Release returns the buffer's bytes to the context accounting. Releasing
-// twice is an error, as in OpenCL (clReleaseMemObject underflow).
-func (b *Buffer) Release() error {
-	b.ctx.mu.Lock()
-	defer b.ctx.mu.Unlock()
-	if b.freed {
-		return fmt.Errorf("opencl: buffer %q released twice", b.name)
-	}
-	b.freed = true
-	delete(b.ctx.buffers, b)
-	b.ctx.bytes -= b.bytes
-	return nil
 }

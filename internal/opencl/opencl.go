@@ -1,9 +1,11 @@
 // Package opencl is a pure-Go execution runtime modelled on the OpenCL 1.2
 // host API, the programming model the paper targets (§1): platforms expose
-// devices; contexts own buffers; in-order command queues accept buffer
-// transfers and NDRange kernel launches; kernels execute over work-items
-// grouped into work-groups with local memory and barriers; profiling events
-// report per-command start/end times.
+// devices; contexts own buffers; in-order command queues accept host→device
+// buffer writes and NDRange kernel launches; kernels execute over work-items
+// grouped into work-groups; profiling events report per-command start/end
+// times. It holds what the suite's benchmarks enqueue and no more: a
+// work-item knows only its global ID, work-groups have no local memory or
+// barriers, and the only transfer is a write.
 //
 // Kernels are ordinary Go closures, so they compute real, verifiable
 // results on the host. Device heterogeneity is provided by internal/sim:

@@ -152,17 +152,8 @@ func TestBufferFootprintAccounting(t *testing.T) {
 	b2 := NewBuffer[int32](ctx, "membership", 256)
 	// Paper §4.4.1 arithmetic: footprint is the sum of allocation sizes.
 	want := int64(256*30*4 + 256*4)
-	if got := ctx.DeviceFootprintBytes(); got != want {
+	if got := ctx.DeviceFootprintBytes(); got != want || got != b1.Bytes()+b2.Bytes() {
 		t.Fatalf("footprint %d, want %d", got, want)
-	}
-	if err := b2.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctx.DeviceFootprintBytes(); got != b1.Bytes() {
-		t.Fatalf("footprint after release %d, want %d", got, b1.Bytes())
-	}
-	if err := b2.Release(); err == nil {
-		t.Fatal("double release accepted")
 	}
 }
 
@@ -281,8 +272,8 @@ func TestVectorAddKernel(t *testing.T) {
 	}
 }
 
-// A barrier-free launch allocates as much over 4096 work-groups as over
-// one: no work-group allocates. (AllocsPerRun runs at GOMAXPROCS 1, so
+// A launch allocates as much over 4096 work-groups as over one: no
+// work-group allocates. (AllocsPerRun runs at GOMAXPROCS 1, so
 // both launches have one worker.)
 func TestBarrierFreeGroupsAllocateNothing(t *testing.T) {
 	ctx, q := newCPUQueue(t)
@@ -306,105 +297,34 @@ func TestBarrierFreeGroupsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestKernel2DCoversIndexSpace: every global ID of a launch runs exactly
+// once, whatever the range's shape — execute's decomposition of a group
+// index into its x, y and z coordinates. The 1-D case has 7 groups, the
+// 2-D case 3 × 4 and the 3-D case 2 × 3 × 5.
 func TestKernel2DCoversIndexSpace(t *testing.T) {
 	ctx, q := newCPUQueue(t)
-	const gx, gy = 48, 32
-	hits := Data[int32](NewBuffer[int32](ctx, "hits", gx*gy))
-	k := &Kernel{
-		Name: "mark2d",
-		Fn: func(wi *Item) {
-			hits[wi.GlobalID(1)*gx+wi.GlobalID(0)]++
-		},
-		Profile: simpleProfile,
-	}
-	if _, err := q.EnqueueNDRange(k, NDR2(gx, gy, 16, 8)); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("item %d executed %d times, want exactly once", i, h)
+	for _, ndr := range []NDRange{
+		NDR1(7*16, 16),
+		NDR2(48, 32, 16, 8),
+		{Dims: 3, Global: [3]int{8, 12, 10}, Local: [3]int{4, 4, 2}},
+	} {
+		gx, gy := ndr.Global[0], ndr.Global[1]
+		hits := Data[int32](NewBuffer[int32](ctx, "hits", int(ndr.TotalItems())))
+		k := &Kernel{
+			Name: "mark",
+			Fn: func(wi *Item) {
+				hits[(wi.GlobalID(2)*gy+wi.GlobalID(1))*gx+wi.GlobalID(0)]++
+			},
+			Profile: simpleProfile,
 		}
-	}
-}
-
-func TestKernelItemIdentities(t *testing.T) {
-	ctx, q := newCPUQueue(t)
-	const n, local = 256, 32
-	ok := Data[int32](NewBuffer[int32](ctx, "ok", n))
-	k := &Kernel{
-		Name: "ids",
-		Fn: func(wi *Item) {
-			g := wi.GlobalID(0)
-			good := wi.LocalID(0) == g%local &&
-				wi.GroupID(0) == g/local &&
-				wi.GlobalSize(0) == n &&
-				wi.LocalSize(0) == local &&
-				wi.NumGroups(0) == n/local
-			if good {
-				ok[g] = 1
-			}
-		},
-		Profile: simpleProfile,
-	}
-	if _, err := q.EnqueueNDRange(k, NDR1(n, local)); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range ok {
-		if v != 1 {
-			t.Fatalf("item %d saw inconsistent identities", i)
+		if _, err := q.EnqueueNDRange(k, ndr); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestBarrierReduction(t *testing.T) {
-	ctx, q := newCPUQueue(t)
-	const n, local = 1024, 64
-	in := Data[float32](NewBuffer[float32](ctx, "in", n))
-	out := Data[float32](NewBuffer[float32](ctx, "out", n/local))
-	for i := range in {
-		in[i] = 1
-	}
-	k := &Kernel{
-		Name:        "reduce",
-		UsesBarrier: true,
-		MakeLocals:  func() any { return make([]float32, local) },
-		Fn: func(wi *Item) {
-			scratch := wi.Locals.([]float32)
-			lid := wi.LocalID(0)
-			scratch[lid] = in[wi.GlobalID(0)]
-			wi.Barrier()
-			for s := local / 2; s > 0; s /= 2 {
-				if lid < s {
-					scratch[lid] += scratch[lid+s]
-				}
-				wi.Barrier()
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%d-D range %v: item %d executed %d times, want exactly once", ndr.Dims, ndr.Global, i, h)
 			}
-			if lid == 0 {
-				out[wi.GroupID(0)] = scratch[0]
-			}
-		},
-		Profile: simpleProfile,
-	}
-	if _, err := q.EnqueueNDRange(k, NDR1(n, local)); err != nil {
-		t.Fatal(err)
-	}
-	for g, v := range out {
-		if v != local {
-			t.Fatalf("group %d sum = %f, want %d", g, v, local)
 		}
-	}
-}
-
-func TestBarrierWithoutDeclarationPanics(t *testing.T) {
-	ctx, q := newCPUQueue(t)
-	_, _ = ctx, q
-	k := &Kernel{
-		Name:    "bad",
-		Fn:      func(wi *Item) { wi.Barrier() },
-		Profile: simpleProfile,
-	}
-	if _, err := q.EnqueueNDRange(k, NDR1(64, 64)); err == nil {
-		t.Fatal("undeclared barrier should surface as an error")
 	}
 }
 
@@ -482,7 +402,7 @@ func TestQueueTimeline(t *testing.T) {
 	w := q.EnqueueWrite(b)
 	ev1, _ := q.EnqueueNDRange(k, NDR1(1024, 64))
 	ev2, _ := q.EnqueueNDRange(k, NDR1(1024, 64))
-	r := q.EnqueueRead(b)
+	r := q.EnqueueWrite(b)
 
 	if w.StartNs != 0 {
 		t.Fatal("first command should start at time zero")
@@ -504,24 +424,14 @@ func TestQueueTimeline(t *testing.T) {
 	if len(q.Events()) != 0 {
 		t.Fatal("drain did not clear events")
 	}
-	kns := KernelNs(events)
-	tns := TransferNs(events)
-	if kns <= 0 || tns <= 0 {
-		t.Fatalf("component times kernel=%f transfer=%f", kns, tns)
-	}
-	wantK := (ev1.EndNs - ev1.QueuedNs) + (ev2.EndNs - ev2.QueuedNs)
-	if kns != wantK {
-		t.Fatalf("KernelNs=%f want %f", kns, wantK)
-	}
 	q.ResetTimeline()
 	if q.NowNs() != 0 {
 		t.Fatal("timeline not reset")
 	}
-	q.Finish() // no-op, but must not panic
 }
 
 func TestCommandKindString(t *testing.T) {
-	for k, want := range map[CommandKind]string{CommandKernel: "kernel", CommandWrite: "write", CommandRead: "read", CommandKind(9): "unknown"} {
+	for k, want := range map[CommandKind]string{CommandKernel: "kernel", CommandWrite: "write", CommandKind(2): "unknown"} {
 		if k.String() != want {
 			t.Errorf("%d -> %q want %q", k, k.String(), want)
 		}
@@ -532,9 +442,6 @@ func TestNDRangeHelpers(t *testing.T) {
 	n := NDR2(64, 32, 16, 8)
 	if n.TotalItems() != 64*32 {
 		t.Fatalf("TotalItems %d", n.TotalItems())
-	}
-	if n.GroupSize() != 16*8 {
-		t.Fatalf("GroupSize %d", n.GroupSize())
 	}
 	g := n.NumGroups()
 	if g[0] != 4 || g[1] != 4 {

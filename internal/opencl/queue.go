@@ -14,9 +14,6 @@ type CommandKind int
 const (
 	CommandKernel CommandKind = iota
 	CommandWrite
-	CommandRead
-	CommandCopy
-	CommandFill
 )
 
 // String names the command kind.
@@ -26,12 +23,6 @@ func (k CommandKind) String() string {
 		return "kernel"
 	case CommandWrite:
 		return "write"
-	case CommandRead:
-		return "read"
-	case CommandCopy:
-		return "copy"
-	case CommandFill:
-		return "fill"
 	default:
 		return "unknown"
 	}
@@ -46,7 +37,7 @@ type Event struct {
 	QueuedNs float64
 	StartNs  float64
 	EndNs    float64
-	// Bytes is the transfer volume for write/read commands.
+	// Bytes is the transfer volume for write commands.
 	Bytes int64
 	// Profile is the workload characterisation for kernel commands.
 	Profile *sim.KernelProfile
@@ -62,7 +53,6 @@ func (e *Event) DurationNs() float64 { return e.EndNs - e.StartNs }
 // queue's simulated device clock by the modelled duration, and profiling
 // events report those simulated timestamps.
 type CommandQueue struct {
-	ctx    *Context
 	device *Device
 	nowNs  float64
 	events []*Event
@@ -88,7 +78,7 @@ func NewQueue(ctx *Context, device *Device) (*CommandQueue, error) {
 	if !found {
 		return nil, fmt.Errorf("opencl: device %s not in context (CL_INVALID_DEVICE)", device.ID())
 	}
-	return &CommandQueue{ctx: ctx, device: device}, nil
+	return &CommandQueue{device: device}, nil
 }
 
 // Device returns the queue's device.
@@ -116,76 +106,14 @@ func (q *CommandQueue) DrainEvents() []*Event {
 // ResetTimeline zeroes the simulated clock (events are kept).
 func (q *CommandQueue) ResetTimeline() { q.nowNs = 0 }
 
-// Finish blocks until all enqueued commands complete. Execution is
-// synchronous in this runtime, so it is a no-op kept for API fidelity.
-func (q *CommandQueue) Finish() {}
-
 // EnqueueWrite transfers a buffer host→device.
 func (q *CommandQueue) EnqueueWrite(b *Buffer) *Event {
-	return q.transfer(CommandWrite, b)
-}
-
-// EnqueueRead transfers a buffer device→host.
-func (q *CommandQueue) EnqueueRead(b *Buffer) *Event {
-	return q.transfer(CommandRead, b)
-}
-
-func (q *CommandQueue) transfer(kind CommandKind, b *Buffer) *Event {
-	dur := q.device.model.TransferTime(b.bytes)
 	ev := &Event{
-		Kind:     kind,
+		Kind:     CommandWrite,
 		Name:     b.name,
 		QueuedNs: q.nowNs,
 		StartNs:  q.nowNs,
-		EndNs:    q.nowNs + dur,
-		Bytes:    b.bytes,
-	}
-	q.nowNs = ev.EndNs
-	q.events = append(q.events, ev)
-	return ev
-}
-
-// EnqueueCopy copies src into dst on the device (clEnqueueCopyBuffer). The
-// buffers must have identical allocation types and dst must be at least as
-// large as src. Device-side copies move at memory bandwidth rather than
-// transfer bandwidth.
-func (q *CommandQueue) EnqueueCopy(dst, src *Buffer) (*Event, error) {
-	if dst.bytes < src.bytes {
-		return nil, fmt.Errorf("opencl: copy of %d bytes into %d-byte buffer %q", src.bytes, dst.bytes, dst.name)
-	}
-	if !q.simulateOnly {
-		if err := copyBufferData(dst, src); err != nil {
-			return nil, err
-		}
-	}
-	// Read + write traffic at device memory bandwidth.
-	dur := float64(2*src.bytes) / q.device.Spec.DRAMBandwidthGBs
-	ev := &Event{
-		Kind:     CommandCopy,
-		Name:     src.name + "->" + dst.name,
-		QueuedNs: q.nowNs,
-		StartNs:  q.nowNs,
-		EndNs:    q.nowNs + dur,
-		Bytes:    src.bytes,
-	}
-	q.nowNs = ev.EndNs
-	q.events = append(q.events, ev)
-	return ev, nil
-}
-
-// EnqueueFill zeroes a buffer on the device (clEnqueueFillBuffer with a
-// zero pattern, the only pattern the benchmarks need).
-func (q *CommandQueue) EnqueueFill(b *Buffer) *Event {
-	if !q.simulateOnly {
-		zeroBufferData(b)
-	}
-	dur := float64(b.bytes) / q.device.Spec.DRAMBandwidthGBs
-	ev := &Event{
-		Kind:     CommandFill,
-		Name:     b.name,
-		QueuedNs: q.nowNs,
-		StartNs:  q.nowNs,
-		EndNs:    q.nowNs + dur,
+		EndNs:    q.nowNs + q.device.model.TransferTime(b.bytes),
 		Bytes:    b.bytes,
 	}
 	q.nowNs = ev.EndNs
@@ -225,29 +153,4 @@ func (q *CommandQueue) EnqueueNDRange(k *Kernel, ndr NDRange) (*Event, error) {
 	q.nowNs = ev.EndNs
 	q.events = append(q.events, ev)
 	return ev, nil
-}
-
-// KernelNs sums the device-side kernel durations of a slice of events — the
-// "sum of all compute time spent on the accelerator for all kernels" that
-// the paper reports as the iteration time (§5.1). Launch overhead is part of
-// each kernel's span, as it is in OpenCL event profiles.
-func KernelNs(events []*Event) float64 {
-	t := 0.0
-	for _, e := range events {
-		if e.Kind == CommandKernel {
-			t += e.EndNs - e.QueuedNs
-		}
-	}
-	return t
-}
-
-// TransferNs sums the transfer durations of a slice of events.
-func TransferNs(events []*Event) float64 {
-	t := 0.0
-	for _, e := range events {
-		if e.Kind == CommandWrite || e.Kind == CommandRead {
-			t += e.DurationNs()
-		}
-	}
-	return t
 }
