@@ -10,8 +10,8 @@ package opendwarfs
 //	go test -bench BenchmarkFigure3a -benchmem
 //
 // Absolute numbers come from the device timing models (DESIGN.md §2); the
-// reported ratios are the quantities EXPERIMENTS.md tracks against the
-// paper.
+// reported ratios are the paper's qualitative findings that DESIGN.md §4's
+// shape acceptance criteria judge the reproduction on.
 
 import (
 	"context"

@@ -81,9 +81,6 @@ func NewQueue(ctx *Context, device *Device) (*CommandQueue, error) {
 	return &CommandQueue{device: device}, nil
 }
 
-// Device returns the queue's device.
-func (q *CommandQueue) Device() *Device { return q.device }
-
 // SetSimulateOnly toggles functional kernel execution.
 func (q *CommandQueue) SetSimulateOnly(v bool) { q.simulateOnly = v }
 
