@@ -3,6 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"opendwarfs/internal/opencl"
@@ -114,14 +118,21 @@ func checkReplayable(t *testing.T, p *Preparation) {
 	}
 }
 
-// FuzzDecodeMeasurement feeds arbitrary bytes to the stored-cell decoder.
-// It must never panic; a success must carry a device and samples, and
-// encoding must be a fixed point of decoding.
+// FuzzDecodeMeasurement feeds arbitrary bytes to the stored-cell decoder,
+// with encoding/json as its oracle. It must never panic. Where the
+// canonical reader accepts, json.Unmarshal must succeed with a deep-equal
+// value. DecodeMeasurement must accept exactly what json.Unmarshal and the
+// cell checks accept, decode the same value and refuse with encoding/json's
+// error; a success must export its records, and encoding must be a fixed
+// point of decoding. The seeds after the real cells each differ from one in
+// a single way: a fallback trigger, a string that needs unquoting, or a
+// cell the checks refuse.
 func FuzzDecodeMeasurement(f *testing.F) {
 	dev, err := opencl.LookupDevice("gtx1080")
 	if err != nil {
 		f.Fatal(err)
 	}
+	var canonical []byte
 	for _, p := range fuzzPreparations(f) {
 		m, err := p.Measure(context.Background(), dev, quickOpts())
 		if err != nil {
@@ -133,16 +144,72 @@ func FuzzDecodeMeasurement(f *testing.F) {
 		}
 		f.Add([]byte(raw))
 		f.Add([]byte(raw[:len(raw)/2]))
+		canonical = raw
+	}
+	// withValue returns canonical with the value of its first "key" field
+	// replaced by v.
+	withValue := func(key, v string) []byte {
+		i := bytes.Index(canonical, []byte(`"`+key+`":`))
+		if i < 0 {
+			f.Fatalf("no %s field in %s", key, canonical)
+		}
+		start := i + len(key) + 3
+		dec := json.NewDecoder(bytes.NewReader(canonical[start:]))
+		if err := dec.Decode(new(json.RawMessage)); err != nil {
+			f.Fatal(err)
+		}
+		return slices.Concat(canonical[:start], []byte(v), canonical[start+int(dec.InputOffset()):])
+	}
+	for _, seed := range [][]byte{
+		bytes.Replace(canonical, []byte(`,"Dwarf":`), []byte(`, "Dwarf":`), 1),
+		[]byte(strings.NewReplacer(`"Iterations"`, `"KernelLaunches"`, `"KernelLaunches"`, `"Iterations"`).Replace(string(canonical))),
+		bytes.Replace(canonical, []byte(`"Benchmark"`), []byte(`"benchmark"`), 1),
+		bytes.Replace(canonical, []byte(`{"Benchmark":`), []byte(`{"Extra":1,"Benchmark":`), 1),
+		withValue("Device", `null`),
+		withValue("Profiles", `[null]`),
+		withValue("KernelNs", `[]`),
+		withValue("EnergyJ", `[1]`),
+		withValue("Iterations", `1.5`),
+		withValue("Iterations", `1e400`),
+		withValue("Iterations", `01`),
+		withValue("Iterations", `-`),
+		withValue("Size", `"tin\u00e9"`),
+		withValue("Size", "\"tin\xff\""),
+		append(slices.Clip(canonical), ' '),
+	} {
+		f.Add(seed)
 	}
 	f.Add([]byte(`{"Device":null,"KernelNs":[1]}`))
 	f.Add([]byte(`{"Device":{"ID":"d"},"KernelNs":[]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		ref := &Measurement{}
+		refErr := json.Unmarshal(raw, ref)
+		if c, ok := readMeasurement(raw); ok {
+			if refErr != nil {
+				t.Fatalf("canonical reader accepted bytes encoding/json refuses: %v", refErr)
+			}
+			if !reflect.DeepEqual(c, ref) {
+				t.Fatalf("canonical reader decoded %+v, encoding/json %+v", c, ref)
+			}
+		}
+		n := len(ref.KernelNs)
+		valid := refErr == nil && ref.Device != nil && n > 0 &&
+			len(ref.TransferNs) == n && len(ref.EnergyJ) == n && !slices.Contains(ref.Profiles, nil)
 		m, err := DecodeMeasurement(raw)
+		if (err == nil) != valid {
+			t.Fatalf("DecodeMeasurement error %v; encoding/json error %v, checks pass %v", err, refErr, valid)
+		}
 		if err != nil {
+			if refErr != nil && !strings.HasSuffix(err.Error(), refErr.Error()) {
+				t.Fatalf("DecodeMeasurement error %q does not carry encoding/json's %q", err, refErr)
+			}
 			return
 		}
-		if m.Device == nil || len(m.KernelNs) == 0 {
-			t.Fatal("decoded a measurement without a device or samples")
+		if !reflect.DeepEqual(m, ref) {
+			t.Fatalf("DecodeMeasurement decoded %+v, encoding/json %+v", m, ref)
+		}
+		if recs := m.Records(); len(recs) != 2*n {
+			t.Fatalf("%d records from %d samples", len(recs), n)
 		}
 		enc, err := EncodeMeasurement(m)
 		if err != nil {

@@ -47,11 +47,14 @@ func CellKey(bench, size string, spec *sim.DeviceSpec, opt Options) string {
 	)
 }
 
-// EncodeMeasurement serialises a measurement for the store. Every field of
-// Measurement is exported and float64 values round-trip exactly through
-// encoding/json's shortest-representation encoder, so a decoded cell is
-// value-identical to the measured one — exports built from either are
-// byte-identical.
+// EncodeMeasurement serialises a measurement for the store as json.Marshal
+// does. Every field of Measurement is exported and float64 values
+// round-trip exactly through encoding/json's shortest-representation
+// encoder, so a decoded cell is value-identical to the measured one —
+// exports built from either are byte-identical. No encoded type has a JSON
+// tag or a custom marshaler, so the bytes are in a canonical form: every
+// exported field in declaration order, no whitespace. DecodeMeasurement
+// reads that form in one pass.
 func EncodeMeasurement(m *Measurement) (json.RawMessage, error) {
 	raw, err := json.Marshal(m)
 	if err != nil {
@@ -60,14 +63,33 @@ func EncodeMeasurement(m *Measurement) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// DecodeMeasurement deserialises a stored cell.
+// DecodeMeasurement deserialises a stored cell. Bytes in EncodeMeasurement's
+// canonical form, which is every cell this program stores, are read in one
+// pass without reflection (readMeasurement); anything else is decoded by
+// encoding/json, which validates and decodes in two. The fallback stays:
+// it is the only path for a store edited by hand or a cell written before
+// a field was added to an encoded type, and it is the reference the
+// canonical reader is tested against. Both paths accept the same bytes and
+// decode the same value, and a refusal's error is encoding/json's.
+//
+// A decoded cell must carry a device, kernel samples, a transfer and an
+// energy sample per kernel sample, and no null profile; Records and the
+// predictor index and dereference them.
 func DecodeMeasurement(raw json.RawMessage) (*Measurement, error) {
-	m := &Measurement{}
-	if err := json.Unmarshal(raw, m); err != nil {
-		return nil, fmt.Errorf("harness: decode stored measurement: %w", err)
+	m, ok := readMeasurement(raw)
+	if !ok {
+		m = &Measurement{}
+		if err := json.Unmarshal(raw, m); err != nil {
+			return nil, fmt.Errorf("harness: decode stored measurement: %w", err)
+		}
 	}
-	if m.Device == nil || len(m.KernelNs) == 0 {
+	switch n := len(m.KernelNs); {
+	case m.Device == nil || n == 0:
 		return nil, fmt.Errorf("harness: stored measurement missing device or samples")
+	case len(m.TransferNs) != n || len(m.EnergyJ) != n:
+		return nil, fmt.Errorf("harness: stored measurement has %d kernel, %d transfer and %d energy samples", n, len(m.TransferNs), len(m.EnergyJ))
+	case slices.Contains(m.Profiles, nil):
+		return nil, fmt.Errorf("harness: stored measurement has a null profile")
 	}
 	return m, nil
 }

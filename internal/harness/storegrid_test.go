@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"opendwarfs/internal/opencl"
 	"opendwarfs/internal/scibench"
+	"opendwarfs/internal/sim"
 	"opendwarfs/internal/store"
 	"opendwarfs/internal/suite"
 )
@@ -653,5 +655,113 @@ func TestFullGridGolden(t *testing.T) {
 		if !bytes.Equal(got, wantRaw) {
 			t.Fatalf("served cell %s/%s/%s encodes differently from the measured one", m.Benchmark, m.Size, m.Device.ID)
 		}
+	}
+}
+
+// TestCanonicalReaderReadsFullGrid: every cell record of the seed-2 full
+// grid's store, the 615 cells TestFullGridGolden pins, takes the canonical
+// reader's one-pass path, reads to the value encoding/json decodes, and
+// encodes back to its stored bytes.
+func TestCanonicalReaderReadsFullGrid(t *testing.T) {
+	fs, err := fullStoreContents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, rec := range fs.recs {
+		if rec.Schema != StoreSchemaVersion {
+			continue
+		}
+		cells++
+		m, ok := readMeasurement(rec.Value)
+		if !ok {
+			t.Fatalf("%s/%s/%s: readMeasurement (canonical.go) refused the stored cell; a field added to an encoded type needs its line there", rec.Benchmark, rec.Size, rec.Device)
+		}
+		var want Measurement
+		if err := json.Unmarshal(rec.Value, &want); err != nil || !reflect.DeepEqual(m, &want) {
+			t.Fatalf("%s/%s/%s: readMeasurement and encoding/json disagree (json error %v)", rec.Benchmark, rec.Size, rec.Device, err)
+		}
+		if raw, err := EncodeMeasurement(m); err != nil || !bytes.Equal(raw, rec.Value) {
+			t.Fatalf("%s/%s/%s: the read cell does not encode to its stored bytes (%v)", rec.Benchmark, rec.Size, rec.Device, err)
+		}
+	}
+	if cells != fullGridCells {
+		t.Fatalf("%d cell records, want %d", cells, fullGridCells)
+	}
+}
+
+// TestInconsistentStoredCellIsMeasuredAgain: a stored cell whose sample
+// vectors differ in length, or whose Profiles holds a null, must not be
+// served — Records indexes the energy and transfer samples by kernel
+// sample, and the predictor dereferences every profile. It reads as a
+// miss, so the cell is measured again and the grid exports as a clean
+// sweep's.
+func TestInconsistentStoredCellIsMeasuredAgain(t *testing.T) {
+	spec := func(st store.CellStore) GridSpec {
+		opt := DefaultOptions()
+		opt.Samples = 6
+		return GridSpec{
+			Benchmarks: []string{"crc"}, Sizes: []string{"tiny"}, Devices: []string{"i7-6700k"},
+			Options: opt, Workers: 1, Store: st,
+		}
+	}
+	reg := suite.New()
+	clean, err := RunGrid(context.Background(), reg, spec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gridCSV(t, clean)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *Measurement)
+	}{
+		{"short energy vector", func(m *Measurement) { m.EnergyJ = m.EnergyJ[:3] }},
+		{"long transfer vector", func(m *Measurement) { m.TransferNs = append(m.TransferNs, 0) }},
+		{"null profile", func(m *Measurement) { m.Profiles = []*sim.KernelProfile{nil} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunGrid(context.Background(), reg, spec(st)); err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range st.Records() {
+				if rec.Schema != StoreSchemaVersion {
+					continue
+				}
+				m := &Measurement{}
+				if err := json.Unmarshal(rec.Value, m); err != nil {
+					t.Fatal(err)
+				}
+				tc.corrupt(m)
+				bad := *rec
+				if bad.Value, err = EncodeMeasurement(m); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Put(bad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.Close()
+
+			st, err = store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			g, err := RunGrid(context.Background(), reg, spec(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.StoreHits != 0 || g.StoreMisses != 1 {
+				t.Fatalf("%d hits and %d misses, want 0 and 1", g.StoreHits, g.StoreMisses)
+			}
+			if !bytes.Equal(gridCSV(t, g), want) {
+				t.Fatal("the re-measured grid's CSV differs from a clean sweep's")
+			}
+		})
 	}
 }

@@ -5,6 +5,12 @@
 // later writes win and a store survives crashes mid-append (a torn final
 // line without a newline is discarded, anything else is an error).
 //
+// Open parses each line once when it is in the form Put writes — the
+// header fields in Record's order, no escapes in them, no whitespace — and
+// checks its payload with one json.Valid scan (readLine). Any other line,
+// such as one edited by hand, is parsed by json.Unmarshal into a Record,
+// which accepts the same lines and reads the same record.
+//
 // The in-memory index is sharded: readers and writers of different keys
 // proceed concurrently on separate shard locks, and the segment append path
 // holds its own mutex only for the file write. Beside the index, the store
@@ -25,9 +31,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"opendwarfs/internal/obs"
 	"opendwarfs/internal/par"
@@ -240,9 +248,13 @@ func (s *Store) applyBatch(path string, rp *replayer, batch []byte, lineNo *int)
 	recs := make([]Record, len(rp.lines))
 	par.For(0, len(rp.lines), func(i int) {
 		l := &rp.lines[i]
-		if err := json.Unmarshal(l.text, &recs[i]); err != nil {
-			l.err = fmt.Errorf("store: %s line %d: %w", path, l.no, err)
-		} else if recs[i].Key == "" {
+		if !readLine(l.text, &recs[i]) {
+			if err := json.Unmarshal(l.text, &recs[i]); err != nil {
+				l.err = fmt.Errorf("store: %s line %d: %w", path, l.no, err)
+				return
+			}
+		}
+		if recs[i].Key == "" {
 			l.err = fmt.Errorf("store: %s line %d: record with empty key", path, l.no)
 		}
 	})
@@ -254,6 +266,87 @@ func (s *Store) applyBatch(path string, rp *replayer, batch []byte, lineNo *int)
 		s.shard(rec.Key).recs[rec.Key] = rec
 	}
 	return nil
+}
+
+// readLine parses line, one newline-terminated line as Put writes it, into
+// rec with one scan of its payload. Put's line is json.Marshal's form of a
+// Record: {"key":…, then "benchmark", "size" and "device" (each non-empty)
+// and "schema" (non-zero), each present or absent in that order, then
+// ,"value":, the payload and the line's final '}'. The strings must be
+// their own bytes (no escape, valid UTF-8), and the payload valid JSON
+// with no whitespace around it; it is copied, because replay reuses its
+// batch buffer. readLine reports false, leaving rec alone, at the first
+// byte outside that form; the caller then parses the line with
+// encoding/json, which decodes the same record from any line readLine
+// accepts.
+func readLine(line []byte, rec *Record) bool {
+	b, ok := bytes.CutPrefix(line, []byte(`{"key":`))
+	if !ok {
+		return false
+	}
+	var r Record
+	if r.Key, b, ok = plainString(b); !ok {
+		return false
+	}
+	for _, f := range [...]struct {
+		name string
+		dst  *string
+	}{{`,"benchmark":`, &r.Benchmark}, {`,"size":`, &r.Size}, {`,"device":`, &r.Device}} {
+		if rest, found := bytes.CutPrefix(b, []byte(f.name)); found {
+			if *f.dst, b, ok = plainString(rest); !ok || *f.dst == "" {
+				return false
+			}
+		}
+	}
+	if rest, found := bytes.CutPrefix(b, []byte(`,"schema":`)); found {
+		// json.Marshal writes an int as strconv.Itoa does.
+		i := bytes.IndexByte(rest, ',')
+		if i < 0 {
+			return false
+		}
+		n, err := strconv.Atoi(string(rest[:i]))
+		if err != nil || n == 0 || strconv.Itoa(n) != string(rest[:i]) {
+			return false
+		}
+		r.Schema, b = n, rest[i:]
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"value":`)); !ok {
+		return false
+	}
+	if b, ok = bytes.CutSuffix(b, []byte("}\n")); !ok || len(b) == 0 ||
+		isSpace(b[0]) || isSpace(b[len(b)-1]) || !json.Valid(b) {
+		return false
+	}
+	r.Value = bytes.Clone(b)
+	*rec = r
+	return true
+}
+
+// plainString reads the JSON string at the front of b when its value is its
+// own bytes, and returns the value and the rest of b.
+func plainString(b []byte) (string, []byte, bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", nil, false
+	}
+	end := bytes.IndexByte(b[1:], '"') + 1
+	if end == 0 {
+		return "", nil, false
+	}
+	s := b[1:end]
+	for _, c := range s {
+		if c < ' ' || c == '\\' {
+			return "", nil, false
+		}
+	}
+	if !utf8.Valid(s) {
+		return "", nil, false
+	}
+	return string(s), b[end+1:], true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // shard returns key's shard of the in-memory index: the key's 32-bit

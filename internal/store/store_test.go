@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -189,6 +191,55 @@ func TestCompact(t *testing.T) {
 	if s3.Segments() != 1 || s3.Len() != 4 {
 		t.Fatalf("after CompactIfOver: %d files, %d records; want 1 snapshot, 4 records", s3.Segments(), s3.Len())
 	}
+}
+
+// TestReadLineReadsWhatPutWrites: every line Put appends to a segment —
+// cell records, and preparation records, which carry no device and no
+// schema — and every line of the snapshot Compact writes takes Open's
+// one-pass path, and reads as encoding/json reads it.
+func TestReadLineReadsWhatPutWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{
+		{Key: "cell", Benchmark: "nqueens", Size: "tiny", Device: "gtx1080", Schema: 1,
+			Value: json.RawMessage(`{"Benchmark":"nqueens","Dwarf":"Backtrack \u0026 Branch and Bound","KernelNs":[5097.416055373342,0.000050360139658488074,1e-7],"Profiles":[{"Name":"k","Vectorizable":false}]}`)},
+		{Key: "prep", Benchmark: "crc", Size: "tiny", Value: json.RawMessage(`{"fp":2008,"kl":1,"names":["crc32_pages"],"trace":[[0,0,0,0]]}`)},
+		{Key: "bare", Value: json.RawMessage(`"v"`)},
+	}
+	for _, rec := range recs {
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if lines = lines[:len(lines)-1]; len(lines) != len(recs) {
+			t.Fatalf("%s holds %d lines, want %d", name, len(lines), len(recs))
+		}
+		for _, line := range lines {
+			var got, want Record
+			if !readLine(line, &got) {
+				t.Fatalf("readLine refused %s line %q", name, line)
+			}
+			if err := json.Unmarshal(line, &want); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s line %q: readLine read %+v, encoding/json %+v (%v)", name, line, got, want, err)
+			}
+		}
+	}
+	check("seg-000001.jsonl")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(snapshotName)
+	s.Close()
 }
 
 func TestTornTailLineIsDiscarded(t *testing.T) {
