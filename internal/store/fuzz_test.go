@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -151,4 +153,128 @@ func FuzzReadLine(f *testing.F) {
 			t.Fatalf("readLine read %q as %+v, encoding/json as %+v", line, got, want)
 		}
 	})
+}
+
+// FuzzScanValue checks scanValue against encoding/json: valid must equal
+// json.Valid, and for a valid input, verbatim must say whether json.Marshal
+// copies it unchanged as a json.RawMessage.
+func FuzzScanValue(f *testing.F) {
+	for _, seed := range []string{
+		`true`, `false`, `null`, `0`, `-1.5e+10`, `"s"`, `[]`, `{}`, `{"a":[1,{"b":null}]}`,
+		`-0`, `01`, `1.`, `.5`, `1e`, `-`, `tru`, `nul`, `truex`,
+		`[1,]`, `{"a":1,}`, `[1true]`, `{"a"}`, `{1:2}`, `[`, `]`, `{"a":1]`, ``, ` `,
+		`"\"\\\/\b\f\n\r\t\u00e9\uD83D"`, `"\x"`, `"\u12g4"`, `"\u12"`, `"\`,
+		"\"a\x01b\"", "\"\xff\"", "\"\x7f\"",
+		`"<"`, `">"`, `"&"`, `{"<":1}`,
+		"\"\u2028\"", "\"\u2029\"", "\"\xe2\x80\"", "\"\xe2\x80\xaa\"",
+		` 1`, `1 `, "\t\n\r[]", `[1, 2]`, `{"a" : 1}`, `{ }`, `[ ]`, `" a "`,
+		strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth),
+		strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1),
+		strings.Repeat(`{"a":`, maxDepth) + "1" + strings.Repeat("}", maxDepth),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		valid, verbatim := scanValue(b)
+		if want := json.Valid(b); valid != want {
+			t.Fatalf("scanValue(%q) valid %v, json.Valid %v", b, valid, want)
+		}
+		if !valid {
+			if verbatim {
+				t.Fatalf("scanValue(%q) is invalid but verbatim", b)
+			}
+			return
+		}
+		out, err := json.Marshal(json.RawMessage(b))
+		if err != nil {
+			t.Fatalf("json.Marshal refused valid %q: %v", b, err)
+		}
+		if want := bytes.Equal(out, b); verbatim != want {
+			t.Fatalf("scanValue(%q) verbatim %v, but json.Marshal writes %q", b, verbatim, out)
+		}
+	})
+}
+
+// FuzzPutLine checks the lines Put and Compact frame against encoding/json:
+// each must be json.Marshal's form of the record plus a newline, which
+// readLine takes; where json.Marshal fails, Put must fail with its message
+// and write nothing. An empty value is also put as a nil one.
+func FuzzPutLine(f *testing.F) {
+	for _, seed := range []struct {
+		key, bench, size, dev string
+		schema                int
+		value                 string
+	}{
+		{"cell", "nqueens", "tiny", "gtx1080", 1, `{"Dwarf":"Backtrack \u0026 Branch","KernelNs":[1.5,2e-7]}`},
+		{"prep", "crc", "tiny", "", 0, `{"fp":2008,"trace":[[0,0,0,0]]}`},
+		{"k", "", "", "", -7, `"v"`},
+		{"spaced", "crc", "tiny", "dev", 1, `{"a": [1, 2]}`},
+		{"html", "crc", "tiny", "dev", 1, `"a<b"`},
+		{"separator", "crc", "tiny", "dev", 1, "\"a\u2028b\""},
+		{"quote", "crc", "tiny", `dev"1`, 1, `1`},
+		{"backslash", "crc", "tiny", `dev\1`, 1, `1`},
+		{"accent", "crc", "tiny", "devé", 1, `1`},
+		{"control", "crc\n", "tiny", "dev", 1, `1`},
+		{"invalid utf-8", "crc", "tiny\xff", "dev", 1, `1`},
+		{"empty", "crc", "tiny", "dev", 1, ``},
+		{"bad", "crc", "tiny", "dev", 1, `[1,]`},
+		{"", "crc", "tiny", "dev", 1, `1`},
+	} {
+		f.Add(seed.key, seed.bench, seed.size, seed.dev, seed.schema, []byte(seed.value))
+	}
+	f.Fuzz(func(t *testing.T, key, bench, size, dev string, schema int, value []byte) {
+		rec := Record{Key: key, Benchmark: bench, Size: size, Device: dev, Schema: schema, Value: value}
+		checkPutLine(t, rec)
+		if len(value) == 0 {
+			rec.Value = nil
+			checkPutLine(t, rec)
+		}
+	})
+}
+
+func checkPutLine(t *testing.T, rec Record) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want, merr := json.Marshal(&rec)
+	perr := s.Put(rec)
+	switch {
+	case rec.Key == "":
+		if perr == nil {
+			t.Fatal("Put accepted an empty key")
+		}
+		return
+	case merr != nil:
+		if perr == nil || perr.Error() != fmt.Sprint("store: ", merr) {
+			t.Fatalf("Put(%+v) error %v, json.Marshal's %v", rec, perr, merr)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Fatalf("Put(%+v) failed but wrote %v", rec, ents)
+		}
+		return
+	case perr != nil:
+		t.Fatalf("Put(%+v): %v, but json.Marshal writes %q", rec, perr, want)
+	}
+	want = append(want, '\n')
+	for _, name := range []string{filepath.Base(s.segPath), snapshotName} {
+		if name == snapshotName {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s holds %q for %+v, json.Marshal writes %q", name, got, rec, want)
+		}
+		if !readLine(got, new(Record)) {
+			t.Fatalf("readLine refused %s line %q", name, got)
+		}
+	}
 }

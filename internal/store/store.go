@@ -5,11 +5,14 @@
 // later writes win and a store survives crashes mid-append (a torn final
 // line without a newline is discarded, anything else is an error).
 //
-// Open parses each line once when it is in the form Put writes — the
-// header fields in Record's order, no escapes in them, no whitespace — and
-// checks its payload with one json.Valid scan (readLine). Any other line,
-// such as one edited by hand, is parsed by json.Unmarshal into a Record,
-// which accepts the same lines and reads the same record.
+// A line is json.Marshal's form of a Record. Put and Compact frame it by
+// hand when encoding/json would write the header strings as their own bytes
+// and copy the payload unchanged, which one scanValue pass over the payload
+// decides; any other record goes through json.Marshal. Open parses each
+// line in that form once, checking its payload with the same scanValue
+// pass (readLine). Any other line, such as one edited by hand, is parsed by
+// json.Unmarshal into a Record, which accepts the same lines and reads the
+// same record.
 //
 // The in-memory index is sharded: readers and writers of different keys
 // proceed concurrently on separate shard locks, and the segment append path
@@ -87,10 +90,13 @@ type Store struct {
 	listing []*Record
 
 	// wmu serialises segment appends and compaction.
-	wmu      sync.Mutex
-	seg      *os.File
-	segPath  string
-	replayed []string // snapshot + segment files loaded at Open, compaction input
+	wmu     sync.Mutex
+	seg     *os.File
+	segPath string
+	// replayed lists the files a compaction subsumes: the snapshot and
+	// segments loaded at Open, and any segment a failed write retired.
+	replayed []string
+	line     bytes.Buffer // Put's framed line, reused
 
 	// Decoded-slot traffic, reported by Stats.
 	hits, misses, evictions atomic.Int64
@@ -272,20 +278,21 @@ func (s *Store) applyBatch(path string, rp *replayer, batch []byte, lineNo *int)
 // rec with one scan of its payload. Put's line is json.Marshal's form of a
 // Record: {"key":…, then "benchmark", "size" and "device" (each non-empty)
 // and "schema" (non-zero), each present or absent in that order, then
-// ,"value":, the payload and the line's final '}'. The strings must be
-// their own bytes (no escape, valid UTF-8), and the payload valid JSON
-// with no whitespace around it; it is copied, because replay reuses its
-// batch buffer. readLine reports false, leaving rec alone, at the first
-// byte outside that form; the caller then parses the line with
-// encoding/json, which decodes the same record from any line readLine
-// accepts.
+// ,"value":, the payload and the line's final '}'. The header strings are
+// read by headerString, and the payload must be as
+// json.Marshal writes it — valid, with no whitespace outside its strings
+// and nothing encoding/json escapes — which one scanValue pass decides; it
+// is copied, because replay reuses its batch buffer. readLine reports
+// false, leaving rec alone, at the first byte outside that form; the
+// caller then parses the line with encoding/json, which decodes the same
+// record from any line readLine accepts.
 func readLine(line []byte, rec *Record) bool {
 	b, ok := bytes.CutPrefix(line, []byte(`{"key":`))
 	if !ok {
 		return false
 	}
 	var r Record
-	if r.Key, b, ok = plainString(b); !ok {
+	if r.Key, b, ok = headerString(b); !ok {
 		return false
 	}
 	for _, f := range [...]struct {
@@ -293,7 +300,7 @@ func readLine(line []byte, rec *Record) bool {
 		dst  *string
 	}{{`,"benchmark":`, &r.Benchmark}, {`,"size":`, &r.Size}, {`,"device":`, &r.Device}} {
 		if rest, found := bytes.CutPrefix(b, []byte(f.name)); found {
-			if *f.dst, b, ok = plainString(rest); !ok || *f.dst == "" {
+			if *f.dst, b, ok = headerString(rest); !ok || *f.dst == "" {
 				return false
 			}
 		}
@@ -313,8 +320,10 @@ func readLine(line []byte, rec *Record) bool {
 	if b, ok = bytes.CutPrefix(b, []byte(`,"value":`)); !ok {
 		return false
 	}
-	if b, ok = bytes.CutSuffix(b, []byte("}\n")); !ok || len(b) == 0 ||
-		isSpace(b[0]) || isSpace(b[len(b)-1]) || !json.Valid(b) {
+	if b, ok = bytes.CutSuffix(b, []byte("}\n")); !ok {
+		return false
+	}
+	if _, verbatim := scanValue(b); !verbatim {
 		return false
 	}
 	r.Value = bytes.Clone(b)
@@ -322,31 +331,26 @@ func readLine(line []byte, rec *Record) bool {
 	return true
 }
 
-// plainString reads the JSON string at the front of b when its value is its
-// own bytes, and returns the value and the rest of b.
-func plainString(b []byte) (string, []byte, bool) {
+// headerString reads the JSON string at the front of b, and returns its
+// value and the rest of b: its own bytes when it has no escape and is valid
+// UTF-8, else json.Unmarshal's unquoting of the token (json.Marshal escapes
+// a quote or a backslash in a header string).
+func headerString(b []byte) (string, []byte, bool) {
 	if len(b) == 0 || b[0] != '"' {
 		return "", nil, false
 	}
-	end := bytes.IndexByte(b[1:], '"') + 1
-	if end == 0 {
+	end, escaped, _ := scanString(b, 0)
+	if end < 0 {
 		return "", nil, false
 	}
-	s := b[1:end]
-	for _, c := range s {
-		if c < ' ' || c == '\\' {
-			return "", nil, false
-		}
+	if s := b[1 : end-1]; !escaped && utf8.Valid(s) {
+		return string(s), b[end:], true
 	}
-	if !utf8.Valid(s) {
+	var s string
+	if err := json.Unmarshal(b[:end], &s); err != nil {
 		return "", nil, false
 	}
-	return string(s), b[end+1:], true
-}
-
-// isSpace reports whether c is JSON whitespace.
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
+	return s, b[end:], true
 }
 
 // shard returns key's shard of the in-memory index: the key's 32-bit
@@ -378,15 +382,25 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 // index and the listing. Re-putting an existing key overwrites it (last
 // write wins). A set rec.Decoded becomes the key's decoded slot, counted
 // as neither a hit nor a miss; otherwise the key's slot is dropped.
+//
+// A record writeLine can frame is framed into the handle's line buffer, so
+// its Put allocates no line; any other goes through json.Marshal, which
+// also refuses an invalid payload. A failed write retires the segment: the
+// next Put opens a fresh one, so whatever part of the line reached the old
+// one stays its torn final line, which Open discards.
 func (s *Store) Put(rec Record) error {
 	if rec.Key == "" {
 		return fmt.Errorf("store: put with empty key")
 	}
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	framed := frameable(&rec)
+	var line []byte
+	if !framed {
+		var err error
+		if line, err = json.Marshal(&rec); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		line = append(line, '\n')
 	}
-	line = append(line, '\n')
 	decoded := rec.Decoded
 	rec.Decoded = nil
 
@@ -397,7 +411,15 @@ func (s *Store) Put(rec Record) error {
 			return err
 		}
 	}
+	if framed {
+		s.line.Reset()
+		writeLine(&s.line, &rec)
+		line = s.line.Bytes()
+	}
 	if _, err := s.seg.Write(line); err != nil {
+		s.seg.Close() // the write's error is the one to report
+		s.replayed = append(s.replayed, s.segPath)
+		s.seg = nil
 		return fmt.Errorf("store: %w", err)
 	}
 	s.appends.Inc()
@@ -427,6 +449,55 @@ func (s *Store) Put(rec Record) error {
 	s.listing = relist(s.listing, old, &rec)
 	s.lmu.Unlock()
 	return nil
+}
+
+// frameable reports whether writeLine can frame rec's line: encoding/json
+// writes its key, benchmark, size and device as their own bytes — ASCII
+// with no control byte, '"', '\\', '<', '>' or '&' — and copies its payload
+// unchanged (scanValue).
+func frameable(rec *Record) bool {
+	for _, s := range [...]string{rec.Key, rec.Benchmark, rec.Size, rec.Device} {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c >= utf8.RuneSelf || strClass[c] != strPlain {
+				return false
+			}
+		}
+	}
+	_, verbatim := scanValue(rec.Value)
+	return verbatim
+}
+
+// lineWriter is what writeLine writes to: Put's line buffer or Compact's
+// bufio.Writer. Neither reports an error writeLine must act on: a
+// bytes.Buffer cannot fail, and a bufio.Writer keeps its first error for
+// Flush.
+type lineWriter interface {
+	Write([]byte) (int, error)
+	WriteString(string) (int, error)
+}
+
+// writeLine writes the line json.Marshal frames for rec, which must be
+// frameable, and its newline: the fields in Record's order, an empty
+// string or a zero schema left out, and the payload as it is.
+func writeLine(w lineWriter, rec *Record) {
+	w.WriteString(`{"key":"`)
+	w.WriteString(rec.Key)
+	for _, f := range [...]struct{ name, val string }{
+		{`","benchmark":"`, rec.Benchmark}, {`","size":"`, rec.Size}, {`","device":"`, rec.Device},
+	} {
+		if f.val != "" {
+			w.WriteString(f.name)
+			w.WriteString(f.val)
+		}
+	}
+	w.WriteString(`"`)
+	if rec.Schema != 0 {
+		w.WriteString(`,"schema":`)
+		w.WriteString(strconv.Itoa(rec.Schema))
+	}
+	w.WriteString(`,"value":`)
+	w.Write(rec.Value)
+	w.WriteString("}\n")
 }
 
 // relist returns listing, in sortRecords order, with rec in place of old
@@ -530,13 +601,19 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: %w", err)
 	}
 	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
 	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+		if frameable(rec) {
+			writeLine(w, rec)
+			continue
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
 			return fmt.Errorf("store: %w", err)
 		}
+		w.Write(line)
+		w.WriteByte('\n')
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()

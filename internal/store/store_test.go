@@ -208,6 +208,14 @@ func TestReadLineReadsWhatPutWrites(t *testing.T) {
 			Value: json.RawMessage(`{"Benchmark":"nqueens","Dwarf":"Backtrack \u0026 Branch and Bound","KernelNs":[5097.416055373342,0.000050360139658488074,1e-7],"Profiles":[{"Name":"k","Vectorizable":false}]}`)},
 		{Key: "prep", Benchmark: "crc", Size: "tiny", Value: json.RawMessage(`{"fp":2008,"kl":1,"names":["crc32_pages"],"trace":[[0,0,0,0]]}`)},
 		{Key: "bare", Value: json.RawMessage(`"v"`)},
+		// Records Put and Compact send through json.Marshal.
+		{Key: "spaced", Value: json.RawMessage(`{"a": [1, 2]}`)},
+		{Key: "html", Value: json.RawMessage(`"a<b"`)},
+		{Key: "separator", Value: json.RawMessage("\"a\u2028b\"")},
+		{Key: "quote", Device: `dev"1`, Value: json.RawMessage(`1`)},
+		{Key: "backslash", Device: `dev\1`, Value: json.RawMessage(`1`)},
+		{Key: "accent", Device: "devé", Value: json.RawMessage(`1`)},
+		{Key: "nil"},
 	}
 	for _, rec := range recs {
 		if err := s.Put(rec); err != nil {
@@ -240,6 +248,60 @@ func TestReadLineReadsWhatPutWrites(t *testing.T) {
 	}
 	check(snapshotName)
 	s.Close()
+}
+
+// TestFailedWriteRetiresSegment: a Put whose segment write fails leaves
+// the handle writable. The next Put opens a fresh segment, so bytes torn
+// off by the failed write stay the old segment's final line, which Open
+// discards, and Compact still removes the old segment.
+func TestFailedWriteRetiresSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, "a", "crc", "tiny", "gtx1080", 1)
+	torn := s.segPath
+	f, err := os.OpenFile(torn, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"torn","val`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s.seg.Close() // the descriptor fails
+	if err := s.Put(Record{Key: "b", Value: json.RawMessage(`2`)}); err == nil {
+		t.Fatal("Put on a closed segment succeeded")
+	}
+	put(t, s, "c", "crc", "tiny", "gtx1080", 3)
+	if s.segPath == torn {
+		t.Fatalf("Put after a failed write appended to %s again", torn)
+	}
+	reopen := func(when string) {
+		t.Helper()
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open %s: %v", when, err)
+		}
+		defer r.Close()
+		if got := keys(pairs(r)); !reflect.DeepEqual(got, []string{"a", "c"}) {
+			t.Fatalf("keys %s: %v, want [a c]", when, got)
+		}
+	}
+	reopen("after the failed write")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != snapshotName {
+		t.Fatalf("files after Compact: %v, want only %s", ents, snapshotName)
+	}
+	reopen("after Compact")
 }
 
 func TestTornTailLineIsDiscarded(t *testing.T) {
