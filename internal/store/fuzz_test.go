@@ -171,6 +171,8 @@ func FuzzScanValue(f *testing.F) {
 		strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth),
 		strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1),
 		strings.Repeat(`{"a":`, maxDepth) + "1" + strings.Repeat("}", maxDepth),
+		strings.Repeat(`[{"a":`, 100) + "1" + strings.Repeat("}]", 100), // objects and arrays alternating past 64 levels
+		strings.Repeat(`[{"a":`, 100) + "1" + strings.Repeat("]}", 100), // each closed by the wrong bracket
 	} {
 		f.Add([]byte(seed))
 	}
