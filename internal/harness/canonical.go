@@ -181,6 +181,23 @@ func (d *cellReader) diagnostics(key string, g *scibench.Diagnostics) {
 	d.lit(`}`)
 }
 
+// array reads a JSON array, calling elem to read each element. A null
+// fails.
+func (d *cellReader) array(key string, elem func()) {
+	d.lit(key)
+	d.lit(`[`)
+	if d.skip(`]`) {
+		return
+	}
+	for d.ok {
+		elem()
+		if !d.skip(`,`) {
+			break
+		}
+	}
+	d.lit(`]`)
+}
+
 // cellReader consumes b from the front. ok turns false at the first byte
 // outside the canonical form; b is then empty, so every later call fails
 // at once, and what the reader returns is discarded.

@@ -36,12 +36,18 @@ func fuzzPreparations(f *testing.F) []*Preparation {
 }
 
 // FuzzDecodePreparation feeds arbitrary bytes to the stored-preparation
-// decoder. It must never panic; a success must be a preparation Measure
-// can replay — kernel and write commands only, every kernel command with a
-// valid profile, every write without one, at least one kernel, profiles
-// rebuilt by Prepare's first-launch rule — and encoding must be a fixed
-// point of decoding.
+// decoder, with encoding/json as its oracle. It must never panic. Where
+// the one-pass reader accepts, json.Unmarshal must succeed with a
+// deep-equal storedPrep. decodePreparation must give the verdict, value
+// and error of json.Unmarshal followed by the same checks. A success must
+// be a preparation Measure can replay — kernel and write commands only,
+// every kernel command with a valid profile, every write without one, at
+// least one kernel, profiles rebuilt by Prepare's first-launch rule — and
+// encoding must be a fixed point of decoding. The seeds after the
+// canonical literal each differ from one in a single way: a fallback
+// trigger, a string that needs unquoting, or a record the checks refuse.
 func FuzzDecodePreparation(f *testing.F) {
+	var canonical []byte
 	for _, p := range fuzzPreparations(f) {
 		raw, err := encodePreparation(p)
 		if err != nil {
@@ -49,6 +55,9 @@ func FuzzDecodePreparation(f *testing.F) {
 		}
 		f.Add([]byte(raw))
 		f.Add([]byte(raw[:len(raw)/2]))
+		if canonical == nil {
+			canonical = raw // crc/tiny: one kernel, functional and verified
+		}
 	}
 	const prof = `"profiles":[{"w":64,"f":1,"i":0,"l":4,"s":4,"ws":256,"p":0,"r":0,"b":0,"d":0,"c":1,"v":true,"sf":0}]`
 	f.Add([]byte(`{"fp":256,"kl":1,"ops":64,"names":["k"],` + prof + `,"pnames":[0],"trace":[[0,0,0,0]]}`))
@@ -61,10 +70,57 @@ func FuzzDecodePreparation(f *testing.F) {
 	f.Add([]byte(`{"names":["k"],"profiles":[{"w":0}],"pnames":[0],"trace":[[0,0,0,0]]}`)) // profile without work items
 	// A read (kind 2): no benchmark enqueues one, so the decoder refuses it.
 	f.Add([]byte(`{"names":["k"],` + prof + `,"pnames":[0],"trace":[[0,0,0,0],[2,0,64,-1]]}`))
+	// The canonical form of a one-kernel preparation, and one change each.
+	lit := `{"fp":256,"kl":1,"ops":64,"fn":true,"vf":true,"names":["k","in"],` + prof + `,"pnames":[0],"trace":[[1,1,256,-1],[0,0,0,0]]}`
+	f.Add([]byte(lit))
+	for _, r := range [][2]string{
+		{`,"kl":`, `, "kl":`},                          // whitespace
+		{`"fn":true,"vf":true`, `"vf":true,"fn":true`}, // a reordered key
+		{`{"fp":`, `{"x":[1],"fp":`},                   // an unknown key
+		{`"pnames":[0]`, `"pnames":null`},              // a null array
+		{`"names":["k","in"]`, `"names":null`},         // a null array the checks refuse
+		{`"kl":1`, `"kl":1.5`},                         // a fraction in an int field
+		{`"kl":1`, `"kl":1e400`},                       // an int out of range
+		{`"ops":64`, `"ops":1e400`},                    // a float out of range
+		{`"names":["k"`, `"names":["\u006b"`},          // an escaped name
+		{`"names":["k"`, "\"names\":[\"k\xff\""},       // a name that is not UTF-8
+		{`[0,0,0,0]]`, `[0,0,0]]`},                     // a short trace entry
+		{`[0,0,0,0]]`, `[0,0,0,0,0]]`},                 // a long trace entry
+		{`"kl":1`, `"kl":2`},                           // a launch the trace lacks
+		{`"fn":true`, `"fn":false`},                    // verified without executing
+	} {
+		f.Add([]byte(strings.Replace(lit, r[0], r[1], 1)))
+	}
+	f.Add(append([]byte(lit), ' '))
+	f.Add(bytes.Replace(canonical, []byte(`"kl":1`), []byte(`"kl":2`), 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		ref := &storedPrep{}
+		refErr := json.Unmarshal(raw, ref)
+		if sp, ok := readStoredPrep(raw); ok {
+			if refErr != nil {
+				t.Fatalf("one-pass reader accepted bytes encoding/json refuses: %v", refErr)
+			}
+			if !reflect.DeepEqual(sp, ref) {
+				t.Fatalf("one-pass reader read %+v, encoding/json %+v", sp, ref)
+			}
+		}
+		var want *Preparation
+		wantErr := refErr
+		if refErr == nil {
+			want, wantErr = ref.preparation()
+		}
 		p, err := decodePreparation(raw)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodePreparation error %v; encoding/json and the checks: %v", err, wantErr)
+		}
 		if err != nil {
+			if !strings.HasSuffix(err.Error(), wantErr.Error()) {
+				t.Fatalf("decodePreparation error %q does not end with %q", err, wantErr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("decodePreparation decoded %+v, encoding/json %+v", p, want)
 		}
 		checkReplayable(t, p)
 		enc, err := encodePreparation(p)

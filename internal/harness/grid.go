@@ -249,6 +249,7 @@ type gridRun struct {
 	injector faults.Injector // spec.Faults, counted when metrics are on
 	tracer   *obs.Tracer
 	cache    *prepCache
+	keys     *cellKeys // nil without a store
 	emit     func(Event)
 
 	// Per-cell outcomes, each slot written only by the cell's worker.
@@ -293,6 +294,9 @@ func runGrid(ctx context.Context, spec GridSpec, cells []gridCell, nDevices int,
 		quarantined: map[string]bool{},
 	}
 	r.cache = newPrepCache(spec.Store, r.mo)
+	if spec.Store != nil {
+		r.keys = newCellKeys(cells, spec.Options)
+	}
 	if spec.Metrics != nil {
 		r.injector = faults.Counted(r.injector, spec.Metrics)
 	}
@@ -395,7 +399,7 @@ func (r *gridRun) cell(ctx context.Context, i int) (err error) {
 
 	var key string
 	if r.spec.Store != nil {
-		key = CellKey(c.bench.Name(), c.size, c.dev.Spec, r.spec.Options)
+		key = r.keys.key(c)
 		if m := r.lookup(key); m != nil {
 			span.SetAttr("outcome", "store_hit")
 			r.complete(i, EventStoreHit, m, start)

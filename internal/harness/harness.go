@@ -299,13 +299,14 @@ func (p *Preparation) Measure(ctx context.Context, dev *opencl.Device, opt Optio
 	m.MeterScope = meter.Scope
 	model := dev.Model()
 	kernelNs, transferNs, energyJ := 0.0, 0.0, 0.0
+	var counts papi.Counts
 	for _, c := range p.trace {
 		switch c.kind {
 		case opencl.CommandKernel:
 			bd := model.KernelTime(c.profile)
 			kernelNs += bd.TotalNs
 			energyJ += meter.KernelEnergy(model, bd)
-			m.Counters.Add(papi.Derive(dev.Spec, c.profile, bd.Traffic, bd.TotalNs))
+			counts.Add(papi.Derive(dev.Spec, c.profile, bd.Traffic, bd.TotalNs))
 		case opencl.CommandWrite:
 			transferNs += model.TransferTime(c.bytes)
 		}
@@ -313,6 +314,7 @@ func (p *Preparation) Measure(ctx context.Context, dev *opencl.Device, opt Optio
 	if kernelNs <= 0 {
 		return nil, fmt.Errorf("harness: %s/%s produced no kernel time", p.Benchmark, p.Size)
 	}
+	m.Counters = counts.Set()
 
 	// ≥2 s measurement loop (§4.3), in simulated time.
 	if err := ctx.Err(); err != nil {

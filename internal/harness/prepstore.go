@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"opendwarfs/internal/cache"
 	"opendwarfs/internal/opencl"
@@ -131,58 +133,145 @@ func encodePreparation(p *Preparation) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// decodePreparation rebuilds a stored preparation; the caller sets its
-// Benchmark, Dwarf and Size. Every index and count is checked, every
-// profile must pass KernelProfile.Validate and the trace must hold a
-// kernel command, so the Preparation is one Prepare could have returned:
-// Measure replays it into the same bytes as the preparation that was
-// stored.
-func decodePreparation(raw json.RawMessage) (*Preparation, error) {
-	var sp storedPrep
-	if err := json.Unmarshal(raw, &sp); err != nil {
-		return nil, fmt.Errorf("harness: decode stored preparation: %w", err)
+// readStoredPrep reads raw in one pass, without reflection, when it is in
+// the form encodePreparation writes: storedPrep's fields and each profile's
+// in declaration order, every array present, each trace entry four
+// integers, no whitespace and nothing after the final '}'. It reports false
+// at the first byte outside that form, a null array included (no
+// preparation with a kernel command stores one), and decodePreparation
+// then decodes raw with encoding/json. Where it accepts, it reads the
+// storedPrep json.Unmarshal does, through cellReader's number, string and
+// bool readers (FuzzDecodePreparation checks both).
+//
+// A field added to storedPrep or storedProfile needs its line here; until
+// then every stored preparation takes the slow path, and
+// TestPrepReaderReadsFullGrid fails.
+func readStoredPrep(raw []byte) (*storedPrep, bool) {
+	d := cellReader{b: raw, ok: true}
+	sp := &storedPrep{
+		Names:        []string{},
+		Profiles:     []storedProfile{},
+		ProfileNames: []int64{},
+		Trace:        [][4]int64{},
 	}
+	d.int64(`{"fp":`, &sp.Footprint)
+	d.int(`,"kl":`, &sp.Launches)
+	d.float(`,"ops":`, &sp.TotalOps)
+	d.bool(`,"fn":`, &sp.Functional)
+	d.bool(`,"vf":`, &sp.Verified)
+	d.array(`,"names":`, func() { sp.Names = append(sp.Names, d.string()) })
+	d.array(`,"profiles":`, func() {
+		var p storedProfile
+		d.int64(`{"w":`, &p.WorkItems)
+		d.float(`,"f":`, &p.FlopsPerItem)
+		d.float(`,"i":`, &p.IntOpsPerItem)
+		d.float(`,"l":`, &p.LoadBytesPerItem)
+		d.float(`,"s":`, &p.StoreBytesPerItem)
+		d.int64(`,"ws":`, &p.WorkingSetBytes)
+		d.int(`,"p":`, (*int)(&p.Pattern))
+		d.float(`,"r":`, &p.TemporalReuse)
+		d.float(`,"b":`, &p.BranchesPerItem)
+		d.float(`,"d":`, &p.Divergence)
+		d.float(`,"c":`, &p.Coalescing)
+		d.bool(`,"v":`, &p.Vectorizable)
+		d.float(`,"sf":`, &p.SerialFraction)
+		d.lit(`}`)
+		sp.Profiles = append(sp.Profiles, p)
+	})
+	d.array(`,"pnames":`, func() { sp.ProfileNames = append(sp.ProfileNames, d.integer(64)) })
+	// The trace comes last, each entry opens with a '[' and numbers hold
+	// none, so the brackets left in raw bound its length.
+	sp.Trace = slices.Grow(sp.Trace, bytes.Count(d.b, []byte{'['}))
+	d.array(`,"trace":`, func() {
+		var e [4]int64
+		d.lit(`[`)
+		e[0] = d.integer(64)
+		for i := 1; i < len(e); i++ {
+			d.lit(`,`)
+			e[i] = d.integer(64)
+		}
+		d.lit(`]`)
+		sp.Trace = append(sp.Trace, e)
+	})
+	d.lit(`}`)
+	return sp, d.ok && len(d.b) == 0
+}
+
+// decodePreparation rebuilds a stored preparation; the caller sets its
+// Benchmark, Dwarf and Size. Bytes in encodePreparation's form, which is
+// every preparation this program stores, are read in one pass
+// (readStoredPrep); anything else is decoded by encoding/json, which stays
+// as the fallback and as the reference the one-pass reader is tested
+// against. Either way, storedPrep.preparation checks what was read.
+func decodePreparation(raw json.RawMessage) (*Preparation, error) {
+	sp, ok := readStoredPrep(raw)
+	if !ok {
+		sp = &storedPrep{}
+		if err := json.Unmarshal(raw, sp); err != nil {
+			return nil, fmt.Errorf("harness: decode stored preparation: %w", err)
+		}
+	}
+	return sp.preparation()
+}
+
+// preparation rebuilds the Preparation sp stores. Every index and count is
+// checked, every profile must pass KernelProfile.Validate, the trace must
+// hold a kernel command and exactly as many as the launch count says, and
+// only a functional preparation can be verified, so the Preparation is one
+// Prepare could have returned: Measure replays it into the same bytes as
+// the preparation that was stored.
+func (sp *storedPrep) preparation() (*Preparation, error) {
 	if sp.Footprint < 0 || sp.Launches < 0 || sp.TotalOps < 0 {
 		return nil, fmt.Errorf("harness: stored preparation has a negative footprint, launch or op count")
+	}
+	if sp.Verified && !sp.Functional {
+		return nil, fmt.Errorf("harness: stored preparation is verified but did not execute")
 	}
 	if len(sp.ProfileNames) != len(sp.Profiles) {
 		return nil, fmt.Errorf("harness: stored preparation names %d of %d profiles", len(sp.ProfileNames), len(sp.Profiles))
 	}
+	kps := make([]sim.KernelProfile, len(sp.Profiles))
 	profiles := make([]*sim.KernelProfile, len(sp.Profiles))
 	for i := range sp.Profiles {
 		ni := sp.ProfileNames[i]
 		if ni < 0 || ni >= int64(len(sp.Names)) {
 			return nil, fmt.Errorf("harness: stored preparation: profile %d names entry %d of %d", i, ni, len(sp.Names))
 		}
-		kp := sim.KernelProfile(sp.Profiles[i])
+		kp := &kps[i]
+		*kp = sim.KernelProfile(sp.Profiles[i])
 		kp.Name = sp.Names[ni]
 		if err := kp.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: stored preparation: %w", err)
 		}
-		profiles[i] = &kp
+		profiles[i] = kp
 	}
 	trace := make([]traceCommand, 0, len(sp.Trace))
+	kernels := 0
 	for i, e := range sp.Trace {
-		kind, ni, bytes, pi := opencl.CommandKind(e[0]), e[1], e[2], e[3]
+		kind, ni, moved, pi := opencl.CommandKind(e[0]), e[1], e[2], e[3]
 		if kind != opencl.CommandKernel && kind != opencl.CommandWrite {
 			return nil, fmt.Errorf("harness: stored preparation: command %d has kind %d, neither a kernel nor a write", i, e[0])
 		}
 		if ni < 0 || ni >= int64(len(sp.Names)) {
 			return nil, fmt.Errorf("harness: stored preparation: command %d names entry %d of %d", i, ni, len(sp.Names))
 		}
-		if bytes < 0 {
-			return nil, fmt.Errorf("harness: stored preparation: command %d moves %d bytes", i, bytes)
+		if moved < 0 {
+			return nil, fmt.Errorf("harness: stored preparation: command %d moves %d bytes", i, moved)
 		}
-		c := traceCommand{kind: kind, name: sp.Names[ni], bytes: bytes}
+		c := traceCommand{kind: kind, name: sp.Names[ni], bytes: moved}
 		if kind == opencl.CommandKernel {
 			if pi < 0 || pi >= int64(len(profiles)) {
 				return nil, fmt.Errorf("harness: stored preparation: command %d profiles entry %d of %d", i, pi, len(profiles))
 			}
 			c.profile = profiles[pi]
+			kernels++
 		} else if pi != -1 {
 			return nil, fmt.Errorf("harness: stored preparation: %s command %d carries a profile", kind, i)
 		}
 		trace = append(trace, c)
+	}
+	if sp.Launches != kernels {
+		return nil, fmt.Errorf("harness: stored preparation counts %d kernel launches in a trace of %d", sp.Launches, kernels)
 	}
 	p := &Preparation{
 		FootprintBytes: sp.Footprint,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"opendwarfs/internal/obs"
@@ -187,6 +188,117 @@ func encodeMeasured(t *testing.T, p *Preparation, dev *opencl.Device, opt Option
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// TestPrepReaderReadsFullGrid: every preparation record of the seed-2 full
+// grid's store takes the one-pass reader, reads to the storedPrep
+// encoding/json decodes, and rebuilds a preparation whose launch count is
+// its trace's and which encodes back to its stored bytes.
+func TestPrepReaderReadsFullGrid(t *testing.T) {
+	fs, err := fullStoreContents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	preps := 0
+	for _, rec := range fs.recs {
+		if rec.Schema == StoreSchemaVersion {
+			continue
+		}
+		preps++
+		sp, ok := readStoredPrep(rec.Value)
+		if !ok {
+			t.Fatalf("%s/%s: readStoredPrep (prepstore.go) refused the stored preparation; a field added to storedPrep or storedProfile needs its line there", rec.Benchmark, rec.Size)
+		}
+		var want storedPrep
+		if err := json.Unmarshal(rec.Value, &want); err != nil || !reflect.DeepEqual(sp, &want) {
+			t.Fatalf("%s/%s: readStoredPrep and encoding/json disagree (json error %v)", rec.Benchmark, rec.Size, err)
+		}
+		p, err := sp.preparation()
+		if err != nil {
+			t.Fatalf("%s/%s: %v", rec.Benchmark, rec.Size, err)
+		}
+		if raw, err := encodePreparation(p); err != nil || !bytes.Equal(raw, rec.Value) {
+			t.Fatalf("%s/%s: the read preparation does not encode to its stored bytes (%v)", rec.Benchmark, rec.Size, err)
+		}
+	}
+	if want := fullGridRecords - fullGridCells; preps != want {
+		t.Fatalf("%d preparation records, want %d", preps, want)
+	}
+}
+
+// TestImpossibleStoredPreparationIsPreparedAgain: a stored preparation
+// Prepare could not have returned — a launch count its trace does not
+// hold, or a verdict without a functional run — is not replayed. The row
+// is prepared again, and its cell carries the launch count a clean sweep
+// measures, which EncodeMeasurement stores and the predictor reads.
+func TestImpossibleStoredPreparationIsPreparedAgain(t *testing.T) {
+	reg := suite.New()
+	spec := func(st store.CellStore) GridSpec {
+		return GridSpec{
+			Benchmarks: []string{"crc"}, Sizes: []string{"tiny"}, Devices: []string{"i7-6700k"},
+			Options: quickOpts(), Workers: 1, Store: st,
+		}
+	}
+	clean, err := RunGrid(context.Background(), reg, spec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clean.Measurements[0].KernelLaunches
+	b, err := reg.Get("crc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Prepare(context.Background(), b, "tiny", quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.Functional || !fresh.Verified {
+		t.Fatal("crc/tiny is no longer a verified functional row")
+	}
+	for _, tc := range []struct {
+		name  string
+		alter func(sp *storedPrep)
+	}{
+		{"one launch too many", func(sp *storedPrep) { sp.Launches++ }},
+		{"verified without a functional run", func(sp *storedPrep) { sp.Functional = false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := encodePreparation(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sp storedPrep
+			if err := json.Unmarshal(raw, &sp); err != nil {
+				t.Fatal(err)
+			}
+			tc.alter(&sp)
+			if raw, err = json.Marshal(sp); err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			key := prepRecordKey("crc", "tiny", quickOpts())
+			if err := st.Put(store.Record{Key: key, Benchmark: "crc", Size: "tiny", Value: raw}); err != nil {
+				t.Fatal(err)
+			}
+			metrics := obs.NewRegistry()
+			s := spec(st)
+			s.Metrics = metrics
+			g, err := RunGrid(context.Background(), reg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, prepares := metrics.CounterValue("harness_prep_store_hits_total"), metrics.CounterValue("harness_prepares_total"); hits != 0 || prepares != 1 {
+				t.Fatalf("%d preparation store hits and %d prepares, want 0 and 1", hits, prepares)
+			}
+			if got := g.Measurements[0].KernelLaunches; got != want {
+				t.Fatalf("KernelLaunches %d, a clean sweep's %d", got, want)
+			}
+		})
+	}
 }
 
 // TestPrepRecordKey: the options Prepare reads are in the key, the

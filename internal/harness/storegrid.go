@@ -33,18 +33,71 @@ type cellOptions struct {
 // entry (clocks, cache sizes, power, …) invalidates exactly that device's
 // cells. Identical inputs always map to identical keys, which is what makes
 // an unchanged re-sweep a 100% store hit.
+//
+// The key is store.Fingerprint("opendwarfs/cell", StoreSchemaVersion,
+// bench, size, opt.Seed, spec, cellOptions(opt)). A grid run builds the
+// same keys from parts it encodes once (cellKeys).
 func CellKey(bench, size string, spec *sim.DeviceSpec, opt Options) string {
-	return store.Fingerprint(
-		"opendwarfs/cell", StoreSchemaVersion,
-		bench, size, opt.Seed, spec,
-		cellOptions{
+	return newKeyParts(opt).key(store.EncodePart(bench), store.EncodePart(size), store.EncodePart(spec))
+}
+
+// keyParts are the parts of a cell key that only the options decide, each
+// encoded by store.EncodePart.
+type keyParts struct{ domain, schema, seed, options []byte }
+
+func newKeyParts(opt Options) keyParts {
+	return keyParts{
+		domain: store.EncodePart("opendwarfs/cell"),
+		schema: store.EncodePart(StoreSchemaVersion),
+		seed:   store.EncodePart(opt.Seed),
+		options: store.EncodePart(cellOptions{
 			Samples:          opt.Samples,
 			MinLoopNs:        opt.MinLoopNs,
 			MaxLoopIters:     opt.MaxLoopIters,
 			MaxFunctionalOps: opt.MaxFunctionalOps,
 			Verify:           opt.Verify,
-		},
-	)
+		}),
+	}
+}
+
+// key frames the cell's encoded benchmark, size and device spec between
+// the options' parts, in CellKey's order.
+func (k keyParts) key(bench, size, spec []byte) string {
+	return store.FingerprintEncoded(k.domain, k.schema, bench, size, k.seed, spec, k.options)
+}
+
+// cellKeys keys one grid run's cells from parts encoded before dispatch:
+// the options' parts once, and each distinct benchmark name, size and
+// device spec once. Workers only read it, and it lives as long as the run.
+type cellKeys struct {
+	keyParts
+	names map[string][]byte
+	specs map[*sim.DeviceSpec][]byte
+}
+
+func newCellKeys(cells []gridCell, opt Options) *cellKeys {
+	k := &cellKeys{
+		keyParts: newKeyParts(opt),
+		names:    map[string][]byte{},
+		specs:    map[*sim.DeviceSpec][]byte{},
+	}
+	for _, c := range cells {
+		for _, name := range [...]string{c.bench.Name(), c.size} {
+			if _, ok := k.names[name]; !ok {
+				k.names[name] = store.EncodePart(name)
+			}
+		}
+		if _, ok := k.specs[c.dev.Spec]; !ok {
+			k.specs[c.dev.Spec] = store.EncodePart(c.dev.Spec)
+		}
+	}
+	return k
+}
+
+// key returns CellKey(c.bench.Name(), c.size, c.dev.Spec, opt) for a cell
+// of the run.
+func (k *cellKeys) key(c gridCell) string {
+	return k.keyParts.key(k.names[c.bench.Name()], k.names[c.size], k.specs[c.dev.Spec])
 }
 
 // EncodeMeasurement serialises a measurement for the store as json.Marshal

@@ -183,6 +183,46 @@ func TestStoreFingerprintInvalidation(t *testing.T) {
 	}
 }
 
+// TestCellKeyFramesEncodedParts: CellKey, and the keys a grid run builds
+// from parts it encodes once, equal store.Fingerprint over the unencoded
+// parts in CellKey's documented order, for every catalogue device under
+// several option sets.
+func TestCellKeyFramesEncodedParts(t *testing.T) {
+	cells, _, err := planCells(suite.New(), GridSpec{Benchmarks: []string{"crc", "nqueens"}, Sizes: []string{"tiny"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick := quickOpts()
+	quick.Seed, quick.Verify = 7, false
+	negative := DefaultOptions()
+	negative.Seed, negative.MinLoopNs = -3, 0.5
+	for _, opt := range []Options{DefaultOptions(), quick, negative} {
+		keys := newCellKeys(cells, opt)
+		for _, c := range cells {
+			want := store.Fingerprint(
+				"opendwarfs/cell", StoreSchemaVersion,
+				c.bench.Name(), c.size, opt.Seed, c.dev.Spec,
+				cellOptions{
+					Samples:          opt.Samples,
+					MinLoopNs:        opt.MinLoopNs,
+					MaxLoopIters:     opt.MaxLoopIters,
+					MaxFunctionalOps: opt.MaxFunctionalOps,
+					Verify:           opt.Verify,
+				},
+			)
+			if got := CellKey(c.bench.Name(), c.size, c.dev.Spec, opt); got != want {
+				t.Fatalf("%s, seed %d: CellKey %s, Fingerprint %s", c, opt.Seed, got, want)
+			}
+			if got := keys.key(c); got != want {
+				t.Fatalf("%s, seed %d: the run's key %s, Fingerprint %s", c, opt.Seed, got, want)
+			}
+		}
+	}
+	if n := len(opencl.AllDevices()); len(cells) != 2*n {
+		t.Fatalf("%d cells, want both rows on all %d devices", len(cells), n)
+	}
+}
+
 // TestStoreInvalidationEndToEnd runs the miss path through RunGrid: a
 // different seed over a populated store must recompute every cell.
 func TestStoreInvalidationEndToEnd(t *testing.T) {

@@ -3,6 +3,11 @@
 // verify that each problem size exercises the intended level of the memory
 // hierarchy (§4.3–4.4); here the same counter set is derived from the kernel
 // workload profile and the device's analytical cache model.
+//
+// Derive gives one launch's eight counts as a fixed array (Counts). A
+// benchmark iteration's counts are the sums of its launches' Counts, added
+// in launch order, and its reported Set — the values by name and the rates
+// derived from them — is built once from the sums (Counts.Set).
 package papi
 
 import (
@@ -27,6 +32,29 @@ const (
 	BrMsp  Counter = "PAPI_BR_MSP"  // mispredicted branches
 )
 
+// Positions of the counters in Counts.
+const (
+	totIns = iota
+	totCyc
+	l1DCM
+	l2DCM
+	l3TCM
+	tlbDM
+	brIns
+	brMsp
+	numCounters
+)
+
+// Counts holds the eight counter values of one kernel launch, or their sums
+// over launches, indexed by position.
+type Counts [numCounters]float64
+
+// counterNames names each position of Counts.
+var counterNames = [numCounters]Counter{
+	totIns: TotIns, totCyc: TotCyc, l1DCM: L1DCM, l2DCM: L2DCM,
+	l3TCM: L3TCM, tlbDM: TLBDM, brIns: BrIns, brMsp: BrMsp,
+}
+
 // Set is one sampled counter group for a kernel execution.
 type Set struct {
 	Values map[Counter]float64
@@ -42,9 +70,9 @@ type Set struct {
 	TLBMissRate float64
 }
 
-// Derive computes the counter set for one kernel launch on one device.
+// Derive computes the counts of one kernel launch on one device.
 // timeNs is the modelled kernel duration used for cycle/IPC derivation.
-func Derive(spec *sim.DeviceSpec, p *sim.KernelProfile, traffic cache.Traffic, timeNs float64) Set {
+func Derive(spec *sim.DeviceSpec, p *sim.KernelProfile, traffic cache.Traffic, timeNs float64) Counts {
 	items := float64(p.WorkItems)
 
 	// Memory accesses: one per 4-byte word of traffic (the benchmarks are
@@ -91,52 +119,47 @@ func Derive(spec *sim.DeviceSpec, p *sim.KernelProfile, traffic cache.Traffic, t
 	// analogue of unpredictability.
 	msp := branches * (0.01 + 0.3*p.Divergence)
 
-	cycles := timeNs * spec.ClockGHz()
-	s := Set{Values: map[Counter]float64{
-		TotIns: ins,
-		TotCyc: cycles,
-		L1DCM:  miss(0),
-		L2DCM:  miss(1),
-		L3TCM:  miss(2),
-		TLBDM:  tlbMisses,
-		BrIns:  branches,
-		BrMsp:  msp,
-	}}
-	if cycles > 0 {
-		s.IPC = ins / cycles
+	return Counts{
+		totIns: ins,
+		totCyc: timeNs * spec.ClockGHz(),
+		l1DCM:  miss(0),
+		l2DCM:  miss(1),
+		l3TCM:  miss(2),
+		tlbDM:  tlbMisses,
+		brIns:  branches,
+		brMsp:  msp,
 	}
-	if ins > 0 {
-		s.L3RequestRate = miss(1) / ins // requests to L3 = misses beyond L2
-		s.L3MissRate = miss(2) / ins
-		s.TLBMissRate = tlbMisses / ins
-	}
-	if l3req := miss(1); l3req > 0 {
-		s.L3MissRatio = miss(2) / l3req
-	}
-	return s
 }
 
-// Add accumulates another counter set (e.g. across the kernels of one
-// benchmark iteration). Derived rates are recomputed from the sums.
-func (s *Set) Add(o Set) {
-	if s.Values == nil {
-		s.Values = map[Counter]float64{}
+// Add accumulates another launch's counts (e.g. across the kernels of one
+// benchmark iteration), each counter's sum taken in the order of the calls.
+func (c *Counts) Add(o Counts) {
+	for i, v := range o {
+		c[i] += v
 	}
-	for k, v := range o.Values {
-		s.Values[k] += v
+}
+
+// Set builds the counter set of c: its values by name and the rates derived
+// from them. Counts never decrease as launches are added, so rates derived
+// once from the sums equal rates recomputed after every launch.
+func (c Counts) Set() Set {
+	s := Set{Values: make(map[Counter]float64, numCounters)}
+	for i, v := range c {
+		s.Values[counterNames[i]] = v
 	}
-	ins := s.Values[TotIns]
-	if cyc := s.Values[TotCyc]; cyc > 0 {
+	ins := c[totIns]
+	if cyc := c[totCyc]; cyc > 0 {
 		s.IPC = ins / cyc
 	}
 	if ins > 0 {
-		s.L3RequestRate = s.Values[L2DCM] / ins
-		s.L3MissRate = s.Values[L3TCM] / ins
-		s.TLBMissRate = s.Values[TLBDM] / ins
+		s.L3RequestRate = c[l2DCM] / ins // requests to L3 = misses beyond L2
+		s.L3MissRate = c[l3TCM] / ins
+		s.TLBMissRate = c[tlbDM] / ins
 	}
-	if req := s.Values[L2DCM]; req > 0 {
-		s.L3MissRatio = s.Values[L3TCM] / req
+	if req := c[l2DCM]; req > 0 {
+		s.L3MissRatio = c[l3TCM] / req
 	}
+	return s
 }
 
 // String formats the set in a stable order for logs.

@@ -27,7 +27,7 @@ func deriveFor(t *testing.T, wsBytes int64) Set {
 	}
 	model := sim.NewModel(spec)
 	b := model.KernelTime(p)
-	return Derive(spec, p, b.Traffic, b.TotalNs)
+	return Derive(spec, p, b.Traffic, b.TotalNs).Set()
 }
 
 func TestCountersReflectCacheResidency(t *testing.T) {
@@ -79,7 +79,7 @@ func TestTLBMisses(t *testing.T) {
 			LoadBytesPerItem: 64, WorkingSetBytes: ws, Pattern: pat, Vectorizable: true,
 		}
 		b := model.KernelTime(p)
-		return Derive(spec, p, b.Traffic, b.TotalNs)
+		return Derive(spec, p, b.Traffic, b.TotalNs).Set()
 	}
 	small := mk(1<<20, cache.Random)   // covered by TLB reach (6 MiB)
 	hugeRnd := mk(1<<30, cache.Random) // far beyond TLB reach
@@ -104,7 +104,7 @@ func TestBranchCounters(t *testing.T) {
 		LoadBytesPerItem: 4,
 	}
 	b := model.KernelTime(p)
-	s := Derive(spec, p, b.Traffic, b.TotalNs)
+	s := Derive(spec, p, b.Traffic, b.TotalNs).Set()
 	if s.Values[BrIns] != 5000 {
 		t.Fatalf("BR_INS %g, want 5000", s.Values[BrIns])
 	}
@@ -113,21 +113,39 @@ func TestBranchCounters(t *testing.T) {
 	}
 }
 
-func TestSetAdd(t *testing.T) {
-	a := deriveFor(t, 16<<10)
-	before := a.Values[TotIns]
-	b := deriveFor(t, 16<<10)
-	a.Add(b)
-	if a.Values[TotIns] != 2*before {
-		t.Fatalf("Add did not accumulate: %g vs 2×%g", a.Values[TotIns], before)
+// TestCountsAdd: a measurement's counts are its launches' counts summed in
+// launch order, and the set built from the sums derives its rates from
+// them.
+func TestCountsAdd(t *testing.T) {
+	spec := skylake(t)
+	p := &sim.KernelProfile{
+		Name: "k", WorkItems: 1 << 16,
+		FlopsPerItem: 10, LoadBytesPerItem: 16, StoreBytesPerItem: 4,
+		WorkingSetBytes: 16 << 10, Pattern: cache.Streaming, Vectorizable: true,
 	}
-	if a.IPC <= 0 {
-		t.Fatal("Add must recompute IPC")
+	bd := sim.NewModel(spec).KernelTime(p)
+	one := Derive(spec, p, bd.Traffic, bd.TotalNs)
+	before := one.Set().Values[TotIns]
+
+	a := one
+	a.Add(one)
+	sum := a.Set()
+	if sum.Values[TotIns] != 2*before {
+		t.Fatalf("Add did not accumulate: %g vs 2×%g", sum.Values[TotIns], before)
 	}
-	var zero Set
-	zero.Add(b)
-	if zero.Values[TotIns] != before {
-		t.Fatal("Add into zero set failed")
+	if sum.IPC <= 0 || sum.IPC != sum.Values[TotIns]/sum.Values[TotCyc] {
+		t.Fatalf("IPC %g is not derived from the sums", sum.IPC)
+	}
+	if len(sum.Values) != 8 {
+		t.Fatalf("%d counters, want 8", len(sum.Values))
+	}
+	var zero Counts
+	zero.Add(one)
+	if zero.Set().Values[TotIns] != before {
+		t.Fatal("Add into zero counts failed")
+	}
+	if zero != one {
+		t.Fatal("adding one launch's counts to zero changed them")
 	}
 }
 
@@ -151,8 +169,8 @@ func TestGPUCountsPerLaneInstructions(t *testing.T) {
 	}
 	gb := sim.NewModel(gpu).KernelTime(p)
 	cb := sim.NewModel(cpuSpec).KernelTime(p)
-	gs := Derive(gpu, p, gb.Traffic, gb.TotalNs)
-	cs := Derive(cpuSpec, p, cb.Traffic, cb.TotalNs)
+	gs := Derive(gpu, p, gb.Traffic, gb.TotalNs).Set()
+	cs := Derive(cpuSpec, p, cb.Traffic, cb.TotalNs).Set()
 	if gs.Values[TotIns] <= cs.Values[TotIns] {
 		t.Fatal("GPU per-lane instruction count should exceed CPU vectorised count")
 	}

@@ -688,3 +688,33 @@ func TestFingerprintDeterminismAndSensitivity(t *testing.T) {
 		distinct[other] = true
 	}
 }
+
+// TestFingerprintEncodedFramesParts: Fingerprint and FingerprintEncoded
+// over EncodePart's bytes give the same key, and the keys of fixed part
+// lists do not move, so every key already in a store still addresses its
+// record.
+func TestFingerprintEncodedFramesParts(t *testing.T) {
+	type opts struct {
+		Samples int
+		Seed    int64
+	}
+	for _, tc := range []struct {
+		parts []any
+		want  string
+	}{
+		{[]any{"cell", 1, "crc", "tiny", opts{8, 1}}, "d4ecb9318386d7003b23b6af0ecdc341"},
+		{nil, "e3b0c44298fc1c149afbf4c8996fb924"},
+		{[]any{"aé<&>", -0.0, 1e21, []int(nil), map[string]int{"b": 1, "a": 2}}, "d377c743ca341fc3a091f1a4dd7a0c08"},
+	} {
+		encoded := make([][]byte, len(tc.parts))
+		for i, p := range tc.parts {
+			encoded[i] = EncodePart(p)
+		}
+		if got := Fingerprint(tc.parts...); got != tc.want {
+			t.Errorf("Fingerprint(%v) = %s, want %s", tc.parts, got, tc.want)
+		}
+		if got := FingerprintEncoded(encoded...); got != tc.want {
+			t.Errorf("FingerprintEncoded(%v) = %s, want %s", tc.parts, got, tc.want)
+		}
+	}
+}
