@@ -1,8 +1,9 @@
 // Process-level gates for the commands. TestMain builds dwarfsweep,
-// dwarfbench, dwarfpredict, figures, sizer, dwarfsched and dwarfserve
-// once; every test runs them as a user or CI would, in a temporary
-// directory and under a deadline, and checks exit codes, what they print,
-// the files they export and, for dwarfserve, what it answers over HTTP.
+// dwarfbench, dwarfpredict, figures, sizer, dwarfsched, dwarfserve and
+// dwarftop once; every test runs them as a user or CI would, in a
+// temporary directory and under a deadline, and checks exit codes, what
+// they print, the files they export and, for dwarfserve, what it answers
+// over HTTP.
 package cmd_test
 
 import (
@@ -23,6 +24,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -31,9 +33,12 @@ import (
 )
 
 // commands are the binaries TestMain builds into binDir.
-var commands = []string{"dwarfsweep", "dwarfbench", "dwarfpredict", "figures", "sizer", "dwarfsched", "dwarfserve"}
+var commands = []string{"dwarfsweep", "dwarfbench", "dwarfpredict", "figures", "sizer", "dwarfsched", "dwarfserve", "dwarftop"}
 
-var binDir string // removed by TestMain after the run
+var (
+	binDir     string   // removed by TestMain after the run
+	sourceDirs []string // every non-standard package directory the commands build from
+)
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "opendwarfs-cmd-")
@@ -44,20 +49,42 @@ func TestMain(m *testing.M) {
 	binDir = dir
 	// A command that does not build fails the package; it never skips.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	args := []string{"build", "-o", dir}
+	var pkgs []string
 	for _, c := range commands {
-		args = append(args, "./"+c)
+		pkgs = append(pkgs, "./"+c)
 	}
-	out, err := exec.CommandContext(ctx, "go", args...).CombinedOutput()
-	cancel()
+	list := exec.CommandContext(ctx, "go", append([]string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}, pkgs...)...)
+	list.Stderr = os.Stderr
 	code := 1
-	if err != nil {
+	if out, err := exec.CommandContext(ctx, "go", append([]string{"build", "-o", dir}, pkgs...)...).CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "building the commands: %v\n%s", err, out)
+	} else if out, err := list.Output(); err != nil {
+		fmt.Fprintf(os.Stderr, "listing the commands' packages: %v\n", err)
 	} else {
+		sourceDirs = strings.Fields(string(out))
 		code = m.Run()
 	}
+	cancel()
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+var recordSources sync.Once
+
+// readSources lists every directory in sourceDirs once, from inside the
+// test run, so that go test records each listing (names, sizes and
+// modification times) as an input of this package's cached result. The
+// commands are built by a child go build the test cache does not see, so
+// without it an edit that breaks them could pass from the cache. Only a
+// test can record: m.Run installs the log the cache reads.
+func readSources(t *testing.T) {
+	recordSources.Do(func() {
+		for _, dir := range sourceDirs {
+			if _, err := os.ReadDir(dir); err != nil {
+				t.Errorf("recording the commands' sources: %v", err)
+			}
+		}
+	})
 }
 
 // result is one finished command.
@@ -66,22 +93,46 @@ type result struct {
 	stdout, stderr string
 }
 
-// run runs the named command with args in dir under a deadline. It fails
-// the test if the command cannot start or overruns the deadline.
+// run runs the named command with args in dir under a deadline and
+// returns once it exits.
 func run(t *testing.T, dir, name string, args ...string) result {
 	t.Helper()
+	return start(t, dir, name, args...)()
+}
+
+// start starts the named command with args in dir under a deadline and
+// returns a function that waits for it to exit. It fails the test if the
+// command cannot start, and the wait if it overruns the deadline; cleanup
+// kills a command the test has not waited for.
+func start(t *testing.T, dir, name string, args ...string) (wait func() result) {
+	t.Helper()
+	readSources(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
 	var stdout, stderr bytes.Buffer
 	cmd := exec.CommandContext(ctx, filepath.Join(binDir, name), args...)
 	cmd.Dir = dir
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if ctx.Err() != nil || (err != nil && !errors.As(err, &exit)) {
-		t.Fatalf("%s %s: %v (deadline: %v)", name, strings.Join(args, " "), err, ctx.Err())
+	if err := cmd.Start(); err != nil {
+		cancel()
+		t.Fatalf("%s %s: %v", name, strings.Join(args, " "), err)
 	}
-	return result{code: cmd.ProcessState.ExitCode(), stdout: stdout.String(), stderr: stderr.String()}
+	waited := false
+	t.Cleanup(func() {
+		cancel()
+		if !waited {
+			cmd.Wait()
+		}
+	})
+	return func() result {
+		t.Helper()
+		err := cmd.Wait()
+		waited = true
+		var exit *exec.ExitError
+		if ctx.Err() != nil || (err != nil && !errors.As(err, &exit)) {
+			t.Fatalf("%s %s: %v (deadline: %v)", name, strings.Join(args, " "), err, ctx.Err())
+		}
+		return result{code: cmd.ProcessState.ExitCode(), stdout: stdout.String(), stderr: stderr.String()}
+	}
 }
 
 // ok runs the named command like run and fails the test unless it exits
@@ -445,6 +496,7 @@ type daemon struct {
 // runs under a deadline; cleanup kills it if the test has not stopped it.
 func serve(t *testing.T, dir string, args ...string) *daemon {
 	t.Helper()
+	readSources(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	cmd := exec.CommandContext(ctx, filepath.Join(binDir, "dwarfserve"), append(args, "-addr", "127.0.0.1:0")...)
 	cmd.Dir = dir
@@ -552,6 +604,17 @@ func wantField(t *testing.T, what string, v map[string]any, field string, value 
 	}
 }
 
+// postJob posts a job and returns the id the daemon answers.
+func (d *daemon) postJob(t *testing.T, body string) string {
+	t.Helper()
+	job := d.callJSON(t, "POST", "/v1/jobs", body, http.StatusAccepted)
+	id, _ := job["id"].(string)
+	if id == "" {
+		t.Fatalf("POST /v1/jobs: no id in %v", job)
+	}
+	return id
+}
+
 // TestServeSmoke is CI's serving leg: dwarfserve answers every read route
 // from a compacted six-cell store, runs a job that widens the store by
 // titanx (six store hits, two measured cells, no Prepare), then serves a
@@ -590,11 +653,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("unknown policy: error %q, want the sorted valid list", msg)
 	}
 
-	job := d.callJSON(t, "POST", "/v1/jobs", `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m","titanx"]}`, http.StatusAccepted)
-	id, _ := job["id"].(string)
-	if id == "" {
-		t.Fatalf("POST /v1/jobs: no id in %v", job)
-	}
+	id := d.postJob(t, `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","gtx1080","k20m","titanx"]}`)
 	// The event stream follows the job live and ends by itself at grid_done.
 	sse := string(d.call(t, "GET", "/v1/jobs/"+id+"/events", "", http.StatusOK))
 	for _, ev := range []string{"cell_done", "store_hit", "grid_done"} {
@@ -634,13 +693,20 @@ func eventually(t *testing.T, what string, within time.Duration, cond func() boo
 	}
 }
 
-// TestObsAlertSmoke is obs-smoke's alert leg: dwarfserve samples every
-// 200 ms under a one-rule -alerts file, and a chaos job posted as soon as
-// it listens — two store hits, two failed cells on a dropped k20m — fires
-// the failed-cells burn-rate rule once. The rule resolves when the burst
-// leaves its 2 s window, after which /v1/status reads healthy and the
-// history window still lists the job's cell counter.
+// chaosJob widens a store of crc and fft's tiny i7-6700k cells by k20m,
+// which it drops: two store hits and two failed cells.
+const chaosJob = `{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","k20m"],"retries":3,"chaos":{"seed":7,"drop":["k20m"]}}`
+
+// TestObsAlertSmoke is the alert and live-metrics leg: dwarfserve samples
+// every 200 ms under a one-rule -alerts file, and chaosJob, posted as soon
+// as it listens, fires the failed-cells burn-rate rule once. The rule
+// resolves when the burst leaves its 2 s window, after which /v1/status
+// reads healthy, the history window still lists the job's cell counter,
+// -pprof has mounted the profile index, and /metrics agrees with the job's
+// grid. It runs in parallel with TestStreamReconcileSmoke: both spend
+// their time waiting on 200 ms samples.
 func TestObsAlertSmoke(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	ok(t, dir, "dwarfsweep", "-benchmarks", "crc,fft", "-sizes", "tiny", "-devices", "i7-6700k", "-store", "store")
 	const rules = `{"rules":[
@@ -649,14 +715,8 @@ func TestObsAlertSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "alerts.json"), []byte(rules), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := serve(t, dir, "-store", "store", "-sample-interval", "200ms", "-series-capacity", "64", "-alerts", "alerts.json")
-	job := d.callJSON(t, "POST", "/v1/jobs",
-		`{"benchmarks":["crc","fft"],"sizes":["tiny"],"devices":["i7-6700k","k20m"],"retries":3,"chaos":{"seed":7,"drop":["k20m"]}}`,
-		http.StatusAccepted)
-	id, _ := job["id"].(string)
-	if id == "" {
-		t.Fatalf("POST /v1/jobs: no id in %v", job)
-	}
+	d := serve(t, dir, "-store", "store", "-sample-interval", "200ms", "-series-capacity", "64", "-alerts", "alerts.json", "-pprof")
+	id := d.postJob(t, chaosJob)
 	var st map[string]any
 	eventually(t, "job "+id+" done", 30*time.Second, func() bool {
 		st = d.callJSON(t, "GET", "/v1/jobs/"+id, "", http.StatusOK)
@@ -685,9 +745,61 @@ func TestObsAlertSmoke(t *testing.T) {
 		return a["state"] == "resolved"
 	})
 	wantField(t, "resolved failed_cells_burn", a, "fired_total", 1.0)
-	wantField(t, "/v1/status", d.callJSON(t, "GET", "/v1/status", "", http.StatusOK), "health", "ok")
+	wantField(t, "/healthz", d.callJSON(t, "GET", "/healthz", "", http.StatusOK), "status", "ok")
+	st = d.callJSON(t, "GET", "/v1/status", "", http.StatusOK)
+	wantField(t, "/v1/status", st, "health", "ok")
+	if v, _ := st["go_version"].(string); !strings.HasPrefix(v, "go") {
+		t.Fatalf("/v1/status: go_version %q, want a Go release", v)
+	}
 	if hist := d.call(t, "GET", "/v1/metrics/history?window=30s", "", http.StatusOK); !bytes.Contains(hist, []byte(`"harness_cells_total"`)) {
 		t.Fatalf("/v1/metrics/history?window=30s lists no harness_cells_total:\n%s", hist)
+	}
+	d.call(t, "GET", "/debug/pprof/", "", http.StatusOK)
+
+	// The start-up snapshot decoded the two stored cells (slot misses); the
+	// job hit both through their slots, and so did the reload after it.
+	metrics := string(d.call(t, "GET", "/metrics", "", http.StatusOK))
+	lines := strings.Split(metrics, "\n")
+	for _, line := range []string{
+		"harness_cells_total 2", "harness_store_hits_total 2", "harness_failed_cells_total 2", "harness_quarantines_total 1",
+		"slotcache_misses_total 2", "slotcache_hits_total 4", "slotcache_evictions_total 0",
+		`jobs_finished_total{state="done"} 1`, "jobs_running 0", `http_requests_total{code="200",route="GET /healthz"} 1`,
+	} {
+		if !slices.Contains(lines, line) {
+			t.Errorf("/metrics has no line %q", line)
+		}
+	}
+	if !strings.Contains(metrics, `faults_injected_total{kind="device_down"} `) {
+		t.Errorf("/metrics counts no device_down fault")
+	}
+	if t.Failed() {
+		t.Fatalf("/metrics:\n%s", metrics)
+	}
+	if code, out := d.stop(t); code != 0 {
+		t.Fatalf("dwarfserve: exit %d on SIGTERM:\n%s", code, out)
+	}
+}
+
+// TestStreamReconcileSmoke is the stream-reconciliation leg: dwarftop
+// follows /v1/metrics/stream while chaosJob runs, drops the stream after
+// four frames and resumes it with Last-Event-ID, waits for three quiet
+// samples, then requires every counter summed from the stream's deltas to
+// equal /metrics exactly. The resume must replay from the ring: a server that
+// answered it with a fresh snapshot would still reconcile, but as a
+// resync. The job's POST is what first moves the counters, so dwarftop
+// cannot settle before it; nothing else is requested while dwarftop
+// waits, as a request would move http_requests_total.
+func TestStreamReconcileSmoke(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	ok(t, dir, "dwarfsweep", "-benchmarks", "crc,fft", "-sizes", "tiny", "-devices", "i7-6700k", "-store", "store")
+	d := serve(t, dir, "-store", "store", "-sample-interval", "200ms", "-series-capacity", "64")
+	top := start(t, dir, "dwarftop", "-url", d.base, "-reconcile", "3", "-resume-after", "4", "-timeout", "60s")
+	d.postJob(t, chaosJob)
+	reconciled := regexp.MustCompile(`^RECONCILE OK: \d+ samples, \d+ counters agree exactly \(1 reconnects, 0 resyncs\)\n$`)
+	if r := top(); r.code != 0 || !reconciled.MatchString(r.stdout) {
+		t.Fatalf("dwarftop: exit %d, want 0 with RECONCILE OK after one resume and no resync\nstdout:\n%s\nstderr:\n%s",
+			r.code, r.stdout, r.stderr)
 	}
 	if code, out := d.stop(t); code != 0 {
 		t.Fatalf("dwarfserve: exit %d on SIGTERM:\n%s", code, out)

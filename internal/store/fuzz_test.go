@@ -197,44 +197,88 @@ func FuzzScanValue(f *testing.F) {
 	})
 }
 
-// FuzzPutLine checks the lines Put and Compact frame against encoding/json:
-// each must be json.Marshal's form of the record plus a newline, which
-// readLine takes; where json.Marshal fails, Put must fail with its message
-// and write nothing. An empty value is also put as a nil one.
+// putSeeds seeds FuzzPutLine, and TestPutLineFiles record by record: a
+// cell and a preparation appendLine frames, then a record for each way to
+// need json.Marshal (payload whitespace, '<' or U+2028; a header string
+// with a quote, a backslash, non-ASCII, a control byte or invalid UTF-8),
+// an empty payload, an invalid one and an empty key.
+var putSeeds = []struct {
+	key, bench, size, dev string
+	schema                int
+	value                 string
+}{
+	{"cell", "nqueens", "tiny", "gtx1080", 1, `{"Dwarf":"Backtrack \u0026 Branch","KernelNs":[1.5,2e-7]}`},
+	{"prep", "crc", "tiny", "", 0, `{"fp":2008,"trace":[[0,0,0,0]]}`},
+	{"k", "", "", "", -7, `"v"`},
+	{"spaced", "crc", "tiny", "dev", 1, `{"a": [1, 2]}`},
+	{"html", "crc", "tiny", "dev", 1, `"a<b"`},
+	{"separator", "crc", "tiny", "dev", 1, "\"a\u2028b\""},
+	{"quote", "crc", "tiny", `dev"1`, 1, `1`},
+	{"backslash", "crc", "tiny", `dev\1`, 1, `1`},
+	{"accent", "crc", "tiny", "devé", 1, `1`},
+	{"control", "crc\n", "tiny", "dev", 1, `1`},
+	{"invalid utf-8", "crc", "tiny\xff", "dev", 1, `1`},
+	{"empty", "crc", "tiny", "dev", 1, ``},
+	{"bad", "crc", "tiny", "dev", 1, `[1,]`},
+	{"", "crc", "tiny", "dev", 1, `1`},
+}
+
+// FuzzPutLine checks the line Put and Compact write, appendLine's, against
+// encoding/json: it must be json.Marshal's form of the record plus a
+// newline, which readLine takes; where json.Marshal fails, appendLine must
+// fail with its error and append nothing. An empty value is also framed as
+// a nil one.
 func FuzzPutLine(f *testing.F) {
-	for _, seed := range []struct {
-		key, bench, size, dev string
-		schema                int
-		value                 string
-	}{
-		{"cell", "nqueens", "tiny", "gtx1080", 1, `{"Dwarf":"Backtrack \u0026 Branch","KernelNs":[1.5,2e-7]}`},
-		{"prep", "crc", "tiny", "", 0, `{"fp":2008,"trace":[[0,0,0,0]]}`},
-		{"k", "", "", "", -7, `"v"`},
-		{"spaced", "crc", "tiny", "dev", 1, `{"a": [1, 2]}`},
-		{"html", "crc", "tiny", "dev", 1, `"a<b"`},
-		{"separator", "crc", "tiny", "dev", 1, "\"a\u2028b\""},
-		{"quote", "crc", "tiny", `dev"1`, 1, `1`},
-		{"backslash", "crc", "tiny", `dev\1`, 1, `1`},
-		{"accent", "crc", "tiny", "devé", 1, `1`},
-		{"control", "crc\n", "tiny", "dev", 1, `1`},
-		{"invalid utf-8", "crc", "tiny\xff", "dev", 1, `1`},
-		{"empty", "crc", "tiny", "dev", 1, ``},
-		{"bad", "crc", "tiny", "dev", 1, `[1,]`},
-		{"", "crc", "tiny", "dev", 1, `1`},
-	} {
+	for _, seed := range putSeeds {
 		f.Add(seed.key, seed.bench, seed.size, seed.dev, seed.schema, []byte(seed.value))
 	}
 	f.Fuzz(func(t *testing.T, key, bench, size, dev string, schema int, value []byte) {
 		rec := Record{Key: key, Benchmark: bench, Size: size, Device: dev, Schema: schema, Value: value}
-		checkPutLine(t, rec)
+		checkLine(t, rec)
 		if len(value) == 0 {
 			rec.Value = nil
-			checkPutLine(t, rec)
+			checkLine(t, rec)
 		}
 	})
 }
 
-func checkPutLine(t *testing.T, rec Record) {
+func checkLine(t *testing.T, rec Record) {
+	t.Helper()
+	const before = "line before\n"
+	got, err := appendLine([]byte(before), &rec)
+	want, merr := json.Marshal(&rec)
+	if merr != nil {
+		if err == nil || err.Error() != merr.Error() || string(got) != before {
+			t.Fatalf("appendLine(%+v) appended %q with error %v, json.Marshal's %v", rec, got[len(before):], err, merr)
+		}
+		return
+	}
+	want = append(want, '\n')
+	if err != nil || string(got[:len(before)]) != before || !bytes.Equal(got[len(before):], want) {
+		t.Fatalf("appendLine(%+v) appended %q with error %v, json.Marshal writes %q", rec, got[len(before):], err, want)
+	}
+	if !readLine(want, new(Record)) {
+		t.Fatalf("readLine refused %q", want)
+	}
+}
+
+// TestPutLineFiles puts each of FuzzPutLine's seeds into a fresh store: the
+// segment, then the snapshot Compact writes, must each hold json.Marshal's
+// line, and where json.Marshal fails, Put must fail with its message and
+// create no file. An empty key is refused.
+func TestPutLineFiles(t *testing.T) {
+	for _, seed := range putSeeds {
+		rec := Record{Key: seed.key, Benchmark: seed.bench, Size: seed.size, Device: seed.dev,
+			Schema: seed.schema, Value: []byte(seed.value)}
+		checkPutFiles(t, rec)
+		if len(rec.Value) == 0 {
+			rec.Value = nil
+			checkPutFiles(t, rec)
+		}
+	}
+}
+
+func checkPutFiles(t *testing.T, rec Record) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir)

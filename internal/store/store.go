@@ -25,7 +25,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -96,7 +95,7 @@ type Store struct {
 	// replayed lists the files a compaction subsumes: the snapshot and
 	// segments loaded at Open, and any segment a failed write retired.
 	replayed []string
-	line     bytes.Buffer // Put's framed line, reused
+	line     []byte // Put's line, reused
 
 	// Decoded-slot traffic, reported by Stats.
 	hits, misses, evictions atomic.Int64
@@ -383,38 +382,28 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 // write wins). A set rec.Decoded becomes the key's decoded slot, counted
 // as neither a hit nor a miss; otherwise the key's slot is dropped.
 //
-// A record writeLine can frame is framed into the handle's line buffer, so
-// its Put allocates no line; any other goes through json.Marshal, which
-// also refuses an invalid payload. A failed write retires the segment: the
-// next Put opens a fresh one, so whatever part of the line reached the old
-// one stays its torn final line, which Open discards.
+// The line goes into the handle's reused line buffer (appendLine), so a
+// Put of a framed record allocates no line. A failed write retires the
+// segment: the next Put opens a fresh one, so whatever part of the line
+// reached the old one stays its torn final line, which Open discards.
 func (s *Store) Put(rec Record) error {
 	if rec.Key == "" {
 		return fmt.Errorf("store: put with empty key")
-	}
-	framed := frameable(&rec)
-	var line []byte
-	if !framed {
-		var err error
-		if line, err = json.Marshal(&rec); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		line = append(line, '\n')
 	}
 	decoded := rec.Decoded
 	rec.Decoded = nil
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	line, err := appendLine(s.line[:0], &rec)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	s.line = line
 	if s.seg == nil {
 		if err := s.openSegmentLocked(); err != nil {
 			return err
 		}
-	}
-	if framed {
-		s.line.Reset()
-		writeLine(&s.line, &rec)
-		line = s.line.Bytes()
 	}
 	if _, err := s.seg.Write(line); err != nil {
 		s.seg.Close() // the write's error is the one to report
@@ -451,7 +440,7 @@ func (s *Store) Put(rec Record) error {
 	return nil
 }
 
-// frameable reports whether writeLine can frame rec's line: encoding/json
+// frameable reports whether appendLine can frame rec's line: encoding/json
 // writes its key, benchmark, size and device as their own bytes — ASCII
 // with no control byte, '"', '\\', '<', '>' or '&' — and copies its payload
 // unchanged (scanValue).
@@ -467,37 +456,40 @@ func frameable(rec *Record) bool {
 	return verbatim
 }
 
-// lineWriter is what writeLine writes to: Put's line buffer or Compact's
-// bufio.Writer. Neither reports an error writeLine must act on: a
-// bytes.Buffer cannot fail, and a bufio.Writer keeps its first error for
-// Flush.
-type lineWriter interface {
-	Write([]byte) (int, error)
-	WriteString(string) (int, error)
-}
-
-// writeLine writes the line json.Marshal frames for rec, which must be
-// frameable, and its newline: the fields in Record's order, an empty
-// string or a zero schema left out, and the payload as it is.
-func writeLine(w lineWriter, rec *Record) {
-	w.WriteString(`{"key":"`)
-	w.WriteString(rec.Key)
+// appendLine appends rec's line, json.Marshal's form of the record and a
+// newline, to b. A frameable record is framed by hand: the fields in
+// Record's order, an empty string or a zero schema left out, and the
+// payload as it is. Any other goes through json.Marshal, whose error is
+// returned with b unchanged.
+func appendLine(b []byte, rec *Record) ([]byte, error) {
+	if !frameable(rec) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return b, err
+		}
+		return append(append(b, line...), '\n'), nil
+	}
+	// One growth at most: the header strings, the payload and 96 bytes
+	// for the field names, the schema and the braces.
+	b = slices.Grow(b, len(rec.Key)+len(rec.Benchmark)+len(rec.Size)+len(rec.Device)+len(rec.Value)+96)
+	b = append(b, `{"key":"`...)
+	b = append(b, rec.Key...)
 	for _, f := range [...]struct{ name, val string }{
 		{`","benchmark":"`, rec.Benchmark}, {`","size":"`, rec.Size}, {`","device":"`, rec.Device},
 	} {
 		if f.val != "" {
-			w.WriteString(f.name)
-			w.WriteString(f.val)
+			b = append(b, f.name...)
+			b = append(b, f.val...)
 		}
 	}
-	w.WriteString(`"`)
+	b = append(b, '"')
 	if rec.Schema != 0 {
-		w.WriteString(`,"schema":`)
-		w.WriteString(strconv.Itoa(rec.Schema))
+		b = append(b, `,"schema":`...)
+		b = strconv.AppendInt(b, int64(rec.Schema), 10)
 	}
-	w.WriteString(`,"value":`)
-	w.Write(rec.Value)
-	w.WriteString("}\n")
+	b = append(b, `,"value":`...)
+	b = append(b, rec.Value...)
+	return append(b, "}\n"...), nil
 }
 
 // relist returns listing, in sortRecords order, with rec in place of old
@@ -600,35 +592,30 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	// 64 KiB a write: the full grid's ~3 MB snapshot takes ~50 write
-	// calls, against ~770 at bufio's 4 KiB default.
-	w := bufio.NewWriterSize(tmp, 64<<10)
+	// Lines are appended to one 64 KiB buffer, written out before a line
+	// that might not fit: the full grid's ~3 MB snapshot takes ~50 write
+	// calls. A line is its payload plus well under 1 KiB of header, unless
+	// encoding/json escapes it, so only a line over ~63 KiB grows the buffer.
+	buf := make([]byte, 0, 64<<10)
 	for _, rec := range recs {
-		if frameable(rec) {
-			writeLine(w, rec)
-			continue
+		if len(buf)+len(rec.Value)+1<<10 > cap(buf) {
+			if _, err := tmp.Write(buf); err != nil {
+				return abandon(tmp, err)
+			}
+			buf = buf[:0]
 		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("store: %w", err)
+		if buf, err = appendLine(buf, rec); err != nil {
+			return abandon(tmp, err)
 		}
-		w.Write(line)
-		w.WriteByte('\n')
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	if _, err := tmp.Write(buf); err != nil {
+		return abandon(tmp, err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return abandon(tmp, err)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, snapshotName)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return abandon(tmp, err)
 	}
 
 	// Drop the files the snapshot now subsumes: everything replayed at Open
@@ -650,6 +637,14 @@ func (s *Store) Compact() error {
 	s.replayed = []string{filepath.Join(s.dir, snapshotName)}
 	s.compactions.Inc()
 	return nil
+}
+
+// abandon closes and removes a snapshot being written, and returns err as
+// the store's error.
+func abandon(tmp *os.File, err error) error {
+	tmp.Close()
+	os.Remove(tmp.Name())
+	return fmt.Errorf("store: %w", err)
 }
 
 // Close flushes and closes the append segment. The store must not be used
